@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 from .raster_codec import DepthCodecParams, Raster, linearize_depth, stencil_class_ids
-from .scene_sim import EngineRecord, ObjectClass
+from .scene_sim import EngineRecord, ObjectClass, box_area, box_intersection_area
 
 Run = tuple[int, int, int]  # (row, x_start, x_end_exclusive)
 
@@ -63,7 +63,10 @@ class Component:
     bbox: tuple[float, float, float, float]  # pixel hull (left, top, right, bottom)
 
     def mask(self, height: int, width: int) -> np.ndarray:
-        return runs_to_mask(self.runs, height, width)
+        mask = np.zeros((height, width), dtype=bool)
+        for y, x0, x1 in self.runs:
+            mask[y, x0:x1] = True
+        return mask
 
 
 @dataclass
@@ -98,13 +101,6 @@ def mask_to_runs(mask: np.ndarray, row_offset: int = 0, col_offset: int = 0) -> 
         ends = idx[np.concatenate((breaks, [len(idx) - 1]))] + 1
         runs.extend((int(y) + row_offset, int(s) + col_offset, int(e) + col_offset) for s, e in zip(starts, ends))
     return tuple(runs)
-
-
-def runs_to_mask(runs: Sequence[Run], height: int, width: int) -> np.ndarray:
-    mask = np.zeros((height, width), dtype=bool)
-    for y, x0, x1 in runs:
-        mask[y, x0:x1] = True
-    return mask
 
 
 def _runs_bbox(runs: Sequence[Run]) -> tuple[float, float, float, float]:
@@ -182,18 +178,19 @@ def mean_region_depth(region: np.ndarray, depth: Raster, params: DepthCodecParam
     return float(np.mean(linearize_depth(d, params)))
 
 
+def pixel_hull(ys: np.ndarray, xs: np.ndarray) -> tuple[float, float, float, float]:
+    """Tight (left, top, right, bottom) box around pixels at rows ys, columns xs."""
+    return float(xs.min()), float(ys.min()), float(xs.max() + 1), float(ys.max() + 1)
+
+
 def estimate_truncation(
     coarse_box: tuple[float, float, float, float], image_size: tuple[int, int]
 ) -> float:
     """Fraction of the un-clipped box lying outside the image: 1 - clipped/full."""
-    left, top, right, bottom = coarse_box
-    area = (right - left) * (bottom - top)
+    area = box_area(coarse_box)
     if area <= 0.0:
         raise ValueError(f"zero-area box {coarse_box}")
-    width, height = image_size
-    iw = min(right, width) - max(left, 0.0)
-    ih = min(bottom, height) - max(top, 0.0)
-    inside = iw * ih if (iw > 0 and ih > 0) else 0.0
+    inside = box_intersection_area(coarse_box, (0.0, 0.0, *image_size))
     return min(1.0, max(0.0, 1.0 - inside / area))
 
 
@@ -202,18 +199,38 @@ def estimate_occlusion(
 ) -> int:
     """Visibility level from the visible-pixel fraction of the clipped box:
     0 fully visible (>= 0.8), 1 partly occluded (>= 0.5), else 2."""
-    left, top, right, bottom = coarse_box
-    width, height = image_size
-    iw = min(right, width) - max(left, 0.0)
-    ih = min(bottom, height) - max(top, 0.0)
-    if iw <= 0 or ih <= 0:
+    clipped = box_intersection_area(coarse_box, (0.0, 0.0, *image_size))
+    if clipped <= 0.0:
         return 2
-    fraction = visible_px / (iw * ih)
+    fraction = visible_px / clipped
     if fraction >= FULLY_VISIBLE_FRACTION:
         return 0
     if fraction >= PARTLY_VISIBLE_FRACTION:
         return 1
     return 2
+
+
+def record_annotation(
+    record: EngineRecord,
+    hull: tuple[float, float, float, float],
+    visible_px: int,
+    image_size: tuple[int, int],
+    kept_runs: tuple[Run, ...] = (),
+) -> TightAnnotation:
+    """Record-backed annotation: truncation and occlusion against the record's
+    un-clipped coarse box, range and 3D pose copied from the record."""
+    return TightAnnotation(
+        source_id=record.object_id,
+        tight_box=hull,
+        visible_px=visible_px,
+        truncation=estimate_truncation(record.coarse_box, image_size),
+        occlusion_level=estimate_occlusion(visible_px, record.coarse_box, image_size),
+        range_m=record.range_m,
+        size=record.size,
+        location_cam=record.location_cam,
+        yaw=record.yaw,
+        kept_runs=kept_runs,
+    )
 
 
 def _pixel_window(
@@ -237,13 +254,12 @@ def refine_tight_box(
     depth: Raster,
     params: RefinementParams = RefinementParams(),
     depth_params: DepthCodecParams = DepthCodecParams(),
-    *,
-    _z_lin: Optional[np.ndarray] = None,
 ) -> Optional[TightAnnotation]:
     """Refine one engine record into a tight annotation, or None on rejection.
 
-    Candidate pixels are the mask pixels inside the dilated coarse box; the
-    mean depth over them seeds the iterated band filter |z - mu| <= rho * mu,
+    Candidate pixels are the mask pixels inside the dilated coarse box, and
+    depth is linearized only over that window; the mean depth over the
+    candidates seeds the iterated band filter |z - mu| <= rho * mu,
     each pass shrinking the kept set and re-centering mu. Rejection (fully
     occluded, off-screen, or sub-threshold survivor count) is a normal
     outcome, not an error.
@@ -258,10 +274,7 @@ def refine_tight_box(
     candidates = mask[y0:y1, x0:x1]
     if not candidates.any():
         return None
-    if _z_lin is not None:
-        z = _z_lin[y0:y1, x0:x1]
-    else:
-        z = linearize_depth(depth.data[y0:y1, x0:x1].astype(np.float64), depth_params)
+    z = linearize_depth(depth.data[y0:y1, x0:x1].astype(np.float64), depth_params)
     # each pass re-selects from the candidate set with the refreshed mean, so
     # a mean seeded off-center (merged contours) converges onto the dominant
     # depth cluster instead of eroding it
@@ -276,22 +289,11 @@ def refine_tight_box(
     if visible < params.min_component_px:
         return None
     ys, xs = np.nonzero(kept)
-    tight = (
-        float(x0 + xs.min()),
-        float(y0 + ys.min()),
-        float(x0 + xs.max() + 1),
-        float(y0 + ys.max() + 1),
-    )
-    return TightAnnotation(
-        source_id=record.object_id,
-        tight_box=tight,
-        visible_px=visible,
-        truncation=estimate_truncation(record.coarse_box, (width, height)),
-        occlusion_level=estimate_occlusion(visible, record.coarse_box, (width, height)),
-        range_m=record.range_m,
-        size=record.size,
-        location_cam=record.location_cam,
-        yaw=record.yaw,
+    return record_annotation(
+        record,
+        pixel_hull(ys + y0, xs + x0),
+        visible,
+        (width, height),
         kept_runs=mask_to_runs(kept, row_offset=y0, col_offset=x0),
     )
 
@@ -353,12 +355,11 @@ def annotate_frame(
             f"depth {depth.width}x{depth.height}"
         )
     mask = vehicle_mask(stencil)
-    z_lin = linearize_depth(depth.data.astype(np.float64), depth_params)
     accepted = []
     for record in sorted(records, key=lambda r: r.object_id):
         if record.cls is not ObjectClass.VEHICLE:
             continue
-        annotation = refine_tight_box(record, mask, depth, params, depth_params, _z_lin=z_lin)
+        annotation = refine_tight_box(record, mask, depth, params, depth_params)
         if annotation is not None:
             accepted.append(annotation)
     return accepted + recover_orphans(mask, accepted, depth, params, depth_params)

@@ -11,7 +11,8 @@ Subcommands::
 Exit codes: 0 success, 2 configuration/parse error, 3 I/O error,
 4 validation error. All subcommands are idempotent and produce byte-identical
 outputs regardless of worker count; ``MATRIXGT_WORKERS`` is the fallback when
-``--workers`` is absent, and 0 means one worker per CPU.
+``--workers`` is absent (oracle-labels has no flag), and 0 means one worker
+per CPU.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import annotator, dataset_stats, evaluator, kitti_labels, scene_sim
 from .errors import ConfigError, FormatError, ValidationError
-from .raster_codec import DepthCodecParams, Raster, stencil_class_ids
+from .oracle_labels import oracle_frame_labels
+from .raster_codec import DepthCodecParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,7 +38,10 @@ EXIT_VALIDATION = 4
 def _resolve_workers(requested: Optional[int]) -> int:
     if requested is None:
         env = os.environ.get("MATRIXGT_WORKERS")
-        requested = int(env) if env else 1
+        try:
+            requested = int(env) if env else 1
+        except ValueError:
+            raise ConfigError(f"MATRIXGT_WORKERS must be an integer, got {env!r}") from None
     if requested < 0:
         raise ConfigError(f"worker count must be >= 0, got {requested}")
     if requested == 0:
@@ -64,7 +67,7 @@ def _run_tasks(task_fn, tasks: list, workers: int) -> None:
 
 def _generate_task(task) -> None:
     config, frame_idx, out_dir = task
-    scene_sim.write_dataset_frame(config, frame_idx, out_dir)
+    scene_sim.write_frame_files(scene_sim.render_scenario_frame(config, frame_idx), out_dir)
 
 
 def cmd_generate(args) -> int:
@@ -111,62 +114,6 @@ def cmd_annotate(args) -> int:
 # --- oracle-labels -----------------------------------------------------------
 
 
-def oracle_frame_labels(
-    instance: Raster,
-    stencil: Raster,
-    records: Sequence[scene_sim.EngineRecord],
-    image_size: tuple[int, int],
-) -> list[kitti_labels.KittiLabel]:
-    """Perfect per-frame labels from the withheld instance oracle.
-
-    Each visible vehicle's box is the exact hull of its oracle pixels;
-    truncation and occlusion estimates reuse the annotator's formulas against
-    the engine record. Vehicles without a record (beyond the engine's
-    registration range) get orphan-style sentinel labels. Fully occluded
-    objects emit nothing.
-    """
-    inst = instance.data
-    class_codes = stencil_class_ids(stencil)
-    by_id = {r.object_id: r for r in records}
-    labels = []
-    for object_id in np.unique(inst):
-        if object_id == 0:
-            continue
-        ys, xs = np.nonzero(inst == object_id)
-        record = by_id.get(int(object_id))
-        if record is not None:
-            vehicle = record.cls is scene_sim.ObjectClass.VEHICLE
-        else:
-            vehicle = int(class_codes[ys[0], xs[0]]) == int(scene_sim.ObjectClass.VEHICLE)
-        if not vehicle:
-            continue
-        hull = (float(xs.min()), float(ys.min()), float(xs.max() + 1), float(ys.max() + 1))
-        visible = int(len(xs))
-        if record is not None:
-            annotation = annotator.TightAnnotation(
-                source_id=record.object_id,
-                tight_box=hull,
-                visible_px=visible,
-                truncation=annotator.estimate_truncation(record.coarse_box, image_size),
-                occlusion_level=annotator.estimate_occlusion(visible, record.coarse_box, image_size),
-                range_m=record.range_m,
-                size=record.size,
-                location_cam=record.location_cam,
-                yaw=record.yaw,
-            )
-        else:
-            annotation = annotator.TightAnnotation(
-                source_id=0,
-                tight_box=hull,
-                visible_px=visible,
-                truncation=0.0,
-                occlusion_level=2,
-                range_m=0.0,
-            )
-        labels.append(kitti_labels.from_annotation(annotation))
-    return labels
-
-
 def _oracle_task(task) -> None:
     dataset_dir, labels_dir, frame_idx, image_size = task
     depth, stencil, records, instance = scene_sim.read_frame_buffers(
@@ -179,13 +126,14 @@ def _oracle_task(task) -> None:
 def cmd_oracle_labels(args) -> int:
     dataset_dir = Path(args.input_dir)
     config = scene_sim.read_manifest(dataset_dir / scene_sim.MANIFEST_NAME)
+    workers = _resolve_workers(None)
     labels_dir = Path(args.out)
     labels_dir.mkdir(parents=True, exist_ok=True)
     tasks = [
         (dataset_dir, labels_dir, i, (config.width, config.height))
         for i in scene_sim.list_frame_indices(dataset_dir)
     ]
-    _run_tasks(_oracle_task, tasks, 1)
+    _run_tasks(_oracle_task, tasks, workers)
     return EXIT_OK
 
 

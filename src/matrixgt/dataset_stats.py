@@ -60,6 +60,8 @@ def centroid_heatmap(
     if cols < 1 or rows < 1:
         raise ConfigError(f"grid dimensions must be >= 1, got {cols}x{rows}")
     width, height = image_size
+    if width < 1 or height < 1:
+        raise ConfigError(f"image dimensions must be >= 1, got {width}x{height}")
     counts = np.zeros((rows, cols), dtype=np.int64)
     clamped = 0
     for labels in read_label_dir(labels_dir).values():

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .kitti_labels import (
     CAR_TYPE,
     DEFAULT_THRESHOLDS,
@@ -91,20 +91,18 @@ class EvalReport:
     levels: dict[Difficulty, LevelResult]
 
 
-def _box_area(box: Box) -> float:
-    return (box[2] - box[0]) * (box[3] - box[1])
-
-
 def iou(a: Box, b: Box) -> float:
     """Intersection over union with continuous areas; 0 when disjoint."""
-    if _box_area(a) <= 0.0 or _box_area(b) <= 0.0:
+    area_a = (a[2] - a[0]) * (a[3] - a[1])
+    area_b = (b[2] - b[0]) * (b[3] - b[1])
+    if area_a <= 0.0 or area_b <= 0.0:
         raise ValueError(f"zero-area box in IoU: {a}, {b}")
     iw = min(a[2], b[2]) - max(a[0], b[0])
     ih = min(a[3], b[3]) - max(a[1], b[1])
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    return inter / (_box_area(a) + _box_area(b) - inter)
+    return inter / (area_a + area_b - inter)
 
 
 def _det_sort_key(det: Detection) -> tuple:
@@ -176,9 +174,13 @@ def average_precision(
     outcomes: Sequence[ScoredOutcome], gt_count: int, method: str = "11pt"
 ) -> Optional[float]:
     """AP over pooled outcomes; None when there is no required ground truth."""
+    return _curve_ap(precision_recall_points(outcomes, gt_count), gt_count, method)
+
+
+def _curve_ap(points: Sequence[tuple[float, float]], gt_count: int, method: str) -> Optional[float]:
+    """AP of a precision_recall_points curve by 11-point or all-point interpolation."""
     if gt_count == 0:
         return None
-    points = precision_recall_points(outcomes, gt_count)
     if method == "11pt":
         total = 0.0
         for i in range(11):
@@ -199,6 +201,14 @@ def average_precision(
     raise ValueError(f"unknown AP method {method!r}; use '11pt' or 'all'")
 
 
+def _checked_box(frame_id: str, label) -> Box:
+    """A label's box, rejected when it encloses no area (IoU is undefined)."""
+    left, top, right, bottom = label.bbox
+    if not (left < right and top < bottom):
+        raise ValidationError(f"frame {frame_id}: {label.type} box {label.bbox} has no area")
+    return label.bbox
+
+
 def _load_ground_truth(
     labels_by_frame, thresholds: DifficultyThresholds
 ) -> dict[str, list[GroundTruth]]:
@@ -207,11 +217,13 @@ def _load_ground_truth(
         rows = []
         for label in labels:
             if label.type == CAR_TYPE:
-                rows.append(
-                    GroundTruth(frame_id, label.bbox, classify_difficulty(label, thresholds))
-                )
+                difficulty = classify_difficulty(label, thresholds)
             elif label.type == DONTCARE_TYPE:
-                rows.append(GroundTruth(frame_id, label.bbox, Difficulty.UNKNOWN, dontcare=True))
+                difficulty = Difficulty.UNKNOWN
+            else:
+                continue
+            box = _checked_box(frame_id, label)
+            rows.append(GroundTruth(frame_id, box, difficulty, dontcare=label.type == DONTCARE_TYPE))
         gts[frame_id] = rows
     return gts
 
@@ -220,7 +232,7 @@ def _load_detections(labels_by_frame) -> dict[str, list[Detection]]:
     dets: dict[str, list[Detection]] = {}
     for frame_id, labels in labels_by_frame.items():
         dets[frame_id] = [
-            Detection(frame_id, label.bbox, label.score if label.score is not None else 1.0)
+            Detection(frame_id, _checked_box(frame_id, label), 1.0 if label.score is None else label.score)
             for label in labels
             if label.type == CAR_TYPE
         ]
@@ -235,6 +247,8 @@ def evaluate(
     thresholds: DifficultyThresholds = DEFAULT_THRESHOLDS,
 ) -> EvalReport:
     """Evaluate a detection label directory against a ground-truth directory."""
+    if not (0.0 < iou_thr <= 1.0):
+        raise ConfigError(f"IoU threshold must be in (0, 1], got {iou_thr}")
     det_labels = read_label_dir(det_dir)
     gt_labels = read_label_dir(gt_dir)
     if set(det_labels) != set(gt_labels):
@@ -257,13 +271,14 @@ def evaluate(
             pooled.extend(ScoredOutcome(d.score, d.box, o) for d, o in outcomes)
         tp = sum(1 for o in pooled if o.outcome is Outcome.TP)
         fp = sum(1 for o in pooled if o.outcome is Outcome.FP)
+        points = precision_recall_points(pooled, gt_count)
         levels[level] = LevelResult(
-            ap=average_precision(pooled, gt_count, method),
+            ap=_curve_ap(points, gt_count, method),
             tp=tp,
             fp=fp,
             fn=gt_count - tp,
             gt_count=gt_count,
-            pr_points=precision_recall_points(pooled, gt_count),
+            pr_points=points,
         )
     return EvalReport(iou_threshold=iou_thr, method=method, levels=levels)
 

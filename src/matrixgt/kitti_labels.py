@@ -169,6 +169,8 @@ def parse_labels_text(text: str, origin: str = "labels") -> list[KittiLabel]:
             nums = [float(p) for p in parts[3:]]
         except ValueError as exc:
             raise FormatError(f"{origin} line {lineno}: {exc}") from None
+        if not all(math.isfinite(v) for v in (truncated, *nums)):
+            raise FormatError(f"{origin} line {lineno}: non-finite number")
         labels.append(
             KittiLabel(
                 type=parts[0],

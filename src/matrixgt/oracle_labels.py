@@ -1,0 +1,50 @@
+"""Referee labels from the withheld instance oracle.
+
+Labels are assembled with the annotator's own helpers, so both sides compute
+hulls, truncation and occlusion on one path. This module imports the
+annotator and never the reverse, which keeps annotation blind to the oracle.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from .annotator import TightAnnotation, pixel_hull, record_annotation
+from .kitti_labels import KittiLabel, from_annotation
+from .raster_codec import Raster, stencil_class_ids
+from .scene_sim import EngineRecord, ObjectClass
+
+
+def oracle_frame_labels(
+    instance: Raster,
+    stencil: Raster,
+    records: Sequence[EngineRecord],
+    image_size: tuple[int, int],
+) -> list[KittiLabel]:
+    """One frame's labels: each visible vehicle's box is the exact hull of its
+    oracle pixels. Vehicles without an engine record (beyond its registration
+    range) get orphan-style sentinel labels; fully occluded objects emit
+    nothing."""
+    inst = instance.data
+    class_codes = stencil_class_ids(stencil)
+    by_id = {r.object_id: r for r in records}
+    labels = []
+    for object_id in np.unique(inst):
+        if object_id == 0:
+            continue
+        ys, xs = np.nonzero(inst == object_id)
+        record = by_id.get(int(object_id))
+        cls = record.cls if record is not None else int(class_codes[ys[0], xs[0]])
+        if cls != ObjectClass.VEHICLE:
+            continue
+        hull = pixel_hull(ys, xs)
+        if record is not None:
+            annotation = record_annotation(record, hull, len(xs), image_size)
+        else:
+            annotation = TightAnnotation(
+                source_id=0, tight_box=hull, visible_px=len(xs), truncation=0.0, occlusion_level=2, range_m=0.0
+            )
+        labels.append(from_annotation(annotation))
+    return labels

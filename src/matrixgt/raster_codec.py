@@ -120,9 +120,6 @@ class Raster:
             and bool(np.array_equal(self.data, other.data))
         )
 
-    def __hash__(self):
-        return hash((self.sample_kind, self.data.shape, self.data.tobytes()))
-
     def __repr__(self):
         return f"Raster({self.width}x{self.height} {self.sample_kind})"
 

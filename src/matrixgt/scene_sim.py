@@ -266,14 +266,6 @@ _FACE_TRIANGLES = tuple(
 )
 
 
-def project_point(camera: CameraModel, p: Sequence[float]) -> tuple[float, float, float]:
-    """Project a camera-space point to pixel coordinates; returns (u, v, depth)."""
-    x, y, z = float(p[0]), float(p[1]), float(p[2])
-    if z <= 0.0:
-        raise BehindCameraError(f"point at z={z} is behind the camera")
-    return camera.fx * x / z + camera.cx, camera.fy * y / z + camera.cy, z
-
-
 def cuboid_corners(obj: SceneObject) -> np.ndarray:
     """The 8 corners of an object's oriented cuboid, camera space, shape (8, 3)."""
     length, width, height = obj.size
@@ -283,12 +275,14 @@ def cuboid_corners(obj: SceneObject) -> np.ndarray:
     return half @ rot.T + np.asarray(obj.center, dtype=np.float64)
 
 
-def coarse_box(camera: CameraModel, obj: SceneObject) -> tuple[float, float, float, float]:
-    """Axis-aligned hull of the 8 projected cuboid corners, NOT clipped to the
-    image (truncation is measured from the un-clipped box).
+def _project_corners(
+    camera: CameraModel, obj: SceneObject
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pixel coordinates ``(u, v)`` and camera depth ``z`` of the 8 cuboid
+    corners, each shape (8,).
 
     Raises :class:`BehindCameraError` if any corner sits at or behind the near
-    plane; callers skip such objects from the records.
+    plane; such objects are neither rendered nor recorded.
     """
     corners = cuboid_corners(obj)
     z = corners[:, 2]
@@ -298,6 +292,17 @@ def coarse_box(camera: CameraModel, obj: SceneObject) -> tuple[float, float, flo
         )
     u = camera.fx * corners[:, 0] / z + camera.cx
     v = camera.fy * corners[:, 1] / z + camera.cy
+    return u, v, z
+
+
+def coarse_box(camera: CameraModel, obj: SceneObject) -> tuple[float, float, float, float]:
+    """Axis-aligned hull of the 8 projected cuboid corners, NOT clipped to the
+    image (truncation is measured from the un-clipped box).
+
+    Raises :class:`BehindCameraError` if any corner sits at or behind the near
+    plane; callers skip such objects from the records.
+    """
+    u, v, _ = _project_corners(camera, obj)
     return float(u.min()), float(v.min()), float(u.max()), float(v.max())
 
 
@@ -309,6 +314,17 @@ def inflate_box(
     dx = (right - left) * pct / 2.0
     dy = (bottom - top) * pct / 2.0
     return left - dx, top - dy, right + dx, bottom + dy
+
+
+def box_area(box) -> float:
+    return (box[2] - box[0]) * (box[3] - box[1])
+
+
+def box_intersection_area(a, b) -> float:
+    """Intersection area of two (left, top, right, bottom) boxes; 0 when disjoint."""
+    w = min(a[2], b[2]) - max(a[0], b[0])
+    h = min(a[3], b[3]) - max(a[1], b[1])
+    return w * h if (w > 0 and h > 0) else 0.0
 
 
 # --- triangle rasterization core -------------------------------------------
@@ -373,17 +389,12 @@ def scene_screen_triangles(
     Yields ``(pts2d (3, 2), invz (3,), class_code, object_id)``. Objects with
     any corner at or behind the near plane are skipped and logged.
     """
-    near = camera.depth_params.near_m
     for obj in sorted(scene, key=lambda o: o.object_id):
-        corners = cuboid_corners(obj)
-        z = corners[:, 2]
-        if z.min() <= near:
-            log.warning(
-                "object %d: corner at z=%.3f behind near plane, skipped", obj.object_id, z.min()
-            )
+        try:
+            u, v, z = _project_corners(camera, obj)
+        except BehindCameraError as exc:
+            log.warning("%s, skipped", exc)
             continue
-        u = camera.fx * corners[:, 0] / z + camera.cx
-        v = camera.fy * corners[:, 1] / z + camera.cy
         pts = np.column_stack([u, v])
         invz = 1.0 / z
         for tri in _FACE_TRIANGLES:
@@ -513,25 +524,14 @@ def render_frame(
 # --- procedural scene generation -------------------------------------------
 
 
-def _boxes_intersect(a, b) -> float:
-    """Intersection area of two boxes (0 when disjoint)."""
-    w = min(a[2], b[2]) - max(a[0], b[0])
-    h = min(a[3], b[3]) - max(a[1], b[1])
-    return w * h if (w > 0 and h > 0) else 0.0
-
-
-def _box_area(box) -> float:
-    return (box[2] - box[0]) * (box[3] - box[1])
-
-
 def _placement_ok(config: ScenarioConfig, box, z, placed: list[tuple[tuple, float]]) -> bool:
     for other_box, other_z in placed:
-        inter = _boxes_intersect(box, other_box)
+        inter = box_intersection_area(box, other_box)
         if inter <= 0.0:
             continue
         if config.min_depth_gap_m > 0.0 and abs(z - other_z) < config.min_depth_gap_m:
             return False
-        if inter / min(_box_area(box), _box_area(other_box)) > config.max_overlap_frac:
+        if inter / min(box_area(box), box_area(other_box)) > config.max_overlap_frac:
             return False
     return True
 
@@ -712,19 +712,17 @@ def read_manifest(path: str | Path) -> ScenarioConfig:
 MANIFEST_NAME = "manifest.txt"
 
 
-def frame_prefix(frame_idx: int) -> str:
-    return f"{frame_idx:06d}"
+_FRAME_FILES = {
+    "color": "color.ppm",
+    "depth": "depth.mrb",
+    "stencil": "stencil.mrb",
+    "instance": "instance.mrb",
+    "meta": "meta.txt",
+}
 
 
 def frame_paths(dataset_dir: str | Path, frame_idx: int) -> dict[str, Path]:
-    base = Path(dataset_dir) / frame_prefix(frame_idx)
-    return {
-        "color": base.with_name(base.name + "_color.ppm"),
-        "depth": base.with_name(base.name + "_depth.mrb"),
-        "stencil": base.with_name(base.name + "_stencil.mrb"),
-        "instance": base.with_name(base.name + "_instance.mrb"),
-        "meta": base.with_name(base.name + "_meta.txt"),
-    }
+    return {key: Path(dataset_dir) / f"{frame_idx:06d}_{name}" for key, name in _FRAME_FILES.items()}
 
 
 def list_frame_indices(dataset_dir: str | Path) -> list[int]:
@@ -743,10 +741,6 @@ def ppm_bytes(rgb: np.ndarray) -> bytes:
         raise ValueError(f"PPM image must be (H, W, 3) uint8, got {rgb.shape} {rgb.dtype}")
     header = f"P6\n{rgb.shape[1]} {rgb.shape[0]}\n255\n".encode("ascii")
     return header + np.ascontiguousarray(rgb).tobytes()
-
-
-def write_ppm(path: str | Path, rgb: np.ndarray) -> None:
-    Path(path).write_bytes(ppm_bytes(rgb))
 
 
 def meta_text(records: Sequence[EngineRecord]) -> str:
@@ -801,7 +795,7 @@ def write_frame_files(bundle: FrameBundle, dataset_dir: str | Path) -> None:
     write_raster(bundle.instance_oracle, paths["instance"])
     paths["meta"].write_text(meta_text(bundle.records))
     if bundle.color is not None:
-        write_ppm(paths["color"], bundle.color)
+        paths["color"].write_bytes(ppm_bytes(bundle.color))
 
 
 def read_frame_buffers(
@@ -818,17 +812,3 @@ def read_frame_buffers(
     records = parse_meta_text(paths["meta"].read_text())
     instance = read_raster(paths["instance"]) if with_instance else None
     return depth, stencil, records, instance
-
-
-def write_dataset_frame(config: ScenarioConfig, frame_idx: int, dataset_dir: str | Path) -> None:
-    write_frame_files(render_scenario_frame(config, frame_idx), dataset_dir)
-
-
-def generate_dataset(config: ScenarioConfig, dataset_dir: str | Path) -> None:
-    """Render and write every frame plus the manifest (single process)."""
-    config.validate()
-    out = Path(dataset_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for frame_idx in range(config.frames):
-        write_dataset_frame(config, frame_idx, out)
-    (out / MANIFEST_NAME).write_text(manifest_text(config))

@@ -90,6 +90,20 @@ class TestConnectedComponents:
     def test_empty_mask(self):
         assert an.connected_components(np.zeros((3, 3), dtype=bool)) == []
 
+    def test_partition_matches_scipy_label(self):
+        # test-only cross-check; scipy is not a dependency of the package
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            height, width = rng.integers(1, 40, size=2)
+            mask = rng.random((height, width)) < rng.uniform(0.1, 0.7)
+            labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+            expected = {frozenset(np.flatnonzero(labels == k)) for k in range(1, count + 1)}
+            comps = an.connected_components(mask)
+            got = {frozenset(np.flatnonzero(c.mask(height, width))) for c in comps}
+            assert len(comps) == count, trial
+            assert got == expected, trial
+
 
 class TestMeanRegionDepth:
     def test_constant_region(self, codec):

@@ -266,10 +266,79 @@ class TestEntryPoint:
         assert "generate" in result.stdout
 
     def test_env_var_worker_fallback(self, tiny_dataset, tmp_path, monkeypatch):
-        monkeypatch.setenv("MATRIXGT_WORKERS", "2")
-        labels = tmp_path / "labels"
-        assert cli.main(["annotate", "--in", str(tiny_dataset), "--out", str(labels)]) == 0
-        ref = tmp_path / "ref"
-        monkeypatch.delenv("MATRIXGT_WORKERS")
-        assert cli.main(["annotate", "--in", str(tiny_dataset), "--out", str(ref)]) == 0
-        assert dir_digest(labels) == dir_digest(ref)
+        run_tasks = cli._run_tasks
+        seen = []
+
+        def spy(task_fn, tasks, workers):
+            seen.append(workers)
+            run_tasks(task_fn, tasks, workers)
+
+        monkeypatch.setattr(cli, "_run_tasks", spy)
+        digests = {}
+        for env in ("2", None):
+            if env is None:
+                monkeypatch.delenv("MATRIXGT_WORKERS")
+            else:
+                monkeypatch.setenv("MATRIXGT_WORKERS", env)
+            for command in ("annotate", "oracle-labels"):
+                out = tmp_path / f"{command}-{env}"
+                assert cli.main([command, "--in", str(tiny_dataset), "--out", str(out)]) == 0
+                digests[command, env] = dir_digest(out)
+        assert seen == [2, 2, 1, 1]
+        for command in ("annotate", "oracle-labels"):
+            assert digests[command, "2"] == digests[command, None]
+
+
+CAR_LINE = "Car 0.00 0 -10.00 10.00 10.00 50.00 60.00 -1.00 -1.00 -1.00 -1000.00 -1000.00 -1000.00 -10.00\n"
+
+
+def _label_dir(root, name, line=CAR_LINE):
+    directory = root / name
+    directory.mkdir()
+    (directory / "000000.txt").write_text(line)
+    return directory
+
+
+def _evaluate_argv(root, det_line=CAR_LINE, gt_line=CAR_LINE, iou="0.7"):
+    det = _label_dir(root, "det", det_line)
+    gt = _label_dir(root, "gt", gt_line)
+    return ["evaluate", "--det", str(det), "--gt", str(gt), "--iou", iou, "--out", str(root / "r")]
+
+
+def _generate_argv(root):
+    scenario = root / "s.txt"
+    scenario.write_text(TINY_SCENARIO)
+    return ["generate", "--scenario", str(scenario), "--out", str(root / "ds")]
+
+
+BAD_INPUTS = {
+    # (environment, argv builder, expected exit code)
+    "workers-env-not-integer": ({"MATRIXGT_WORKERS": "abc"}, _generate_argv, 2),
+    "stats-image-0x0": (
+        {},
+        lambda root: ["stats", "--labels", str(_label_dir(root, "l")), "--out", str(root / "s"),
+                      "--image", "0x0"],
+        2,
+    ),
+    "evaluate-iou-above-1": ({}, lambda root: _evaluate_argv(root, iou="5"), 2),
+    "evaluate-iou-0": ({}, lambda root: _evaluate_argv(root, iou="0"), 2),
+    "zero-area-det-box": (
+        {},
+        lambda root: _evaluate_argv(root, det_line=CAR_LINE.replace("50.00 60.00", "10.00 60.00")),
+        4,
+    ),
+    "nan-truncation": (
+        {},
+        lambda root: _evaluate_argv(root, gt_line=CAR_LINE.replace("Car 0.00", "Car nan")),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_without_traceback(case, tmp_path, monkeypatch, capsys):
+    env, make_argv, code = BAD_INPUTS[case]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert cli.main(make_argv(tmp_path)) == code
+    assert capsys.readouterr().err.startswith("matrixgt: error:")

@@ -1,32 +1,13 @@
-import hashlib
-
 import numpy as np
 import pytest
 
 from conftest import make_ground, make_vehicle
 from oracles import brute_force_depth, ray_cast_depth
 
+from matrixgt import cli
 from matrixgt import scene_sim as ss
 from matrixgt.errors import BehindCameraError, ConfigError, FormatError
 from matrixgt.raster_codec import encode_log_depth, linearize_raster
-
-
-class TestProjection:
-    def test_optical_axis(self, spec_camera):
-        for z in (0.5, 10.0, 300.0):
-            u, v, depth = ss.project_point(spec_camera, (0.0, 0.0, z))
-            assert (u, v, depth) == (320.0, 240.0, z)
-
-    def test_formula_example(self, spec_camera):
-        u, v, _ = ss.project_point(spec_camera, (0.5, 0.0, 9.5))
-        assert u == pytest.approx(325.2631578947368, abs=1e-12)
-        assert v == 240.0
-
-    def test_behind_camera(self, spec_camera):
-        with pytest.raises(BehindCameraError):
-            ss.project_point(spec_camera, (0.0, 0.0, -1.0))
-        with pytest.raises(BehindCameraError):
-            ss.project_point(spec_camera, (1.0, 1.0, 0.0))
 
 
 class TestCoarseBox:
@@ -35,12 +16,16 @@ class TestCoarseBox:
         box = ss.coarse_box(spec_camera, cube)
         expected = 100.0 * 0.5 / 9.5
         assert box == pytest.approx((320 - expected, 240 - expected, 320 + expected, 240 + expected))
+        # u = fx * x / z + cx for the near corner at (0.5, y, 9.5)
+        assert box[2] == pytest.approx(325.2631578947368, abs=1e-12)
 
     def test_on_axis_symmetry(self, spec_camera):
-        cube = ss.SceneObject(1, ss.ObjectClass.VEHICLE, (0.0, 0.0, 25.0), (2.0, 2.0, 2.0), 0.0)
-        left, top, right, bottom = ss.coarse_box(spec_camera, cube)
-        assert (left + right) / 2 == pytest.approx(320.0, abs=1e-9)
-        assert (top + bottom) / 2 == pytest.approx(240.0, abs=1e-9)
+        # a cube centred on the optical axis projects symmetrically about (cx, cy)
+        for z in (2.0, 25.0, 300.0):
+            cube = ss.SceneObject(1, ss.ObjectClass.VEHICLE, (0.0, 0.0, z), (2.0, 2.0, 2.0), 0.0)
+            left, top, right, bottom = ss.coarse_box(spec_camera, cube)
+            assert (left + right) / 2 == pytest.approx(320.0, abs=1e-9)
+            assert (top + bottom) / 2 == pytest.approx(240.0, abs=1e-9)
 
     def test_unclipped_beyond_image(self, spec_camera):
         cube = ss.SceneObject(1, ss.ObjectClass.VEHICLE, (35.0, 0.0, 10.0), (1.0, 1.0, 1.0), 0.0)
@@ -48,9 +33,12 @@ class TestCoarseBox:
         assert box[2] > spec_camera.width
 
     def test_corner_behind_near_plane(self, spec_camera):
-        cube = ss.SceneObject(1, ss.ObjectClass.VEHICLE, (0.0, 0.0, 0.4), (1.0, 1.0, 1.0), 0.0)
-        with pytest.raises(BehindCameraError):
-            ss.coarse_box(spec_camera, cube)
+        # near corner inside the near plane, on the camera plane, behind it,
+        # and a cube wholly behind the camera
+        for z in (0.6, 0.5, 0.4, -1.0):
+            cube = ss.SceneObject(1, ss.ObjectClass.VEHICLE, (0.0, 0.0, z), (1.0, 1.0, 1.0), 0.0)
+            with pytest.raises(BehindCameraError):
+                ss.coarse_box(spec_camera, cube)
 
     def test_inflate_box(self):
         assert ss.inflate_box((10.0, 20.0, 30.0, 40.0), 0.10) == pytest.approx((9.0, 19.0, 31.0, 41.0))
@@ -340,38 +328,15 @@ class TestDatasetFiles:
         base.update(overrides)
         return ss.ScenarioConfig(**base)
 
-    def test_generate_dataset_layout(self, tmp_path):
-        config = self._tiny_config()
-        out = tmp_path / "ds"
-        ss.generate_dataset(config, out)
-        assert (out / "manifest.txt").exists()
-        for frame in range(config.frames):
-            paths = ss.frame_paths(out, frame)
-            for key in ("color", "depth", "stencil", "instance", "meta"):
-                assert paths[key].exists(), key
-        assert ss.list_frame_indices(out) == [0, 1]
-
-    def test_generate_dataset_byte_identical(self, tmp_path):
-        config = self._tiny_config()
-        hashes = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            ss.generate_dataset(config, out)
-            digest = hashlib.sha256()
-            for path in sorted(out.iterdir()):
-                digest.update(path.name.encode())
-                digest.update(path.read_bytes())
-            hashes.append(digest.hexdigest())
-        assert hashes[0] == hashes[1]
-
     def test_ppm_golden(self):
         rgb = np.array([[[1, 2, 3], [4, 5, 6]]], dtype=np.uint8)
         assert ss.ppm_bytes(rgb) == b"P6\n2 1\n255\n" + bytes([1, 2, 3, 4, 5, 6])
 
     def test_frame_buffers_reader(self, tmp_path):
-        config = self._tiny_config()
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(ss.scenario_to_text(self._tiny_config()))
         out = tmp_path / "ds"
-        ss.generate_dataset(config, out)
+        assert cli.main(["generate", "--scenario", str(scenario), "--out", str(out)]) == 0
         depth, stencil, records, instance = ss.read_frame_buffers(out, 0)
         assert instance is None
         assert depth.sample_kind == "F32" and stencil.sample_kind == "U8"
