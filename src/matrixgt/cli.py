@@ -119,7 +119,10 @@ def _oracle_task(task) -> None:
     depth, stencil, records, instance = scene_sim.read_frame_buffers(
         dataset_dir, frame_idx, with_instance=True
     )
-    labels = oracle_frame_labels(instance, stencil, records, image_size)
+    try:
+        labels = oracle_frame_labels(instance, stencil, records, image_size)
+    except ValidationError as exc:
+        raise ValidationError(f"frame {frame_idx:06d}: {exc} (from the manifest)") from None
     kitti_labels.write_labels(labels, kitti_labels.label_path(labels_dir, frame_idx))
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .kitti_labels import CAR_TYPE, Difficulty, classify_difficulty, read_label_dir
+from .kitti_labels import CAR_TYPE, Difficulty, checked_bbox, classify_difficulty, read_label_dir
 
 DEFAULT_GRID = (48, 27)  # (cols, rows), 16:9-friendly
 
@@ -89,10 +89,11 @@ def dataset_summary(labels_dir: str | Path) -> DatasetSummary:
     by_frame = read_label_dir(labels_dir)
     difficulty_counts = {level: 0 for level in Difficulty}
     car_boxes = 0
-    for labels in by_frame.values():
+    for frame_id, labels in by_frame.items():
         for label in labels:
             if label.type != CAR_TYPE:
                 continue
+            checked_bbox(frame_id, label)
             car_boxes += 1
             difficulty_counts[classify_difficulty(label)] += 1
     frames = len(by_frame)
@@ -153,11 +154,17 @@ def write_stats(
     image_size: tuple[int, int],
     grid: tuple[int, int] = DEFAULT_GRID,
 ) -> None:
-    """Write heatmap.pgm, heatmap.csv, detections_hist.csv, and summary.txt."""
+    """Write heatmap.pgm, heatmap.csv, detections_hist.csv, and summary.txt.
+
+    Everything is computed, and every Car box checked, before the first file
+    is written, so a rejected label directory leaves no partial output.
+    """
+    heatmap = centroid_heatmap(labels_dir, image_size, grid)
+    histogram = detections_histogram(labels_dir)
+    summary = dataset_summary(labels_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    heatmap = centroid_heatmap(labels_dir, image_size, grid)
     (out / "heatmap.pgm").write_bytes(heatmap_pgm(heatmap))
     (out / "heatmap.csv").write_text(heatmap_csv(heatmap))
-    (out / "detections_hist.csv").write_text(histogram_csv(detections_histogram(labels_dir)))
-    (out / "summary.txt").write_text(summary_text(dataset_summary(labels_dir)))
+    (out / "detections_hist.csv").write_text(histogram_csv(histogram))
+    (out / "summary.txt").write_text(summary_text(summary))

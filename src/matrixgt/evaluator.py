@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,6 +33,7 @@ from .kitti_labels import (
     DONTCARE_TYPE,
     Difficulty,
     DifficultyThresholds,
+    checked_bbox,
     classify_difficulty,
     read_label_dir,
 )
@@ -188,25 +190,18 @@ def _curve_ap(points: Sequence[tuple[float, float]], gt_count: int, method: str)
             total += max((p for rec, p in points if rec >= r), default=0.0)
         return total / 11.0
     if method == "all":
-        # integrate the monotone precision envelope over recall
+        # integrate the monotone precision envelope over recall; envelope[i]
+        # is the best precision at or after point i, one reverse running max
+        envelope = list(accumulate((p for _, p in reversed(points)), max))[::-1]
         total = 0.0
         prev_recall = 0.0
-        for i, (recall, _) in enumerate(points):
+        for (recall, _), best in zip(points, envelope):
             if recall == prev_recall:
                 continue
-            envelope = max(p for _, p in points[i:])
-            total += (recall - prev_recall) * envelope
+            total += (recall - prev_recall) * best
             prev_recall = recall
         return total
     raise ValueError(f"unknown AP method {method!r}; use '11pt' or 'all'")
-
-
-def _checked_box(frame_id: str, label) -> Box:
-    """A label's box, rejected when it encloses no area (IoU is undefined)."""
-    left, top, right, bottom = label.bbox
-    if not (left < right and top < bottom):
-        raise ValidationError(f"frame {frame_id}: {label.type} box {label.bbox} has no area")
-    return label.bbox
 
 
 def _load_ground_truth(
@@ -216,13 +211,13 @@ def _load_ground_truth(
     for frame_id, labels in labels_by_frame.items():
         rows = []
         for label in labels:
+            if label.type not in (CAR_TYPE, DONTCARE_TYPE):
+                continue
+            box = checked_bbox(frame_id, label)
             if label.type == CAR_TYPE:
                 difficulty = classify_difficulty(label, thresholds)
-            elif label.type == DONTCARE_TYPE:
-                difficulty = Difficulty.UNKNOWN
             else:
-                continue
-            box = _checked_box(frame_id, label)
+                difficulty = Difficulty.UNKNOWN
             rows.append(GroundTruth(frame_id, box, difficulty, dontcare=label.type == DONTCARE_TYPE))
         gts[frame_id] = rows
     return gts
@@ -232,7 +227,7 @@ def _load_detections(labels_by_frame) -> dict[str, list[Detection]]:
     dets: dict[str, list[Detection]] = {}
     for frame_id, labels in labels_by_frame.items():
         dets[frame_id] = [
-            Detection(frame_id, _checked_box(frame_id, label), 1.0 if label.score is None else label.score)
+            Detection(frame_id, checked_bbox(frame_id, label), 1.0 if label.score is None else label.score)
             for label in labels
             if label.type == CAR_TYPE
         ]

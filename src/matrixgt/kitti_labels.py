@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .annotator import TightAnnotation
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 
 CAR_TYPE = "Car"
 DONTCARE_TYPE = "DontCare"
@@ -66,6 +66,15 @@ class KittiLabel:
     location: tuple[float, float, float]  # (x, y, z), camera meters
     rotation_y: float
     score: Optional[float] = None
+
+
+def checked_bbox(frame_id: str, label: KittiLabel) -> tuple[float, float, float, float]:
+    """A label's box, rejected when it encloses no area (IoU and difficulty
+    are undefined for it)."""
+    left, top, right, bottom = label.bbox
+    if not (left < right and top < bottom):
+        raise ValidationError(f"frame {frame_id}: {label.type} box {label.bbox} has no area")
+    return label.bbox
 
 
 def classify_difficulty(

@@ -12,6 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .annotator import TightAnnotation, pixel_hull, record_annotation
+from .errors import ValidationError
 from .kitti_labels import KittiLabel, from_annotation
 from .raster_codec import Raster, stencil_class_ids
 from .scene_sim import EngineRecord, ObjectClass
@@ -26,7 +27,13 @@ def oracle_frame_labels(
     """One frame's labels: each visible vehicle's box is the exact hull of its
     oracle pixels. Vehicles without an engine record (beyond its registration
     range) get orphan-style sentinel labels; fully occluded objects emit
-    nothing."""
+    nothing. Raises :class:`ValidationError` when a raster's size differs from
+    ``image_size``, the (width, height) truncation is measured against."""
+    for name, raster in (("instance", instance), ("stencil", stencil)):
+        if (raster.width, raster.height) != tuple(image_size):
+            raise ValidationError(
+                f"{name} raster is {raster.width}x{raster.height}, image size is {image_size[0]}x{image_size[1]}"
+            )
     inst = instance.data
     class_codes = stencil_class_ids(stencil)
     by_id = {r.object_id: r for r in records}

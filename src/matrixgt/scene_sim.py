@@ -250,15 +250,17 @@ _CORNER_SIGNS = np.array(
     dtype=np.float64,
 )
 
-# Quads in perimeter order; winding is irrelevant (rasterizer normalizes
-# orientation and never culls).
+# Quads in perimeter order, wound so that (b - a) x (c - a) points out of the
+# cuboid. Every triangle below inherits that outward winding, which lets the
+# renderer cull back faces from the sign of the projected area alone (see
+# _rasterize_into); scene_screen_triangles still yields all 12 triangles.
 _FACE_QUADS = (
     (0, 1, 3, 2),  # -x
-    (4, 5, 7, 6),  # +x
-    (0, 1, 5, 4),  # -y (top; y grows downward)
+    (4, 6, 7, 5),  # +x
+    (0, 4, 5, 1),  # -y (top; y grows downward)
     (2, 3, 7, 6),  # +y (bottom)
     (0, 2, 6, 4),  # -z (near)
-    (1, 3, 7, 5),  # +z (far)
+    (1, 5, 7, 3),  # +z (far)
 )
 
 _FACE_TRIANGLES = tuple(
@@ -348,20 +350,19 @@ def triangle_coverage_depth(
     ``pts2d`` is (3, 2) screen coordinates, ``invz`` the matching 1/z values,
     ``px``/``py`` broadcastable float64 arrays of pixel-center coordinates.
     Returns ``(covered, z)`` arrays, or None for degenerate (zero-area)
-    triangles. Depth comes from barycentric interpolation of 1/z, which is
-    exact for planar faces; ``z`` is meaningful only where ``covered``.
+    triangles. Either winding is accepted: the vertex order is normalized to
+    positive orientation first, so a triangle and its mirror-wound copy give
+    the same values. Depth comes from barycentric interpolation of 1/z, which
+    is exact for planar faces; ``z`` is meaningful only where ``covered``.
 
     This function is the single arithmetic path for rasterization: the
-    renderer evaluates it per triangle over the triangle's pixel bounding box,
-    and brute-force checkers may evaluate it over the full image and take a
-    minimum; both see bit-identical values per pixel.
+    renderer evaluates it per front-facing triangle over a window around the
+    triangle's on-image part, and brute-force checkers may evaluate it for
+    every triangle over the full image and take a minimum; both see
+    bit-identical values per pixel.
     """
-    (x0, y0), (x1, y1), (x2, y2) = (
-        (float(pts2d[0, 0]), float(pts2d[0, 1])),
-        (float(pts2d[1, 0]), float(pts2d[1, 1])),
-        (float(pts2d[2, 0]), float(pts2d[2, 1])),
-    )
-    i0, i1, i2 = float(invz[0]), float(invz[1]), float(invz[2])
+    (x0, y0), (x1, y1), (x2, y2) = pts2d.tolist()
+    i0, i1, i2 = invz.tolist()
     area = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
     if area == 0.0:
         return None
@@ -370,13 +371,20 @@ def triangle_coverage_depth(
     w0 = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
     w1 = (x0 - x2) * (py - y2) - (y0 - y2) * (px - x2)
     w2 = (x1 - x0) * (py - y0) - (y1 - y0) * (px - x0)
-    covered = (
-        _edge_accepts(w0, x1, y1, x2, y2)
-        & _edge_accepts(w1, x2, y2, x0, y0)
-        & _edge_accepts(w2, x0, y0, x1, y1)
-    )
+    covered = _edge_accepts(w0, x1, y1, x2, y2)
+    covered &= _edge_accepts(w1, x2, y2, x0, y0)
+    covered &= _edge_accepts(w2, x0, y0, x1, y1)
+    # z = ((w0 + w1) + w2) / (((w0 * i0) + (w1 * i1)) + (w2 * i2)), evaluated
+    # in place in exactly that order, reusing the edge-function buffers.
+    z = w0 + w1
+    z += w2
+    w0 *= i0
+    w1 *= i1
+    w0 += w1
+    w2 *= i2
+    w0 += w2
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = (w0 + w1 + w2) / (w0 * i0 + w1 * i1 + w2 * i2)
+        z /= w0
     return covered, z
 
 
@@ -402,6 +410,32 @@ def scene_screen_triangles(
             yield pts[idx], invz[idx], int(obj.cls), obj.object_id
 
 
+def _clip_bounds(
+    xs: Sequence[float], ys: Sequence[float], width: int, height: int
+) -> Optional[tuple[float, float, float, float]]:
+    """Bounding box ``(xmin, ymin, xmax, ymax)`` of a polygon clipped to the
+    image rectangle [0, width] x [0, height] (Sutherland & Hodgman 1974), or
+    None when nothing of it lies inside."""
+    poly = list(zip(xs, ys))
+    for axis, limit, sign in ((0, 0.0, 1.0), (0, width, -1.0), (1, 0.0, 1.0), (1, height, -1.0)):
+        clipped = []
+        prev = poly[-1]
+        d_prev = sign * (prev[axis] - limit)
+        for cur in poly:
+            d_cur = sign * (cur[axis] - limit)
+            if (d_cur >= 0.0) != (d_prev >= 0.0):
+                t = d_prev / (d_prev - d_cur)
+                clipped.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
+            if d_cur >= 0.0:
+                clipped.append(cur)
+            prev, d_prev = cur, d_cur
+        if not clipped:
+            return None
+        poly = clipped
+    cx, cy = zip(*poly)
+    return min(cx), min(cy), max(cx), max(cy)
+
+
 def _rasterize_into(
     zbuf: np.ndarray,
     stencil: np.ndarray,
@@ -411,15 +445,38 @@ def _rasterize_into(
     class_code: int,
     object_id: int,
 ) -> None:
+    """Z-test one triangle into the frame buffers, skipping back faces.
+
+    With the outward winding of ``_FACE_TRIANGLES`` a triangle faces the
+    camera exactly when its projected signed area is negative (y-down
+    screen). Rendered cuboids are closed and convex and the camera is always
+    outside them (an object with a corner at or behind the near plane is never
+    rendered), so a back face lies behind a front face of the same cuboid at
+    every pixel it covers and can never win the strict less-than z-test.
+
+    Pixels are evaluated over the triangle's bounding box after clipping it
+    to the image, widened by one pixel against rounding in the clip; coverage
+    itself is decided only by ``triangle_coverage_depth``.
+    """
+    (ax, ay), (bx, by), (cx, cy) = pts2d.tolist()
+    if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) >= 0.0:
+        return
     height, width = zbuf.shape
-    xs = pts2d[:, 0]
-    ys = pts2d[:, 1]
-    x0 = max(0, math.ceil(xs.min() - 0.5))
-    x1 = min(width - 1, math.floor(xs.max() - 0.5))
-    y0 = max(0, math.ceil(ys.min() - 0.5))
-    y1 = min(height - 1, math.floor(ys.max() - 0.5))
+    xs, ys = (ax, bx, cx), (ay, by, cy)
+    x0 = max(0, math.ceil(min(xs) - 0.5))
+    x1 = min(width - 1, math.floor(max(xs) - 0.5))
+    y0 = max(0, math.ceil(min(ys) - 0.5))
+    y1 = min(height - 1, math.floor(max(ys) - 0.5))
     if x0 > x1 or y0 > y1:
         return
+    if min(xs) < 0.0 or min(ys) < 0.0 or max(xs) > width or max(ys) > height:
+        bounds = _clip_bounds(xs, ys, width, height)
+        if bounds is None:
+            return
+        x0 = max(x0, math.ceil(bounds[0] - 0.5) - 1)
+        y0 = max(y0, math.ceil(bounds[1] - 0.5) - 1)
+        x1 = min(x1, math.floor(bounds[2] - 0.5) + 1)
+        y1 = min(y1, math.floor(bounds[3] - 0.5) + 1)
     px = np.arange(x0, x1 + 1, dtype=np.float64) + 0.5
     py = (np.arange(y0, y1 + 1, dtype=np.float64) + 0.5)[:, None]
     result = triangle_coverage_depth(pts2d, invz, px, py)
@@ -427,12 +484,13 @@ def _rasterize_into(
         return
     covered, z = result
     zwin = zbuf[y0 : y1 + 1, x0 : x1 + 1]
-    hit = covered & (z < zwin)
+    hit = z < zwin
+    hit &= covered
     if not hit.any():
         return
-    zwin[hit] = z[hit]
-    stencil[y0 : y1 + 1, x0 : x1 + 1][hit] = class_code
-    instance[y0 : y1 + 1, x0 : x1 + 1][hit] = object_id
+    np.copyto(zwin, z, where=hit)
+    np.copyto(stencil[y0 : y1 + 1, x0 : x1 + 1], class_code, where=hit)
+    np.copyto(instance[y0 : y1 + 1, x0 : x1 + 1], object_id, where=hit)
 
 
 _SKY_RGB = (96, 144, 200)
@@ -483,10 +541,10 @@ def render_frame(
         _rasterize_into(zbuf, stencil, instance, pts2d, invz, class_code, object_id)
 
     covered = np.isfinite(zbuf)
-    encoded = np.ones((height, width), dtype=np.float64)
+    encoded = np.ones((height, width), dtype=np.float32)
     if covered.any():
         encoded[covered] = encode_log_depth(zbuf[covered], camera.depth_params)
-    depth = Raster(encoded.astype(np.float32))
+    depth = Raster(encoded)
 
     records = []
     for obj in sorted(scene, key=lambda o: o.object_id):
@@ -559,8 +617,10 @@ def _place(
     placed: list[tuple[tuple, float]],
 ) -> SceneObject:
     """Rejection-sample one object; after the attempt budget the last candidate
-    wins so the object count stays exact (constraints are best-effort)."""
-    candidate = None
+    in front of the near plane wins so the object count stays exact
+    (constraints are best-effort). Raises :class:`ConfigError` when no
+    candidate clears the near plane."""
+    fallback = None
     for _ in range(_PLACEMENT_ATTEMPTS):
         if cls is ObjectClass.VEHICLE:
             length = rng.uniform(config.vehicle_length_min, config.vehicle_length_max)
@@ -585,10 +645,16 @@ def _place(
         if _placement_ok(config, box, z, placed):
             placed.append((box, z))
             return candidate
+        fallback = candidate, box, z
+    if fallback is None:
+        raise ConfigError(
+            f"placement region z in [{config.region_z_min}, {config.region_z_max}] m put all "
+            f"{_PLACEMENT_ATTEMPTS} candidates for object {object_id} at or behind the near plane "
+            f"(near_m={config.near_m})"
+        )
     log.warning("placement constraints not met for object %d, accepting last candidate", object_id)
-    placed.append(
-        (inflate_box(coarse_box(camera, candidate), config.coarse_box_inflate_pct), candidate.center[2])
-    )
+    candidate, box, z = fallback
+    placed.append((box, z))
     return candidate
 
 

@@ -11,22 +11,33 @@ import numpy as np
 from matrixgt import scene_sim as ss
 
 
-def brute_force_depth(camera, scene):
-    """Nearest-surface depth per pixel via full-image per-triangle evaluation
-    and an explicit minimum; shares the projection/coverage arithmetic with
-    the renderer, so agreement must be bit-exact."""
+def brute_force_buffers(camera, scene):
+    """Nearest-surface depth, class code and object id per pixel via
+    full-image evaluation of every triangle, back faces included, and an
+    explicit strict-less minimum in draw order; shares the
+    projection/coverage arithmetic with the renderer, so agreement must be
+    bit-exact."""
     height, width = camera.height, camera.width
     px = np.arange(width, dtype=np.float64) + 0.5
     py = (np.arange(height, dtype=np.float64) + 0.5)[:, None]
     zmin = np.full((height, width), np.inf)
-    for pts2d, invz, _code, _oid in ss.scene_screen_triangles(camera, scene):
+    codes = np.zeros((height, width), dtype=np.uint8)
+    ids = np.zeros((height, width), dtype=np.uint16)
+    for pts2d, invz, code, oid in ss.scene_screen_triangles(camera, scene):
         result = ss.triangle_coverage_depth(pts2d, invz, px, py)
         if result is None:
             continue
         covered, z = result
         better = covered & (z < zmin)
         zmin[better] = z[better]
-    return zmin
+        codes[better] = code
+        ids[better] = oid
+    return zmin, codes, ids
+
+
+def brute_force_depth(camera, scene):
+    """Depth plane of :func:`brute_force_buffers`."""
+    return brute_force_buffers(camera, scene)[0]
 
 
 def ray_cast_depth(camera, scene):
@@ -114,6 +125,22 @@ def brute_match_frame(dets, gts, iou_thr, level):
         else:
             outcomes.append((i, "FP"))
     return outcomes
+
+
+def brute_ap_all(points):
+    """Reference all-point AP of a (recall, precision) curve: at each recall
+    step, the step width times the best precision at or after that point,
+    summed in curve order."""
+    total = 0.0
+    prev_recall = 0.0
+    for i in range(len(points)):
+        recall = points[i][0]
+        if recall == prev_recall:
+            continue
+        best = max(precision for _, precision in points[i:])
+        total += (recall - prev_recall) * best
+        prev_recall = recall
+    return total
 
 
 def brute_ap_11pt(counted, gt_count):

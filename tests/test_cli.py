@@ -305,10 +305,21 @@ def _evaluate_argv(root, det_line=CAR_LINE, gt_line=CAR_LINE, iou="0.7"):
     return ["evaluate", "--det", str(det), "--gt", str(gt), "--iou", iou, "--out", str(root / "r")]
 
 
-def _generate_argv(root):
+def _generate_argv(root, scenario_text=TINY_SCENARIO):
     scenario = root / "s.txt"
-    scenario.write_text(TINY_SCENARIO)
+    scenario.write_text(scenario_text)
     return ["generate", "--scenario", str(scenario), "--out", str(root / "ds")]
+
+
+def _oracle_argv_wrong_manifest_size(root):
+    # rasters are 96x72; the manifest claims another image size
+    assert cli.main(_generate_argv(root)) == 0
+    manifest = root / "ds" / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("width=96\n", "width=120\n"))
+    return ["oracle-labels", "--in", str(root / "ds"), "--out", str(root / "gt")]
+
+
+ZERO_AREA_CAR_LINE = CAR_LINE.replace("50.00 60.00", "10.00 60.00")
 
 
 BAD_INPUTS = {
@@ -322,11 +333,23 @@ BAD_INPUTS = {
     ),
     "evaluate-iou-above-1": ({}, lambda root: _evaluate_argv(root, iou="5"), 2),
     "evaluate-iou-0": ({}, lambda root: _evaluate_argv(root, iou="0"), 2),
-    "zero-area-det-box": (
+    "zero-area-det-box": ({}, lambda root: _evaluate_argv(root, det_line=ZERO_AREA_CAR_LINE), 4),
+    "zero-area-gt-box": ({}, lambda root: _evaluate_argv(root, gt_line=ZERO_AREA_CAR_LINE), 4),
+    "stats-zero-area-car-box": (
         {},
-        lambda root: _evaluate_argv(root, det_line=CAR_LINE.replace("50.00 60.00", "10.00 60.00")),
+        lambda root: ["stats", "--labels", str(_label_dir(root, "l", ZERO_AREA_CAR_LINE)),
+                      "--out", str(root / "s")],
         4,
     ),
+    "placement-region-crosses-near-plane": (
+        {},
+        lambda root: _generate_argv(
+            root, TINY_SCENARIO.replace("region_z_min=8.0", "region_z_min=0.2").replace(
+                "region_z_max=20.0", "region_z_max=0.3")
+        ),
+        2,
+    ),
+    "oracle-manifest-size-differs-from-rasters": ({}, _oracle_argv_wrong_manifest_size, 4),
     "nan-truncation": (
         {},
         lambda root: _evaluate_argv(root, gt_line=CAR_LINE.replace("Car 0.00", "Car nan")),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import brute_ap_11pt, brute_match_frame
+from oracles import brute_ap_11pt, brute_ap_all, brute_match_frame
 
 from matrixgt import evaluator as ev
 from matrixgt import kitti_labels as kl
@@ -169,6 +169,25 @@ class TestAveragePrecision:
                 )
             expected = brute_ap_11pt(rows, n_gt)
             assert ev.average_precision(outcomes, n_gt) == pytest.approx(expected, abs=1e-12)
+
+    def test_all_point_matches_quadratic_reference_bit_for_bit(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            n_gt = rng.randint(1, 40)
+            outcomes = [
+                ev.ScoredOutcome(round(rng.random(), 1), (k, 0, k + 10, 10),
+                                 ev.Outcome.TP if rng.random() < 0.4 else ev.Outcome.FP)
+                for k in range(rng.randint(0, 60))
+            ]
+            # FPs repeat the previous recall, so every curve with one has ties
+            points = ev.precision_recall_points(outcomes, n_gt)
+            assert ev._curve_ap(points, n_gt, "all") == brute_ap_all(points)
+            # arbitrary curves: runs of tied recalls, precision free to rise
+            recall, raw = 0.0, []
+            for _ in range(rng.randint(1, 50)):
+                recall += rng.choice((0.0, 0.0, rng.random() / 10))
+                raw.append((recall, rng.random()))
+            assert ev._curve_ap(raw, n_gt, "all") == brute_ap_all(raw)
 
 
 class TestMatchAgainstBruteForce:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_ground, make_vehicle
-from oracles import brute_force_depth, ray_cast_depth
+from oracles import brute_force_buffers, brute_force_depth, ray_cast_depth
 
 from matrixgt import cli
 from matrixgt import scene_sim as ss
@@ -254,6 +254,128 @@ class TestTopLeftRule:
         py = (np.arange(4, dtype=np.float64) + 0.5)[:, None]
         tri = np.array([(0.0, 0.0), (2.0, 2.0), (1.0, 1.0)])
         assert ss.triangle_coverage_depth(tri, np.array([0.1, 0.1, 0.1]), px, py) is None
+
+
+_WIN_W, _WIN_H = 64, 48
+
+
+def _random_triangles(seed, count):
+    """Seeded triangles from four families: vertices up to 1e5 px off-screen,
+    vertices on or near the image, slivers, and small triangles straddling
+    the image border. Yields ``(pts (3, 2), invz (3,))``."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        family = k % 4
+        if family == 0:
+            pts = rng.uniform(-1e5, 1e5, size=(3, 2))
+            pts[rng.random(3) < 0.5] = rng.uniform(-8.0, 72.0, size=2)
+        elif family == 1:
+            pts = rng.uniform(-8.0, 72.0, size=(3, 2))
+        elif family == 2:
+            a = rng.uniform(-8.0, 72.0, size=2)
+            b = a + rng.uniform(-1.0, 1.0, size=2) * 10.0 ** rng.uniform(1.0, 5.0)
+            pts = np.array([a, b, a + rng.random() * (b - a) + rng.uniform(-0.2, 0.2, size=2)])
+        else:
+            size = np.array([_WIN_W, _WIN_H], dtype=np.float64)
+            anchor = rng.uniform(0.0, size)
+            axis = rng.integers(2)
+            anchor[axis] = rng.choice([0.0, size[axis]])
+            pts = anchor + rng.uniform(-3.0, 3.0, size=(3, 2))
+        yield pts, rng.uniform(1.0 / 600.0, 1.0 / 0.15, size=3)
+
+
+def _front_facing(pts):
+    """The triangle wound so its screen signed area is negative (y-down),
+    the orientation the renderer keeps."""
+    (x0, y0), (x1, y1), (x2, y2) = pts.tolist()
+    return pts[[0, 2, 1]] if (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) > 0.0 else pts
+
+
+def _blank_buffers():
+    return (
+        np.full((_WIN_H, _WIN_W), np.inf),
+        np.zeros((_WIN_H, _WIN_W), dtype=np.uint8),
+        np.zeros((_WIN_H, _WIN_W), dtype=np.uint16),
+    )
+
+
+def _rasterized(pts, invz):
+    buffers = _blank_buffers()
+    ss._rasterize_into(*buffers, pts, invz, 2, 7)
+    return buffers
+
+
+def _full_image_reference(pts, invz):
+    zbuf, stencil, instance = _blank_buffers()
+    px = np.arange(_WIN_W, dtype=np.float64) + 0.5
+    py = (np.arange(_WIN_H, dtype=np.float64) + 0.5)[:, None]
+    result = ss.triangle_coverage_depth(pts, invz, px, py)
+    if result is not None:
+        covered, z = result
+        hit = covered & (z < zbuf)
+        zbuf[hit], stencil[hit], instance[hit] = z[hit], 2, 7
+    return zbuf, stencil, instance
+
+
+class TestRasterizeInto:
+    def test_clipped_window_matches_full_image_evaluation(self):
+        drawn = 0
+        for pts, invz in _random_triangles(seed=11, count=4000):
+            pts = _front_facing(pts)
+            got = _rasterized(pts, invz)
+            want = _full_image_reference(pts, invz)
+            for got_plane, want_plane in zip(got, want):
+                assert got_plane.tobytes() == want_plane.tobytes(), pts.tolist()
+            drawn += bool(want[2].any())
+        assert drawn > 1500  # most cases cover pixels
+
+    def test_back_faces_draw_nothing(self):
+        for pts, invz in _random_triangles(seed=12, count=400):
+            back = _front_facing(pts)[[0, 2, 1]]
+            for got_plane, blank_plane in zip(_rasterized(back, invz), _blank_buffers()):
+                assert got_plane.tobytes() == blank_plane.tobytes(), back.tolist()
+
+    def _assert_equals_cull_free_reference(self, camera, scene, bundle):
+        zref, codes, ids = brute_force_buffers(camera, scene)
+        encoded = np.ones(zref.shape)
+        covered = np.isfinite(zref)
+        encoded[covered] = encode_log_depth(zref[covered], camera.depth_params)
+        assert np.array_equal(bundle.depth.data, encoded.astype(np.float32))
+        assert np.array_equal(bundle.stencil.data, codes)
+        assert np.array_equal(bundle.instance_oracle.data, ids)
+
+    def test_interpenetrating_yawed_cuboids_match_cull_free_reference(self, small_camera):
+        scene = [
+            make_ground(z_far=40.0),
+            ss.SceneObject(2, ss.ObjectClass.VEHICLE, (0.0, 0.6, 8.0), (4.0, 1.8, 1.5), 0.0),
+            # crosses vehicle 2 at another yaw
+            ss.SceneObject(3, ss.ObjectClass.VEHICLE, (0.3, 0.5, 8.2), (4.0, 1.8, 1.5), 1.1),
+            # pokes out of vehicle 2's near corner
+            ss.SceneObject(4, ss.ObjectClass.DISTRACTOR, (1.6, 0.7, 7.3), (1.2, 1.0, 1.2), 0.7),
+            # close, running off the left and bottom image edges
+            ss.SceneObject(5, ss.ObjectClass.VEHICLE, (-2.6, 0.55, 3.0), (3.0, 2.0, 1.6), 0.3),
+        ]
+        bundle = ss.render_frame(small_camera, scene, 0, emit_color=False)
+        assert set(np.unique(bundle.instance_oracle.data)) == {0, 1, 2, 3, 4, 5}
+        self._assert_equals_cull_free_reference(small_camera, scene, bundle)
+
+    def test_generated_overlapping_scenes_match_cull_free_reference(self):
+        # no overlap or depth-gap constraint, any yaw, a crowded region close
+        # to the camera: objects interpenetrate and run off the image edges
+        config = ss.ScenarioConfig(seed=5, frames=6, width=96, height=72, fx=80.0, fy=80.0,
+                                   cx=48.0, cy=36.0, vehicle_count_min=5, vehicle_count_max=8,
+                                   distractor_count_min=1, distractor_count_max=3,
+                                   region_x_min=-5.0, region_x_max=5.0, region_z_min=4.0,
+                                   region_z_max=12.0, min_depth_gap_m=0.0, max_overlap_frac=1.0,
+                                   vehicle_yaw_max_deg=180.0, emit_color=False)
+        camera = config.camera()
+        for frame in range(config.frames):
+            scene = ss.generate_scene(config, frame)
+            self._assert_equals_cull_free_reference(camera, scene, ss.render_scenario_frame(config, frame))
+
+    def test_every_triangle_still_enumerated(self, small_camera):
+        scene = [make_ground(z_far=40.0), make_vehicle(2, x=0.0, z=10.0)]
+        assert sum(1 for _ in ss.scene_screen_triangles(small_camera, scene)) == 24
 
 
 class TestScenarioText:
