@@ -37,21 +37,26 @@ def oracle_frame_labels(
     inst = instance.data
     class_codes = stencil_class_ids(stencil)
     by_id = {r.object_id: r for r in records}
+    pixel_counts = np.bincount(inst.ravel())
     labels = []
-    for object_id in np.unique(inst):
-        if object_id == 0:
+    for object_id in (np.flatnonzero(pixel_counts[1:]) + 1).tolist():
+        record = by_id.get(object_id)
+        if record is not None and record.cls != ObjectClass.VEHICLE:
             continue
-        ys, xs = np.nonzero(inst == object_id)
-        record = by_id.get(int(object_id))
-        cls = record.cls if record is not None else int(class_codes[ys[0], xs[0]])
-        if cls != ObjectClass.VEHICLE:
+        mask = inst == object_id
+        # an unrecorded id takes the class of its first pixel in row-major order
+        if record is None and int(class_codes.flat[mask.argmax()]) != ObjectClass.VEHICLE:
             continue
-        hull = pixel_hull(ys, xs)
+        # the hull of the occupied rows and columns is the hull of the pixels
+        rows = np.flatnonzero(mask.any(axis=1))
+        cols = np.flatnonzero(mask[rows[0] : rows[-1] + 1].any(axis=0))
+        hull = pixel_hull(rows, cols)
+        visible_px = int(pixel_counts[object_id])
         if record is not None:
-            annotation = record_annotation(record, hull, len(xs), image_size)
+            annotation = record_annotation(record, hull, visible_px, image_size)
         else:
             annotation = TightAnnotation(
-                source_id=0, tight_box=hull, visible_px=len(xs), truncation=0.0, occlusion_level=2, range_m=0.0
+                source_id=0, tight_box=hull, visible_px=visible_px, truncation=0.0, occlusion_level=2, range_m=0.0
             )
         labels.append(from_annotation(annotation))
     return labels

@@ -837,11 +837,10 @@ def parse_meta_text(text: str) -> list[EngineRecord]:
             object_id = int(parts[0])
             cls = _CLASS_BY_LABEL[parts[1].lower()]
             nums = [float(p) for p in parts[2:]]
-        except (ValueError, KeyError) as exc:
-            raise FormatError(f"meta line {lineno}: {exc}") from None
-        left, top, right, bottom, range_m, height, width, length, x, y, z, yaw = nums
-        records.append(
-            EngineRecord(
+            if not all(map(math.isfinite, nums)):
+                raise ValueError("non-finite number")
+            left, top, right, bottom, range_m, height, width, length, x, y, z, yaw = nums
+            record = EngineRecord(
                 object_id=object_id,
                 cls=cls,
                 coarse_box=(left, top, right, bottom),
@@ -850,7 +849,9 @@ def parse_meta_text(text: str) -> list[EngineRecord]:
                 yaw=yaw,
                 location_cam=(x, y, z),
             )
-        )
+        except (ValueError, KeyError) as exc:
+            raise FormatError(f"meta line {lineno}: {exc}") from None
+        records.append(record)
     return records
 
 
@@ -873,8 +874,21 @@ def read_frame_buffers(
     reserved for tests and oracle labels.
     """
     paths = frame_paths(dataset_dir, frame_idx)
-    depth = read_raster(paths["depth"])
-    stencil = read_raster(paths["stencil"])
-    records = parse_meta_text(paths["meta"].read_text())
-    instance = read_raster(paths["instance"]) if with_instance else None
+    depth = _read_raster_of_kind(paths["depth"], "F32")
+    stencil = _read_raster_of_kind(paths["stencil"], "U8")
+    try:
+        records = parse_meta_text(paths["meta"].read_text())
+    except (FormatError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{paths['meta']}: {exc}") from None
+    instance = _read_raster_of_kind(paths["instance"], "U16") if with_instance else None
     return depth, stencil, records, instance
+
+
+def _read_raster_of_kind(path: Path, kind: str) -> Raster:
+    try:
+        raster = read_raster(path)
+    except FormatError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    if raster.sample_kind != kind:
+        raise FormatError(f"{path}: expected {kind} samples, got {raster.sample_kind}")
+    return raster

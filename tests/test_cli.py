@@ -10,6 +10,7 @@ from conftest import make_ground, make_vehicle, oracle_hulls
 from matrixgt import cli
 from matrixgt import kitti_labels as kl
 from matrixgt import scene_sim as ss
+from matrixgt.raster_codec import Raster, read_raster, write_raster
 
 TINY_SCENARIO = """\
 seed=31
@@ -322,6 +323,45 @@ def _oracle_argv_wrong_manifest_size(root):
 ZERO_AREA_CAR_LINE = CAR_LINE.replace("50.00 60.00", "10.00 60.00")
 
 
+def _corrupted_dataset_argv(command, corrupt):
+    """Generate the tiny dataset, apply ``corrupt(frame 0 paths)``, then run ``command`` on it."""
+
+    def make_argv(root):
+        assert cli.main(_generate_argv(root)) == 0
+        corrupt(ss.frame_paths(root / "ds", 0))
+        return [command, "--in", str(root / "ds"), "--out", str(root / "out")]
+
+    return make_argv
+
+
+def _nan_depth_sample(paths):
+    blob = bytearray(paths["depth"].read_bytes())
+    blob[14:18] = np.array([np.nan], dtype="<f4").tobytes()
+    paths["depth"].write_bytes(bytes(blob))
+
+
+def _recast(key, dtype):
+    def corrupt(paths):
+        data = read_raster(paths[key]).data.astype(dtype)
+        write_raster(Raster(data), paths[key])
+
+    return corrupt
+
+
+def _meta_field(index, value):
+    def corrupt(paths):
+        first, *rest = paths["meta"].read_text().splitlines(keepends=True)
+        parts = first.split()
+        parts[index] = value
+        paths["meta"].write_text(" ".join(parts) + "\n" + "".join(rest))
+
+    return corrupt
+
+
+def _meta_not_utf8(paths):
+    paths["meta"].write_bytes(b"\xff\xfe" + paths["meta"].read_bytes())
+
+
 BAD_INPUTS = {
     # (environment, argv builder, expected exit code)
     "workers-env-not-integer": ({"MATRIXGT_WORKERS": "abc"}, _generate_argv, 2),
@@ -355,6 +395,21 @@ BAD_INPUTS = {
         lambda root: _evaluate_argv(root, gt_line=CAR_LINE.replace("Car 0.00", "Car nan")),
         2,
     ),
+    # raster sample kinds and values
+    "annotate-nan-depth-sample": ({}, _corrupted_dataset_argv("annotate", _nan_depth_sample), 2),
+    "annotate-u16-stencil": ({}, _corrupted_dataset_argv("annotate", _recast("stencil", np.uint16)), 2),
+    "oracle-u16-stencil": ({}, _corrupted_dataset_argv("oracle-labels", _recast("stencil", np.uint16)), 2),
+    "oracle-f32-instance": ({}, _corrupted_dataset_argv("oracle-labels", _recast("instance", np.float32)), 2),
+    "annotate-f32-stencil": ({}, _corrupted_dataset_argv("annotate", _recast("stencil", np.float32)), 2),
+    "annotate-u8-depth": ({}, _corrupted_dataset_argv("annotate", _recast("depth", np.uint8)), 2),
+    # meta records: fields 2-5 are the coarse box, 6 the range, 7 the height
+    "annotate-meta-nan-coarse-box": ({}, _corrupted_dataset_argv("annotate", _meta_field(2, "nan")), 2),
+    "oracle-meta-nan-coarse-box": ({}, _corrupted_dataset_argv("oracle-labels", _meta_field(2, "nan")), 2),
+    "annotate-meta-negative-range": ({}, _corrupted_dataset_argv("annotate", _meta_field(6, "-1")), 2),
+    "oracle-meta-negative-range": ({}, _corrupted_dataset_argv("oracle-labels", _meta_field(6, "-1")), 2),
+    "annotate-meta-inf-height": ({}, _corrupted_dataset_argv("annotate", _meta_field(7, "inf")), 2),
+    "oracle-meta-inf-height": ({}, _corrupted_dataset_argv("oracle-labels", _meta_field(7, "inf")), 2),
+    "annotate-meta-not-utf8": ({}, _corrupted_dataset_argv("annotate", _meta_not_utf8), 2),
 }
 
 

@@ -1,13 +1,15 @@
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matrixgt.errors import ConfigError, FormatError, TruncatedFileError
+from matrixgt.errors import ConfigError, FormatError, MatrixGTError, TruncatedFileError
 from matrixgt.raster_codec import (
+    MRB_MAGIC,
     DepthCodecParams,
     Raster,
     StencilValue,
@@ -22,6 +24,24 @@ from matrixgt.raster_codec import (
     unpack_stencil,
     write_raster,
 )
+
+
+@st.composite
+def _mrb_blobs(draw):
+    """MRB-like byte streams: mostly well-formed headers, payloads of about the
+    promised length, F32 samples that include NaN and infinities."""
+    version = draw(st.sampled_from([1] * 6 + [0, 2]))
+    code = draw(st.sampled_from([0, 1, 2, 2, 2, 3]))
+    width = draw(st.integers(min_value=0, max_value=4) | st.integers(min_value=0, max_value=2**32 - 1))
+    height = draw(st.integers(min_value=0, max_value=4))
+    count = min(width * height, 16) + draw(st.sampled_from([0] * 6 + [-1, 1]))
+    if code == 2:
+        samples = draw(st.lists(st.floats(width=32), min_size=max(count, 0), max_size=max(count, 0)))
+        payload = np.array(samples, dtype="<f4").tobytes()
+    else:
+        payload = draw(st.binary(min_size=max(count, 0) * (1 + code), max_size=max(count, 0) * (1 + code)))
+    payload += draw(st.sampled_from([b""] * 6 + [b"\x00"]))
+    return MRB_MAGIC + struct.pack("<BBII", version, code, width, height) + payload
 
 
 class TestDepthCodec:
@@ -212,6 +232,21 @@ class TestMRB:
         good = raster_to_bytes(Raster(np.array([[7]], dtype=np.uint8)))
         with pytest.raises(FormatError, match="trailing"):
             raster_from_bytes(good + b"\x00")
+
+    def test_non_finite_f32_payload_is_format_error(self):
+        blob = bytearray(raster_to_bytes(Raster(np.zeros((2, 3), dtype=np.float32))))
+        blob[-4:] = np.array([np.inf], dtype="<f4").tobytes()
+        with pytest.raises(FormatError, match="non-finite"):
+            raster_from_bytes(bytes(blob))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=64), _mrb_blobs()))
+    def test_fuzzed_bytes_raise_only_matrixgt_errors(self, blob):
+        try:
+            raster = raster_from_bytes(blob)
+        except MatrixGTError:
+            return
+        assert raster_to_bytes(raster) == blob
 
     def test_missing_file_propagates_with_path(self, tmp_path):
         with pytest.raises(OSError, match="nope.mrb"):

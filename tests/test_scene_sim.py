@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_ground, make_vehicle
 from oracles import brute_force_buffers, brute_force_depth, ray_cast_depth
 
 from matrixgt import cli
 from matrixgt import scene_sim as ss
-from matrixgt.errors import BehindCameraError, ConfigError, FormatError
+from matrixgt.errors import BehindCameraError, ConfigError, FormatError, MatrixGTError
 from matrixgt.raster_codec import encode_log_depth, linearize_raster
 
 
@@ -417,6 +419,23 @@ class TestScenarioText:
             ss.read_manifest(path)
 
 
+_META_TOKENS = ["1", "-1", "65535", "1_0", "\u0661", "2.5", "nan", "inf", "-inf", "1e999", "vehicle", "x", "0x1f", ""]
+
+
+@st.composite
+def _meta_lines(draw):
+    """Meta-like lines: an id, a class and twelve numbers, any of which may be
+    junk, non-finite or out of range; sometimes a field too many or too few."""
+    numbers = st.floats(min_value=-1e3, max_value=1e3).map(repr) | st.floats().map(repr) | st.sampled_from(_META_TOKENS)
+    fields = [
+        draw(st.integers(min_value=-2, max_value=70000).map(str) | st.sampled_from(_META_TOKENS)),
+        draw(st.sampled_from(["Vehicle", "ground", "DISTRACTOR", "Spaceship", "1"])),
+        *(draw(numbers) for _ in range(12)),
+    ]
+    extra = draw(st.sampled_from([0, 0, 0, 1, -1]))
+    return " ".join(fields + ["0"] if extra > 0 else fields[: len(fields) + extra])
+
+
 class TestMetaText:
     def test_round_trip(self, small_camera):
         scene = [make_ground(z_far=40.0), make_vehicle(2, x=1.0, z=9.0, yaw=0.25)]
@@ -439,6 +458,28 @@ class TestMetaText:
         line = "1 Spaceship " + " ".join(["1.0"] * 12)
         with pytest.raises(FormatError, match="line 1"):
             ss.parse_meta_text(line + "\n")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(2, "nan"), (4, "inf"), (6, "-1"), (6, "0"), (7, "inf"), (13, "-inf"), (2, "9"), (3, "1e999")],
+    )
+    def test_bad_number_or_record_names_the_line(self, field, value):
+        parts = "7 Vehicle 1 2 8 9 30 1.5 1.8 4.0 0 1 30 0.1".split()
+        parts[field] = value
+        text = "7 Vehicle 1 2 8 9 30 1.5 1.8 4.0 0 1 30 0.1\n" + " ".join(parts) + "\n"
+        with pytest.raises(FormatError, match="meta line 2"):
+            ss.parse_meta_text(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=200), st.lists(_meta_lines(), max_size=4).map("\n".join)))
+    def test_fuzzed_text_raises_only_matrixgt_errors(self, text):
+        try:
+            records = ss.parse_meta_text(text)
+        except MatrixGTError:
+            return
+        for record in records:
+            numbers = (*record.coarse_box, record.range_m, *record.size, *record.location_cam, record.yaw)
+            assert all(np.isfinite(numbers)) and record.range_m > 0
 
 
 class TestDatasetFiles:
