@@ -19,7 +19,7 @@ only ever shrinks that set, so tight boxes stay inside the dilated box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,8 +27,6 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .raster_codec import DepthCodecParams, Raster, linearize_depth, stencil_class_ids
 from .scene_sim import EngineRecord, ObjectClass, box_area, box_intersection_area
-
-Run = tuple[int, int, int]  # (row, x_start, x_end_exclusive)
 
 FULLY_VISIBLE_FRACTION = 0.8
 PARTLY_VISIBLE_FRACTION = 0.5
@@ -54,21 +52,6 @@ class RefinementParams:
             raise ConfigError(f"coarse_box_margin_px must be >= 0, got {self.coarse_box_margin_px}")
 
 
-@dataclass(frozen=True)
-class Component:
-    """One maximal 8-connected region of a binary mask, stored as row runs."""
-
-    runs: tuple[Run, ...]
-    pixel_count: int
-    bbox: tuple[float, float, float, float]  # pixel hull (left, top, right, bottom)
-
-    def mask(self, height: int, width: int) -> np.ndarray:
-        mask = np.zeros((height, width), dtype=bool)
-        for y, x0, x1 in self.runs:
-            mask[y, x0:x1] = True
-        return mask
-
-
 @dataclass
 class TightAnnotation:
     """A refined vehicle box; ``source_id`` 0 marks an orphan detection."""
@@ -82,33 +65,12 @@ class TightAnnotation:
     size: Optional[tuple[float, float, float]] = None
     location_cam: Optional[tuple[float, float, float]] = None
     yaw: Optional[float] = None
-    kept_runs: tuple[Run, ...] = field(default=(), repr=False)
 
 
 def vehicle_mask(stencil: Raster) -> np.ndarray:
     """Boolean mask of pixels whose stencil class code is the vehicle code
     (flag bits ignored)."""
     return stencil_class_ids(stencil) == int(ObjectClass.VEHICLE)
-
-
-def mask_to_runs(mask: np.ndarray, row_offset: int = 0, col_offset: int = 0) -> tuple[Run, ...]:
-    """Maximal horizontal runs of a boolean mask, sorted by (row, start)."""
-    runs: list[Run] = []
-    for y in np.flatnonzero(mask.any(axis=1)):
-        idx = np.flatnonzero(mask[y])
-        breaks = np.flatnonzero(np.diff(idx) > 1)
-        starts = idx[np.concatenate(([0], breaks + 1))]
-        ends = idx[np.concatenate((breaks, [len(idx) - 1]))] + 1
-        runs.extend((int(y) + row_offset, int(s) + col_offset, int(e) + col_offset) for s, e in zip(starts, ends))
-    return tuple(runs)
-
-
-def _runs_bbox(runs: Sequence[Run]) -> tuple[float, float, float, float]:
-    left = min(x0 for _, x0, _ in runs)
-    right = max(x1 for _, _, x1 in runs)
-    top = min(y for y, _, _ in runs)
-    bottom = max(y for y, _, _ in runs) + 1
-    return float(left), float(top), float(right), float(bottom)
 
 
 class _DisjointSet:
@@ -127,54 +89,57 @@ class _DisjointSet:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def connected_components(mask: np.ndarray) -> list[Component]:
+def connected_components(mask: np.ndarray) -> list[np.ndarray]:
     """Partition set pixels into maximal 8-connected components.
 
-    Run-based two-pass labeling: rows decompose into runs, runs in adjacent
-    rows union when their column spans touch or overlap diagonally. Output is
-    ordered by the (top, left) corner of each component's bounding box.
+    Two-scan labeling over row runs (He, Chao & Suzuki 2008): set pixels
+    split into row runs, and runs in adjacent rows union when their column
+    spans touch or overlap diagonally. Each component is an ascending array
+    of row-major pixel indices. The list is ordered by the (top, left) corner
+    of each component's pixel hull, ties in first-pixel order.
     """
-    all_runs = mask_to_runs(mask)
-    dsu = _DisjointSet(len(all_runs))
-    prev_row: list[tuple[int, Run]] = []
-    i = 0
-    while i < len(all_runs):
-        y = all_runs[i][0]
+    width = mask.shape[1]
+    pixels = np.flatnonzero(mask)
+    if not len(pixels):
+        return []
+    # a run starts where the pixel index jumps or wraps onto a new row
+    starts = np.flatnonzero((np.diff(pixels, prepend=-2) != 1) | (pixels % width == 0))
+    lengths = np.diff(starts, append=len(pixels))
+    rows, x0s = (a.tolist() for a in np.divmod(pixels[starts], width))
+    x1s = [x0 + n for x0, n in zip(x0s, lengths.tolist())]
+    dsu = _DisjointSet(len(rows))
+    prev_start = prev_end = i = 0  # runs [prev_start, prev_end) form the previous row
+    while i < len(rows):
         j = i
-        while j < len(all_runs) and all_runs[j][0] == y:
+        while j < len(rows) and rows[j] == rows[i]:
             j += 1
-        current = [(k, all_runs[k]) for k in range(i, j)]
-        if prev_row and prev_row[0][1][0] == y - 1:
+        if rows[prev_start] == rows[i] - 1:
             # 8-connectivity: runs [a, b) and [c, d) in adjacent rows touch
             # when a <= d and c <= b (one-column diagonal tolerance)
-            p = 0
-            for k, (_, x0, x1) in current:
-                while p < len(prev_row) and prev_row[p][1][2] < x0:
+            p = prev_start
+            for k in range(i, j):
+                while p < prev_end and x1s[p] < x0s[k]:
                     p += 1
                 q = p
-                while q < len(prev_row) and prev_row[q][1][1] <= x1:
-                    dsu.union(k, prev_row[q][0])
+                while q < prev_end and x0s[q] <= x1s[k]:
+                    dsu.union(k, q)
                     q += 1
-        prev_row = current
+        prev_start, prev_end = i, j
         i = j
 
-    groups: dict[int, list[Run]] = {}
-    for k, run in enumerate(all_runs):
-        groups.setdefault(dsu.find(k), []).append(run)
-    components = []
-    for runs in groups.values():
-        runs_t = tuple(runs)
-        count = sum(x1 - x0 for _, x0, x1 in runs_t)
-        components.append(Component(runs=runs_t, pixel_count=count, bbox=_runs_bbox(runs_t)))
-    components.sort(key=lambda c: (c.bbox[1], c.bbox[0]))
+    # a root is its set's lowest run, so grouping by root keeps first-pixel order
+    labels = np.repeat([dsu.find(k) for k in range(len(rows))], lengths)
+    order = np.argsort(labels, kind="stable")
+    components = np.split(pixels[order], np.flatnonzero(np.diff(labels[order])) + 1)
+    components.sort(key=lambda c: (int(c[0]) // width, int((c % width).min())))
     return components
 
 
-def mean_region_depth(region: np.ndarray, depth: Raster, params: DepthCodecParams) -> float:
-    """Arithmetic mean of linearized depth over a boolean region mask."""
-    if not region.any():
+def mean_region_depth(pixels: np.ndarray, depth: Raster, params: DepthCodecParams) -> float:
+    """Arithmetic mean of linearized depth over ascending row-major pixel indices."""
+    if not len(pixels):
         raise ValueError("empty region has no mean depth")
-    d = depth.data[region].astype(np.float64)
+    d = depth.data.ravel()[pixels].astype(np.float64)
     return float(np.mean(linearize_depth(d, params)))
 
 
@@ -215,7 +180,6 @@ def record_annotation(
     hull: tuple[float, float, float, float],
     visible_px: int,
     image_size: tuple[int, int],
-    kept_runs: tuple[Run, ...] = (),
 ) -> TightAnnotation:
     """Record-backed annotation: truncation and occlusion against the record's
     un-clipped coarse box, range and 3D pose copied from the record."""
@@ -229,7 +193,6 @@ def record_annotation(
         size=record.size,
         location_cam=record.location_cam,
         yaw=record.yaw,
-        kept_runs=kept_runs,
     )
 
 
@@ -254,8 +217,10 @@ def refine_tight_box(
     depth: Raster,
     params: RefinementParams = RefinementParams(),
     depth_params: DepthCodecParams = DepthCodecParams(),
-) -> Optional[TightAnnotation]:
-    """Refine one engine record into a tight annotation, or None on rejection.
+) -> Optional[tuple[TightAnnotation, tuple[int, int, int, int], np.ndarray]]:
+    """Refine one engine record into ``(annotation, (x0, y0, x1, y1), kept)``,
+    or None on rejection; ``kept`` is the boolean mask of the pixels the
+    annotation claims within the window [x0, x1) x [y0, y1).
 
     Candidate pixels are the mask pixels inside the dilated coarse box, and
     depth is linearized only over that window; the mean depth over the
@@ -289,48 +254,37 @@ def refine_tight_box(
     if visible < params.min_component_px:
         return None
     ys, xs = np.nonzero(kept)
-    return record_annotation(
-        record,
-        pixel_hull(ys + y0, xs + x0),
-        visible,
-        (width, height),
-        kept_runs=mask_to_runs(kept, row_offset=y0, col_offset=x0),
-    )
+    annotation = record_annotation(record, pixel_hull(ys + y0, xs + x0), visible, (width, height))
+    return annotation, window, kept
 
 
 def recover_orphans(
-    mask: np.ndarray,
-    accepted: Sequence[TightAnnotation],
+    residual: np.ndarray,
     depth: Raster,
     params: RefinementParams = RefinementParams(),
     depth_params: DepthCodecParams = DepthCodecParams(),
 ) -> list[TightAnnotation]:
-    """Promote vehicle pixels unclaimed by any accepted annotation to orphan
-    annotations (rendered objects the engine never registered).
+    """Promote residual vehicle pixels, those no accepted annotation kept, to
+    orphan annotations (rendered objects the engine never registered).
 
-    Components smaller than ``min_component_px`` are dropped as specks.
-    Orphans carry the component's mean depth as range, no 3D fields, and
-    occlusion level 2.
+    Connected components smaller than ``min_component_px`` are dropped as
+    specks. Orphans carry the component's mean depth as range, no 3D fields,
+    and occlusion level 2.
     """
-    height, width = mask.shape
-    residual = mask.copy()
-    for annotation in accepted:
-        for y, rx0, rx1 in annotation.kept_runs:
-            residual[y, rx0:rx1] = False
+    height, width = residual.shape
     orphans = []
-    for component in connected_components(residual):
-        if component.pixel_count < params.min_component_px:
+    for pixels in connected_components(residual):
+        if len(pixels) < params.min_component_px:
             continue
-        region = component.mask(height, width)
+        hull = pixel_hull(*np.divmod(pixels, width))
         orphans.append(
             TightAnnotation(
                 source_id=0,
-                tight_box=component.bbox,
-                visible_px=component.pixel_count,
-                truncation=estimate_truncation(component.bbox, (width, height)),
+                tight_box=hull,
+                visible_px=len(pixels),
+                truncation=estimate_truncation(hull, (width, height)),
                 occlusion_level=2,
-                range_m=mean_region_depth(region, depth, depth_params),
-                kept_runs=component.runs,
+                range_m=mean_region_depth(pixels, depth, depth_params),
             )
         )
     return orphans
@@ -355,11 +309,14 @@ def annotate_frame(
             f"depth {depth.width}x{depth.height}"
         )
     mask = vehicle_mask(stencil)
+    residual = mask.copy()
     accepted = []
     for record in sorted(records, key=lambda r: r.object_id):
         if record.cls is not ObjectClass.VEHICLE:
             continue
-        annotation = refine_tight_box(record, mask, depth, params, depth_params)
-        if annotation is not None:
+        refined = refine_tight_box(record, mask, depth, params, depth_params)
+        if refined is not None:
+            annotation, (x0, y0, x1, y1), kept = refined
+            residual[y0:y1, x0:x1] &= ~kept
             accepted.append(annotation)
-    return accepted + recover_orphans(mask, accepted, depth, params, depth_params)
+    return accepted + recover_orphans(residual, depth, params, depth_params)

@@ -50,7 +50,7 @@ def _resolve_workers(requested: Optional[int]) -> int:
 
 
 def _run_tasks(task_fn, tasks: list, workers: int) -> None:
-    """Run independent per-frame tasks; results land in per-frame files, so
+    """Execute independent per-frame tasks; results land in per-frame files, so
     scheduling order never affects output bytes."""
     if workers <= 1 or len(tasks) <= 1:
         for task in tasks:

@@ -60,18 +60,6 @@ class DepthCodecParams:
             )
 
 
-@dataclass(frozen=True)
-class StencilValue:
-    """Unpacked stencil byte: 4-bit object class code plus 4 flag bits."""
-
-    class_id: int
-    flags: int
-
-    def __post_init__(self):
-        if not (0 <= self.class_id <= 15 and 0 <= self.flags <= 15):
-            raise ValueError(f"stencil fields must fit in 4 bits: class_id={self.class_id}, flags={self.flags}")
-
-
 class Raster:
     """Immutable width x height grid of U8, U16, or F32 samples.
 
@@ -138,38 +126,11 @@ def encode_log_depth(z, params: DepthCodecParams):
 def linearize_depth(d, params: DepthCodecParams):
     """Invert :func:`encode_log_depth`: z = near * (far/near)**d.
 
-    ``d`` is clamped into [0, 1]; accepts scalars or numpy arrays. Use
-    :func:`linearize_raster` when the clamp count matters.
+    ``d`` is clamped into [0, 1]; accepts scalars or numpy arrays.
     """
     d = np.clip(d, 0.0, 1.0)
     z = params.near_m * (params.far_m / params.near_m) ** np.asarray(d, dtype=np.float64)
     return float(z) if z.ndim == 0 else z
-
-
-def linearize_raster(raster: Raster, params: DepthCodecParams) -> tuple[np.ndarray, int]:
-    """Linearize an encoded F32 depth raster to metric float64 depths.
-
-    Out-of-range samples are clamped into [0, 1] and counted rather than
-    rejected (rasterizer background encodes the far plane; stray values come
-    from quantization only). Returns ``(depth_m, clamped_count)``.
-    """
-    if raster.sample_kind != "F32":
-        raise ValueError(f"depth raster must be F32, got {raster.sample_kind}")
-    d = raster.data.astype(np.float64)
-    clamped = int(np.count_nonzero((d < 0.0) | (d > 1.0)))
-    return linearize_depth(d, params), clamped
-
-
-def pack_stencil(v: StencilValue) -> int:
-    """Pack class/flags into one byte: (flags << 4) | class_id."""
-    return (v.flags << 4) | v.class_id
-
-
-def unpack_stencil(b: int) -> StencilValue:
-    """Unpack a stencil byte; total on 0-255 and the exact inverse of pack."""
-    if not 0 <= b <= 255:
-        raise ValueError(f"stencil byte out of range: {b}")
-    return StencilValue(class_id=b & 0x0F, flags=b >> 4)
 
 
 def stencil_class_ids(stencil: Raster) -> np.ndarray:

@@ -792,13 +792,12 @@ def frame_paths(dataset_dir: str | Path, frame_idx: int) -> dict[str, Path]:
 
 
 def list_frame_indices(dataset_dir: str | Path) -> list[int]:
-    """Frame indices present in a dataset directory, from the meta files."""
-    indices = []
-    for path in Path(dataset_dir).glob("*_meta.txt"):
-        stem = path.name[: -len("_meta.txt")]
-        if stem.isdigit():
-            indices.append(int(stem))
-    return sorted(indices)
+    """Frame indices of a dataset directory, 0 .. frames - 1 from its manifest.
+
+    Frame files left over from an earlier, longer run are not part of the
+    dataset; a listed frame whose files are missing fails when it is read.
+    """
+    return list(range(read_manifest(Path(dataset_dir) / MANIFEST_NAME).frames))
 
 
 def ppm_bytes(rgb: np.ndarray) -> bytes:
@@ -826,6 +825,7 @@ def meta_text(records: Sequence[EngineRecord]) -> str:
 
 def parse_meta_text(text: str) -> list[EngineRecord]:
     records = []
+    seen_ids = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -835,6 +835,11 @@ def parse_meta_text(text: str) -> list[EngineRecord]:
             raise FormatError(f"meta line {lineno}: expected 14 fields, got {len(parts)}")
         try:
             object_id = int(parts[0])
+            # instance rasters are U16 and 0 marks pixels of no object
+            if not 1 <= object_id <= 0xFFFF:
+                raise ValueError(f"object id {object_id} outside 1..65535")
+            if object_id in seen_ids:
+                raise ValueError(f"object id {object_id} seen earlier in the file")
             cls = _CLASS_BY_LABEL[parts[1].lower()]
             nums = [float(p) for p in parts[2:]]
             if not all(map(math.isfinite, nums)):
@@ -851,6 +856,7 @@ def parse_meta_text(text: str) -> list[EngineRecord]:
             )
         except (ValueError, KeyError) as exc:
             raise FormatError(f"meta line {lineno}: {exc}") from None
+        seen_ids.add(object_id)
         records.append(record)
     return records
 

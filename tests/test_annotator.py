@@ -14,6 +14,17 @@ def encoded_depth_raster(depths_m, codec):
     return Raster(encode_log_depth(np.asarray(depths_m, dtype=np.float64), codec).astype(np.float32))
 
 
+def hull(pixels, width):
+    return an.pixel_hull(*np.divmod(pixels, width))
+
+
+def window_pixels(window, kept):
+    """Image (row, column) pairs of a window-relative ``kept`` mask."""
+    x0, y0, _, _ = window
+    ys, xs = np.nonzero(kept)
+    return set(zip((ys + y0).tolist(), (xs + x0).tolist()))
+
+
 class TestVehicleMask:
     def test_all_background(self):
         mask = an.vehicle_mask(Raster(np.zeros((4, 4), dtype=np.uint8)))
@@ -43,14 +54,14 @@ class TestConnectedComponents:
         mask[2:5, 7:11] = True
         comps = an.connected_components(mask)
         assert len(comps) == 2
-        assert comps[0].bbox[0] < comps[1].bbox[0]
+        assert hull(comps[0], 12)[0] < hull(comps[1], 12)[0]
 
     def test_full_frame(self):
         mask = np.ones((6, 7), dtype=bool)
         comps = an.connected_components(mask)
         assert len(comps) == 1
-        assert comps[0].pixel_count == 42
-        assert comps[0].bbox == (0.0, 0.0, 7.0, 6.0)
+        assert len(comps[0]) == 42
+        assert hull(comps[0], 7) == (0.0, 0.0, 7.0, 6.0)
 
     def test_diagonal_is_connected(self):
         mask = np.zeros((5, 5), dtype=bool)
@@ -69,22 +80,36 @@ class TestConnectedComponents:
         mask[6:8, 1:3] = True
         mask[1:3, 5:8] = True
         mask[1:3, 0:2] = True
-        boxes = [c.bbox for c in an.connected_components(mask)]
+        boxes = [hull(c, 10) for c in an.connected_components(mask)]
         assert boxes == sorted(boxes, key=lambda b: (b[1], b[0]))
 
-    def test_component_mask_and_runs_agree(self):
+    def test_shared_corner_keeps_first_pixel_order(self):
+        # both hulls start at (top 0, left 0); the component holding pixel 0
+        # comes first although it has more pixels and the smaller hull
+        first = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]
+        second = [(0, 4), (1, 4), (2, 4), (3, 3), (4, 2), (5, 1), (5, 0)]
+        mask = np.zeros((6, 7), dtype=bool)
+        for y, x in first + second:
+            mask[y, x] = True
+        comps = an.connected_components(mask)
+        assert [hull(c, 7)[:2] for c in comps] == [(0.0, 0.0), (0.0, 0.0)]
+        assert [c.tolist() for c in comps] == [
+            sorted(y * 7 + x for y, x in first),
+            sorted(y * 7 + x for y, x in second),
+        ]
+
+    def test_components_partition_the_mask(self):
         rng = np.random.default_rng(7)
         mask = rng.random((20, 30)) < 0.35
         comps = an.connected_components(mask)
-        union = np.zeros_like(mask)
+        union = np.zeros(mask.size, dtype=bool)
         total = 0
         for comp in comps:
-            piece = comp.mask(20, 30)
-            assert not (union & piece).any()  # disjoint
-            union |= piece
-            total += comp.pixel_count
-            assert comp.pixel_count == piece.sum()
-        assert np.array_equal(union, mask)
+            assert np.all(np.diff(comp) > 0)  # ascending, no repeats
+            assert not union[comp].any()  # disjoint
+            union[comp] = True
+            total += len(comp)
+        assert np.array_equal(union.reshape(mask.shape), mask)
         assert total == mask.sum()
 
     def test_empty_mask(self):
@@ -100,31 +125,48 @@ class TestConnectedComponents:
             labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
             expected = {frozenset(np.flatnonzero(labels == k)) for k in range(1, count + 1)}
             comps = an.connected_components(mask)
-            got = {frozenset(np.flatnonzero(c.mask(height, width))) for c in comps}
+            got = {frozenset(c.tolist()) for c in comps}
             assert len(comps) == count, trial
             assert got == expected, trial
+
+    def test_order_matches_scipy_reference(self):
+        # scipy numbers labels in first-pixel order; a stable sort by the
+        # hull's (top, left) corner gives the documented output order
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(20260809)
+        for trial in range(1000):
+            height, width = rng.integers(1, 33, size=2)
+            mask = rng.random((height, width)) < rng.uniform(0.02, 0.8)
+            labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+            flat = labels.ravel()
+            expected = [np.flatnonzero(flat == k) for k in range(1, count + 1)]
+            expected.sort(key=lambda c: (c[0] // width, (c % width).min()))
+            got = an.connected_components(mask)
+            assert len(got) == count, trial
+            for g, e in zip(got, expected):
+                assert np.array_equal(g, e), trial
 
 
 class TestMeanRegionDepth:
     def test_constant_region(self, codec):
         depth = encoded_depth_raster(np.full((4, 4), 12.0), codec)
-        region = np.ones((4, 4), dtype=bool)
+        region = np.arange(16)
         assert an.mean_region_depth(region, depth, codec) == pytest.approx(12.0, abs=1e-4)
 
     def test_two_pixel_mean(self, codec):
         depth = encoded_depth_raster([[10.0, 20.0]], codec)
-        region = np.array([[True, True]])
+        region = np.array([0, 1])
         assert an.mean_region_depth(region, depth, codec) == pytest.approx(15.0, abs=1e-4)
 
     def test_empty_region_rejected(self, codec):
         depth = encoded_depth_raster([[10.0]], codec)
         with pytest.raises(ValueError):
-            an.mean_region_depth(np.array([[False]]), depth, codec)
+            an.mean_region_depth(np.array([], dtype=np.intp), depth, codec)
 
     def test_rendered_cube_mean_within_bounds(self, small_camera, codec):
         scene = [make_vehicle(2, x=0.0, z=10.0, length=1.0, width=1.0, height=1.0)]
         bundle = ss.render_frame(small_camera, scene, 0, emit_color=False)
-        region = bundle.instance_oracle.data == 2
+        region = np.flatnonzero(bundle.instance_oracle.data == 2)
         mu = an.mean_region_depth(region, bundle.depth, codec)
         assert 9.5 <= mu <= 10.5
 
@@ -159,9 +201,11 @@ class TestRefineTightBox:
         bundle = ss.render_frame(small_camera, scene, 0, inflate_pct=0.10, emit_color=False)
         record = [r for r in bundle.records if r.object_id == 2][0]
         mask = an.vehicle_mask(bundle.stencil)
-        annotation = an.refine_tight_box(record, mask, bundle.depth)
-        assert annotation is not None
+        refined = an.refine_tight_box(record, mask, bundle.depth)
+        assert refined is not None
+        annotation, window, kept = refined
         assert annotation.tight_box == oracle_hulls(bundle.instance_oracle)[2]
+        assert len(window_pixels(window, kept)) == annotation.visible_px
         assert annotation.truncation == 0.0
         # occlusion estimate matches the shared formula (oracle labels use it too)
         assert annotation.occlusion_level == an.estimate_occlusion(
@@ -194,8 +238,8 @@ class TestRefineTightBox:
         record = ss.EngineRecord(1, ss.ObjectClass.VEHICLE, (3, 3, 10, 10), 10.0,
                                  (1.0, 1.0, 1.0), 0.0, (0.0, 0.0, 10.0))
         assert an.refine_tight_box(record, mask, depth, an.RefinementParams(min_component_px=16)) is None
-        kept = an.refine_tight_box(record, mask, depth, an.RefinementParams(min_component_px=4))
-        assert kept is not None and kept.visible_px == 4
+        refined = an.refine_tight_box(record, mask, depth, an.RefinementParams(min_component_px=4))
+        assert refined is not None and refined[0].visible_px == 4
 
     def test_non_vehicle_record_rejected(self, codec):
         record = ss.EngineRecord(1, ss.ObjectClass.DISTRACTOR, (0, 0, 5, 5), 8.0,
@@ -213,9 +257,9 @@ class TestRefineTightBox:
         depth = encoded_depth_raster(depths, codec)
         record = ss.EngineRecord(1, ss.ObjectClass.VEHICLE, (0, 0, 20, 10), 10.0,
                                  (4.0, 1.8, 1.5), 0.0, (0.0, 0.5, 10.0))
-        annotation = an.refine_tight_box(record, mask, depth, an.RefinementParams(rho=0.10))
-        assert annotation is not None
-        assert annotation.tight_box == (0.0, 0.0, 16.0, 10.0)
+        refined = an.refine_tight_box(record, mask, depth, an.RefinementParams(rho=0.10))
+        assert refined is not None
+        assert refined[0].tight_box == (0.0, 0.0, 16.0, 10.0)
 
     def test_rho_monotone_at_first_iteration(self, occlusion_scene):
         camera, scene = occlusion_scene
@@ -224,13 +268,12 @@ class TestRefineTightBox:
         record = [r for r in bundle.records if r.object_id == 3][0]
         previous = None
         for rho in (0.02, 0.05, 0.10, 0.20, 0.40):
-            annotation = an.refine_tight_box(
+            refined = an.refine_tight_box(
                 record, mask, bundle.depth, an.RefinementParams(rho=rho, iterations=1, min_component_px=1)
             )
             kept = set()
-            if annotation is not None:
-                for y, x0, x1 in annotation.kept_runs:
-                    kept.update((y, x) for x in range(x0, x1))
+            if refined is not None:
+                kept = window_pixels(*refined[1:])
             if previous is not None:
                 assert previous <= kept
             previous = kept
@@ -243,13 +286,14 @@ class TestRefineTightBox:
         for record in bundle.records:
             if record.cls is not ss.ObjectClass.VEHICLE:
                 continue
-            annotation = an.refine_tight_box(record, mask, bundle.depth)
-            if annotation is None:
+            refined = an.refine_tight_box(record, mask, bundle.depth)
+            if refined is None:
                 continue
+            annotation, window, kept = refined
             left, top, right, bottom = record.coarse_box
-            for y, x0, x1 in annotation.kept_runs:
+            for y, x in window_pixels(window, kept):
                 assert y + 0.5 >= top - margin and y + 0.5 <= bottom + margin
-                assert x0 + 0.5 >= left - margin and x1 - 0.5 <= right + margin
+                assert x + 0.5 >= left - margin and x + 0.5 <= right + margin
             tb = annotation.tight_box
             assert tb[0] >= 0 and tb[1] >= 0 and tb[2] <= camera.width and tb[3] <= camera.height
 
@@ -290,7 +334,7 @@ class TestRecoverOrphans:
         mask = np.zeros((20, 20), dtype=bool)
         mask[3:4, 3:6] = True  # 3 px < min_component_px
         depth = encoded_depth_raster(np.full((20, 20), 9.0), codec)
-        assert an.recover_orphans(mask, [], depth, an.RefinementParams(min_component_px=16)) == []
+        assert an.recover_orphans(mask, depth, an.RefinementParams(min_component_px=16)) == []
 
 
 class TestAnnotateFrame:
@@ -325,14 +369,28 @@ class TestAnnotateFrame:
         params = an.RefinementParams()
         annotations = an.annotate_frame(bundle.stencil, bundle.depth, bundle.records, params)
         claimed = np.zeros_like(mask)
-        for annotation in annotations:
-            for y, x0, x1 in annotation.kept_runs:
-                assert not claimed[y, x0:x1].any()  # exactly-one ownership
-                claimed[y, x0:x1] = True
+        refined = []
+        for record in sorted(bundle.records, key=lambda r: r.object_id):
+            if record.cls is not ss.ObjectClass.VEHICLE:
+                continue
+            result = an.refine_tight_box(record, mask, bundle.depth, params)
+            if result is not None:
+                annotation, (x0, y0, x1, y1), kept = result
+                assert not (claimed[y0:y1, x0:x1] & kept).any()  # exactly-one ownership
+                claimed[y0:y1, x0:x1] |= kept
+                refined.append(annotation)
+        assert [a for a in annotations if a.source_id != 0] == refined
+        # each orphan owns one whole component of the unclaimed pixels
+        orphans = [c for c in an.connected_components(mask & ~claimed) if len(c) >= params.min_component_px]
+        assert [(a.visible_px, a.tight_box) for a in annotations if a.source_id == 0] == [
+            (len(c), hull(c, mask.shape[1])) for c in orphans
+        ]
+        for pixels in orphans:
+            claimed.flat[pixels] = True
         specks = mask & ~claimed
         # leftover pixels must all sit in dropped specks
         for comp in an.connected_components(specks):
-            assert comp.pixel_count < params.min_component_px
+            assert len(comp) < params.min_component_px
 
     def test_deterministic_order_and_output(self, occlusion_scene):
         camera, scene = occlusion_scene

@@ -175,6 +175,23 @@ class TestOracleLabels:
             assert len(labels) == len(visible)
 
 
+def test_stages_take_frames_from_the_manifest(tiny_dataset, tmp_path, capsys):
+    # a shorter second run into the same directory leaves frames 2 and 3 behind
+    scenario = tmp_path / "short.txt"
+    scenario.write_text(TINY_SCENARIO.replace("frames=4", "frames=2"))
+    assert cli.main(["generate", "--scenario", str(scenario), "--out", str(tiny_dataset)]) == 0
+    for command in ("annotate", "oracle-labels"):
+        out = tmp_path / command
+        assert cli.main([command, "--in", str(tiny_dataset), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["000000.txt", "000001.txt"]
+    # a listed frame without its meta file is an i/o error, not a skipped frame
+    meta = ss.frame_paths(tiny_dataset, 1)["meta"]
+    meta.unlink()
+    for command in ("annotate", "oracle-labels"):
+        assert cli.main([command, "--in", str(tiny_dataset), "--out", str(tmp_path / "again")]) == 3
+        assert str(meta) in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_self_evaluation_and_reports(self, tiny_dataset, tmp_path, capsys):
         labels = tmp_path / "labels"
@@ -362,6 +379,12 @@ def _meta_not_utf8(paths):
     paths["meta"].write_bytes(b"\xff\xfe" + paths["meta"].read_bytes())
 
 
+def _meta_duplicate_id(paths):
+    first, second, *rest = paths["meta"].read_text().splitlines(keepends=True)
+    second = " ".join([first.split()[0], *second.split()[1:]]) + "\n"
+    paths["meta"].write_text(first + second + "".join(rest))
+
+
 BAD_INPUTS = {
     # (environment, argv builder, expected exit code)
     "workers-env-not-integer": ({"MATRIXGT_WORKERS": "abc"}, _generate_argv, 2),
@@ -410,6 +433,15 @@ BAD_INPUTS = {
     "annotate-meta-inf-height": ({}, _corrupted_dataset_argv("annotate", _meta_field(7, "inf")), 2),
     "oracle-meta-inf-height": ({}, _corrupted_dataset_argv("oracle-labels", _meta_field(7, "inf")), 2),
     "annotate-meta-not-utf8": ({}, _corrupted_dataset_argv("annotate", _meta_not_utf8), 2),
+    # meta object ids: 1..65535 (U16 instance ids, 0 is no object), each once per file
+    "annotate-meta-id-0": ({}, _corrupted_dataset_argv("annotate", _meta_field(0, "0")), 2),
+    "oracle-meta-id-0": ({}, _corrupted_dataset_argv("oracle-labels", _meta_field(0, "0")), 2),
+    "annotate-meta-id-negative": ({}, _corrupted_dataset_argv("annotate", _meta_field(0, "-5")), 2),
+    "oracle-meta-id-negative": ({}, _corrupted_dataset_argv("oracle-labels", _meta_field(0, "-5")), 2),
+    "annotate-meta-id-above-u16": ({}, _corrupted_dataset_argv("annotate", _meta_field(0, "70000")), 2),
+    "oracle-meta-id-above-u16": ({}, _corrupted_dataset_argv("oracle-labels", _meta_field(0, "70000")), 2),
+    "annotate-meta-duplicate-id": ({}, _corrupted_dataset_argv("annotate", _meta_duplicate_id), 2),
+    "oracle-meta-duplicate-id": ({}, _corrupted_dataset_argv("oracle-labels", _meta_duplicate_id), 2),
 }
 
 

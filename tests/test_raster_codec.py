@@ -12,16 +12,12 @@ from matrixgt.raster_codec import (
     MRB_MAGIC,
     DepthCodecParams,
     Raster,
-    StencilValue,
     encode_log_depth,
     linearize_depth,
-    linearize_raster,
-    pack_stencil,
     raster_from_bytes,
     raster_to_bytes,
     read_raster,
     stencil_class_ids,
-    unpack_stencil,
     write_raster,
 )
 
@@ -86,48 +82,21 @@ class TestDepthCodec:
         with pytest.raises(ConfigError):
             DepthCodecParams(-1.0, 2.0)
 
-    def test_linearize_raster_counts_clamped(self, codec):
+    def test_linearize_depth_clamps_arrays(self, codec):
         data = np.array([[0.5, 1.0], [1.25, -0.5]], dtype=np.float32)
-        z, clamped = linearize_raster(Raster(data), codec)
-        assert clamped == 2
+        z = linearize_depth(data.astype(np.float64), codec)
         assert z[0, 1] == pytest.approx(codec.far_m)
         assert z[1, 0] == pytest.approx(codec.far_m)
+        assert z[1, 1] == pytest.approx(codec.near_m)
 
 
 class TestStencil:
-    @pytest.mark.parametrize(
-        "class_id,flags,packed",
-        [(3, 5, 0x53), (0, 0, 0x00), (15, 15, 0xFF)],
-    )
-    def test_pack_examples(self, class_id, flags, packed):
-        assert pack_stencil(StencilValue(class_id=class_id, flags=flags)) == packed
-
-    @pytest.mark.parametrize(
-        "byte,class_id,flags",
-        [(0xF2, 2, 15), (0x00, 0, 0), (0x53, 3, 5)],
-    )
-    def test_unpack_examples(self, byte, class_id, flags):
-        assert unpack_stencil(byte) == StencilValue(class_id=class_id, flags=flags)
-
-    def test_bijection_exhaustive(self):
-        seen = set()
-        for byte in range(256):
-            value = unpack_stencil(byte)
-            assert pack_stencil(value) == byte
-            seen.add((value.class_id, value.flags))
-        assert len(seen) == 256
-
-    def test_out_of_range_fields(self):
-        with pytest.raises(ValueError):
-            StencilValue(class_id=16, flags=0)
-        with pytest.raises(ValueError):
-            StencilValue(class_id=0, flags=-1)
-        with pytest.raises(ValueError):
-            unpack_stencil(256)
-
     def test_class_plane(self):
         stencil = Raster(np.array([[0x52, 0x00], [0x13, 0x02]], dtype=np.uint8))
         assert stencil_class_ids(stencil).tolist() == [[2, 0], [3, 2]]
+        # every byte decodes to its low nibble; the high-nibble flags never leak
+        every_byte = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        assert stencil_class_ids(Raster(every_byte)).tolist() == (every_byte & 0x0F).tolist()
 
 
 class TestRasterType:

@@ -9,7 +9,7 @@ from oracles import brute_force_buffers, brute_force_depth, ray_cast_depth
 from matrixgt import cli
 from matrixgt import scene_sim as ss
 from matrixgt.errors import BehindCameraError, ConfigError, FormatError, MatrixGTError
-from matrixgt.raster_codec import encode_log_depth, linearize_raster
+from matrixgt.raster_codec import encode_log_depth, linearize_depth
 
 
 class TestCoarseBox:
@@ -119,7 +119,7 @@ class TestRenderFrame:
         bundle = ss.render_frame(small_camera, scene, 0, emit_color=False)
         inst = bundle.instance_oracle.data
         assert (inst == 2).any()
-        z, _ = linearize_raster(bundle.depth, codec)
+        z = linearize_depth(bundle.depth.data.astype(np.float64), codec)
         cube_depths = z[inst == 2]
         assert cube_depths.min() >= 9.5 - 1e-3
         assert cube_depths.max() <= 10.5 + 1e-3
@@ -149,7 +149,7 @@ class TestRenderFrame:
         assert empty.any()
         assert (bundle.stencil.data[empty] == 0).all()
         assert (bundle.depth.data[empty] == 1.0).all()
-        z, _ = linearize_raster(bundle.depth, codec)
+        z = linearize_depth(bundle.depth.data.astype(np.float64), codec)
         assert z[empty].max() == pytest.approx(codec.far_m, rel=1e-6)
 
     def test_class_consistency(self, small_camera):
@@ -188,7 +188,7 @@ class TestRenderFrame:
         bundle = ss.render_frame(small_camera, scene, 0, emit_color=False)
         zray = ray_cast_depth(small_camera, scene)
         zray = np.clip(np.where(np.isfinite(zray), zray, codec.far_m), codec.near_m, codec.far_m)
-        z, _ = linearize_raster(bundle.depth, codec)
+        z = linearize_depth(bundle.depth.data.astype(np.float64), codec)
         assert np.max(np.abs(z - zray)) <= 1e-4
 
     def test_empty_scene_rejected(self, small_camera):
@@ -461,10 +461,12 @@ class TestMetaText:
 
     @pytest.mark.parametrize(
         "field, value",
-        [(2, "nan"), (4, "inf"), (6, "-1"), (6, "0"), (7, "inf"), (13, "-inf"), (2, "9"), (3, "1e999")],
+        [(2, "nan"), (4, "inf"), (6, "-1"), (6, "0"), (7, "inf"), (13, "-inf"), (2, "9"), (3, "1e999"),
+         (0, "0"), (0, "-5"), (0, "70000"), (0, "7")],
     )
     def test_bad_number_or_record_names_the_line(self, field, value):
-        parts = "7 Vehicle 1 2 8 9 30 1.5 1.8 4.0 0 1 30 0.1".split()
+        # line 2 repeats line 1 under another id; ids must be 1..65535 and unique
+        parts = "8 Vehicle 1 2 8 9 30 1.5 1.8 4.0 0 1 30 0.1".split()
         parts[field] = value
         text = "7 Vehicle 1 2 8 9 30 1.5 1.8 4.0 0 1 30 0.1\n" + " ".join(parts) + "\n"
         with pytest.raises(FormatError, match="meta line 2"):
@@ -480,6 +482,8 @@ class TestMetaText:
         for record in records:
             numbers = (*record.coarse_box, record.range_m, *record.size, *record.location_cam, record.yaw)
             assert all(np.isfinite(numbers)) and record.range_m > 0
+            assert 1 <= record.object_id <= 65535
+        assert len({r.object_id for r in records}) == len(records)
 
 
 class TestDatasetFiles:
