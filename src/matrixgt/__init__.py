@@ -7,31 +7,4 @@ and an evaluator verifies the annotations against a withheld per-pixel
 oracle with KITTI-style difficulty-binned average precision.
 """
 
-from .annotator import RefinementParams, TightAnnotation, annotate_frame
-from .evaluator import EvalReport, evaluate
-from .kitti_labels import Difficulty, KittiLabel, classify_difficulty
-from .raster_codec import DepthCodecParams, Raster, read_raster, write_raster
-from .scene_sim import CameraModel, FrameBundle, ScenarioConfig, SceneObject, render_frame
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CameraModel",
-    "DepthCodecParams",
-    "Difficulty",
-    "EvalReport",
-    "FrameBundle",
-    "KittiLabel",
-    "Raster",
-    "RefinementParams",
-    "ScenarioConfig",
-    "SceneObject",
-    "TightAnnotation",
-    "annotate_frame",
-    "classify_difficulty",
-    "evaluate",
-    "read_raster",
-    "render_frame",
-    "write_raster",
-    "__version__",
-]

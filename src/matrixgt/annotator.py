@@ -61,7 +61,6 @@ class TightAnnotation:
     visible_px: int
     truncation: float
     occlusion_level: int
-    range_m: float
     size: Optional[tuple[float, float, float]] = None
     location_cam: Optional[tuple[float, float, float]] = None
     yaw: Optional[float] = None
@@ -135,14 +134,6 @@ def connected_components(mask: np.ndarray) -> list[np.ndarray]:
     return components
 
 
-def mean_region_depth(pixels: np.ndarray, depth: Raster, params: DepthCodecParams) -> float:
-    """Arithmetic mean of linearized depth over ascending row-major pixel indices."""
-    if not len(pixels):
-        raise ValueError("empty region has no mean depth")
-    d = depth.data.ravel()[pixels].astype(np.float64)
-    return float(np.mean(linearize_depth(d, params)))
-
-
 def pixel_hull(ys: np.ndarray, xs: np.ndarray) -> tuple[float, float, float, float]:
     """Tight (left, top, right, bottom) box around pixels at rows ys, columns xs."""
     return float(xs.min()), float(ys.min()), float(xs.max() + 1), float(ys.max() + 1)
@@ -182,18 +173,24 @@ def record_annotation(
     image_size: tuple[int, int],
 ) -> TightAnnotation:
     """Record-backed annotation: truncation and occlusion against the record's
-    un-clipped coarse box, range and 3D pose copied from the record."""
+    un-clipped coarse box, 3D pose copied from the record."""
     return TightAnnotation(
         source_id=record.object_id,
         tight_box=hull,
         visible_px=visible_px,
         truncation=estimate_truncation(record.coarse_box, image_size),
         occlusion_level=estimate_occlusion(visible_px, record.coarse_box, image_size),
-        range_m=record.range_m,
         size=record.size,
         location_cam=record.location_cam,
         yaw=record.yaw,
     )
+
+
+def orphan_annotation(hull: tuple[float, float, float, float], visible_px: int) -> TightAnnotation:
+    """Annotation of vehicle pixels no engine record accounts for: no 3D
+    fields, occlusion level 2, and truncation 0 because a pixel hull lies
+    inside the image."""
+    return TightAnnotation(source_id=0, tight_box=hull, visible_px=visible_px, truncation=0.0, occlusion_level=2)
 
 
 def _pixel_window(
@@ -258,36 +255,19 @@ def refine_tight_box(
     return annotation, window, kept
 
 
-def recover_orphans(
-    residual: np.ndarray,
-    depth: Raster,
-    params: RefinementParams = RefinementParams(),
-    depth_params: DepthCodecParams = DepthCodecParams(),
-) -> list[TightAnnotation]:
+def recover_orphans(residual: np.ndarray, params: RefinementParams = RefinementParams()) -> list[TightAnnotation]:
     """Promote residual vehicle pixels, those no accepted annotation kept, to
     orphan annotations (rendered objects the engine never registered).
 
     Connected components smaller than ``min_component_px`` are dropped as
-    specks. Orphans carry the component's mean depth as range, no 3D fields,
-    and occlusion level 2.
+    specks.
     """
-    height, width = residual.shape
-    orphans = []
-    for pixels in connected_components(residual):
-        if len(pixels) < params.min_component_px:
-            continue
-        hull = pixel_hull(*np.divmod(pixels, width))
-        orphans.append(
-            TightAnnotation(
-                source_id=0,
-                tight_box=hull,
-                visible_px=len(pixels),
-                truncation=estimate_truncation(hull, (width, height)),
-                occlusion_level=2,
-                range_m=mean_region_depth(pixels, depth, depth_params),
-            )
-        )
-    return orphans
+    width = residual.shape[1]
+    return [
+        orphan_annotation(pixel_hull(*np.divmod(pixels, width)), len(pixels))
+        for pixels in connected_components(residual)
+        if len(pixels) >= params.min_component_px
+    ]
 
 
 def annotate_frame(
@@ -319,4 +299,4 @@ def annotate_frame(
             annotation, (x0, y0, x1, y1), kept = refined
             residual[y0:y1, x0:x1] &= ~kept
             accepted.append(annotation)
-    return accepted + recover_orphans(residual, depth, params, depth_params)
+    return accepted + recover_orphans(residual, params)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -56,6 +55,9 @@ def _run_tasks(task_fn, tasks: list, workers: int) -> None:
         for task in tasks:
             task_fn(task)
         return
+    # imported only here, so one-worker stages never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, len(tasks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for _ in pool.map(task_fn, tasks, chunksize=chunksize):
@@ -116,9 +118,7 @@ def cmd_annotate(args) -> int:
 
 def _oracle_task(task) -> None:
     dataset_dir, labels_dir, frame_idx, image_size = task
-    depth, stencil, records, instance = scene_sim.read_frame_buffers(
-        dataset_dir, frame_idx, with_instance=True
-    )
+    _, stencil, records, instance = scene_sim.read_frame_buffers(dataset_dir, frame_idx, with_instance=True)
     try:
         labels = oracle_frame_labels(instance, stencil, records, image_size)
     except ValidationError as exc:

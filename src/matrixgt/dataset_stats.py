@@ -1,5 +1,6 @@
 """Dataset-property analyses: centroid heatmaps, per-frame detection
-histograms, and size summaries over a KITTI label directory.
+histograms, and size summaries over the labels of a KITTI label directory,
+keyed by frame as :func:`kitti_labels.read_label_dir` returns them.
 
 Counts are the testable artifact here, so the heatmap ships as raw CSV counts
 alongside a max-normalized 8-bit PGM render; both obey the conservation law
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .kitti_labels import CAR_TYPE, Difficulty, checked_bbox, classify_difficulty, read_label_dir
+from .kitti_labels import CAR_TYPE, Difficulty, KittiLabel, checked_bbox, classify_difficulty, read_label_dir
 
 DEFAULT_GRID = (48, 27)  # (cols, rows), 16:9-friendly
 
@@ -51,7 +52,7 @@ def _cell_index(coord: float, extent: float, cells: int) -> int:
 
 
 def centroid_heatmap(
-    labels_dir: str | Path,
+    labels_by_frame: dict[str, list[KittiLabel]],
     image_size: tuple[int, int],
     grid: tuple[int, int] = DEFAULT_GRID,
 ) -> HeatmapGrid:
@@ -64,7 +65,7 @@ def centroid_heatmap(
         raise ConfigError(f"image dimensions must be >= 1, got {width}x{height}")
     counts = np.zeros((rows, cols), dtype=np.int64)
     clamped = 0
-    for labels in read_label_dir(labels_dir).values():
+    for labels in labels_by_frame.values():
         for label in labels:
             if label.type != CAR_TYPE:
                 continue
@@ -77,26 +78,25 @@ def centroid_heatmap(
     return HeatmapGrid(cols, rows, width, height, counts, clamped)
 
 
-def detections_histogram(labels_dir: str | Path) -> dict[int, int]:
+def detections_histogram(labels_by_frame: dict[str, list[KittiLabel]]) -> dict[int, int]:
     """Mapping detections-per-frame -> frame count (zero-car frames at bin 0)."""
     histogram: Counter[int] = Counter()
-    for labels in read_label_dir(labels_dir).values():
+    for labels in labels_by_frame.values():
         histogram[sum(1 for label in labels if label.type == CAR_TYPE)] += 1
     return dict(sorted(histogram.items()))
 
 
-def dataset_summary(labels_dir: str | Path) -> DatasetSummary:
-    by_frame = read_label_dir(labels_dir)
+def dataset_summary(labels_by_frame: dict[str, list[KittiLabel]]) -> DatasetSummary:
     difficulty_counts = {level: 0 for level in Difficulty}
     car_boxes = 0
-    for frame_id, labels in by_frame.items():
+    for frame_id, labels in labels_by_frame.items():
         for label in labels:
             if label.type != CAR_TYPE:
                 continue
             checked_bbox(frame_id, label)
             car_boxes += 1
             difficulty_counts[classify_difficulty(label)] += 1
-    frames = len(by_frame)
+    frames = len(labels_by_frame)
     return DatasetSummary(
         frames=frames,
         car_boxes=car_boxes,
@@ -159,9 +159,10 @@ def write_stats(
     Everything is computed, and every Car box checked, before the first file
     is written, so a rejected label directory leaves no partial output.
     """
-    heatmap = centroid_heatmap(labels_dir, image_size, grid)
-    histogram = detections_histogram(labels_dir)
-    summary = dataset_summary(labels_dir)
+    labels_by_frame = read_label_dir(labels_dir)
+    heatmap = centroid_heatmap(labels_by_frame, image_size, grid)
+    histogram = detections_histogram(labels_by_frame)
+    summary = dataset_summary(labels_by_frame)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "heatmap.pgm").write_bytes(heatmap_pgm(heatmap))

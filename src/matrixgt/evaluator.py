@@ -27,16 +27,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import ConfigError, ValidationError
-from .kitti_labels import (
-    CAR_TYPE,
-    DEFAULT_THRESHOLDS,
-    DONTCARE_TYPE,
-    Difficulty,
-    DifficultyThresholds,
-    checked_bbox,
-    classify_difficulty,
-    read_label_dir,
-)
+from .kitti_labels import CAR_TYPE, DONTCARE_TYPE, Difficulty, checked_bbox, classify_difficulty, read_label_dir
 
 DEFAULT_IOU_THRESHOLD = 0.7
 
@@ -172,15 +163,9 @@ def precision_recall_points(
     return points
 
 
-def average_precision(
-    outcomes: Sequence[ScoredOutcome], gt_count: int, method: str = "11pt"
-) -> Optional[float]:
-    """AP over pooled outcomes; None when there is no required ground truth."""
-    return _curve_ap(precision_recall_points(outcomes, gt_count), gt_count, method)
-
-
-def _curve_ap(points: Sequence[tuple[float, float]], gt_count: int, method: str) -> Optional[float]:
-    """AP of a precision_recall_points curve by 11-point or all-point interpolation."""
+def average_precision(points: Sequence[tuple[float, float]], gt_count: int, method: str) -> Optional[float]:
+    """AP of a :func:`precision_recall_points` curve by 11-point or all-point
+    interpolation; None when there is no required ground truth."""
     if gt_count == 0:
         return None
     if method == "11pt":
@@ -204,9 +189,7 @@ def _curve_ap(points: Sequence[tuple[float, float]], gt_count: int, method: str)
     raise ValueError(f"unknown AP method {method!r}; use '11pt' or 'all'")
 
 
-def _load_ground_truth(
-    labels_by_frame, thresholds: DifficultyThresholds
-) -> dict[str, list[GroundTruth]]:
+def _load_ground_truth(labels_by_frame) -> dict[str, list[GroundTruth]]:
     gts: dict[str, list[GroundTruth]] = {}
     for frame_id, labels in labels_by_frame.items():
         rows = []
@@ -215,7 +198,7 @@ def _load_ground_truth(
                 continue
             box = checked_bbox(frame_id, label)
             if label.type == CAR_TYPE:
-                difficulty = classify_difficulty(label, thresholds)
+                difficulty = classify_difficulty(label)
             else:
                 difficulty = Difficulty.UNKNOWN
             rows.append(GroundTruth(frame_id, box, difficulty, dontcare=label.type == DONTCARE_TYPE))
@@ -239,7 +222,6 @@ def evaluate(
     gt_dir: str | Path,
     iou_thr: float = DEFAULT_IOU_THRESHOLD,
     method: str = "11pt",
-    thresholds: DifficultyThresholds = DEFAULT_THRESHOLDS,
 ) -> EvalReport:
     """Evaluate a detection label directory against a ground-truth directory."""
     if not (0.0 < iou_thr <= 1.0):
@@ -253,7 +235,7 @@ def evaluate(
             f"frame sets differ: missing in det dir {missing_det}, missing in gt dir {missing_gt}"
         )
     detections = _load_detections(det_labels)
-    ground_truth = _load_ground_truth(gt_labels, thresholds)
+    ground_truth = _load_ground_truth(gt_labels)
 
     levels = {}
     for level in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
@@ -268,7 +250,7 @@ def evaluate(
         fp = sum(1 for o in pooled if o.outcome is Outcome.FP)
         points = precision_recall_points(pooled, gt_count)
         levels[level] = LevelResult(
-            ap=_curve_ap(points, gt_count, method),
+            ap=average_precision(points, gt_count, method),
             tp=tp,
             fp=fp,
             fn=gt_count - tp,

@@ -16,10 +16,12 @@ import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .annotator import TightAnnotation
 from .errors import FormatError, ValidationError
+
+if TYPE_CHECKING:
+    from .annotator import TightAnnotation
 
 CAR_TYPE = "Car"
 DONTCARE_TYPE = "DontCare"
@@ -42,17 +44,13 @@ class Difficulty(enum.IntEnum):
         return self.name.title()
 
 
-@dataclass(frozen=True)
-class DifficultyThresholds:
-    """Per-level gates indexed by Difficulty value: minimum box height in
-    pixels, maximum truncation fraction, maximum occlusion level."""
-
-    min_height_px: tuple[float, float, float] = (40.0, 25.0, 25.0)
-    max_truncation: tuple[float, float, float] = (0.15, 0.30, 0.50)
-    max_occlusion: tuple[int, int, int] = (0, 1, 2)
-
-
-DEFAULT_THRESHOLDS = DifficultyThresholds()
+# Per-level gates, easiest first: (level, minimum box height in pixels,
+# maximum truncation fraction, maximum occlusion level)
+DIFFICULTY_GATES = (
+    (Difficulty.EASY, 40.0, 0.15, 0),
+    (Difficulty.MODERATE, 25.0, 0.30, 1),
+    (Difficulty.HARD, 25.0, 0.50, 2),
+)
 
 
 @dataclass
@@ -77,20 +75,14 @@ def checked_bbox(frame_id: str, label: KittiLabel) -> tuple[float, float, float,
     return label.bbox
 
 
-def classify_difficulty(
-    label: KittiLabel, thresholds: DifficultyThresholds = DEFAULT_THRESHOLDS
-) -> Difficulty:
+def classify_difficulty(label: KittiLabel) -> Difficulty:
     """Easiest level whose height/truncation/occlusion gates all pass."""
     left, top, right, bottom = label.bbox
     if not (left < right and top < bottom):
         raise ValueError(f"malformed bbox {label.bbox}")
     height = bottom - top
-    for level in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
-        if (
-            height >= thresholds.min_height_px[level]
-            and label.truncated <= thresholds.max_truncation[level]
-            and label.occluded <= thresholds.max_occlusion[level]
-        ):
+    for level, min_height_px, max_truncation, max_occlusion in DIFFICULTY_GATES:
+        if height >= min_height_px and label.truncated <= max_truncation and label.occluded <= max_occlusion:
             return level
     return Difficulty.UNKNOWN
 

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .annotator import TightAnnotation, pixel_hull, record_annotation
+from .annotator import orphan_annotation, pixel_hull, record_annotation
 from .errors import ValidationError
 from .kitti_labels import KittiLabel, from_annotation
 from .raster_codec import Raster, stencil_class_ids
@@ -26,7 +26,7 @@ def oracle_frame_labels(
 ) -> list[KittiLabel]:
     """One frame's labels: each visible vehicle's box is the exact hull of its
     oracle pixels. Vehicles without an engine record (beyond its registration
-    range) get orphan-style sentinel labels; fully occluded objects emit
+    range) get the annotator's orphan labels; fully occluded objects emit
     nothing. Raises :class:`ValidationError` when a raster's size differs from
     ``image_size``, the (width, height) truncation is measured against."""
     for name, raster in (("instance", instance), ("stencil", stencil)):
@@ -55,8 +55,6 @@ def oracle_frame_labels(
         if record is not None:
             annotation = record_annotation(record, hull, visible_px, image_size)
         else:
-            annotation = TightAnnotation(
-                source_id=0, tight_box=hull, visible_px=visible_px, truncation=0.0, occlusion_level=2, range_m=0.0
-            )
+            annotation = orphan_annotation(hull, visible_px)
         labels.append(from_annotation(annotation))
     return labels

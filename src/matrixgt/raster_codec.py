@@ -25,7 +25,6 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Union
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .errors import ConfigError, FormatError, TruncatedFileError
 
 MRB_MAGIC = b"MRXB"
 MRB_VERSION = 1
-MRB_EXTENSION = ".mrb"
 
 DEFAULT_NEAR_M = 0.15
 DEFAULT_FAR_M = 600.0
@@ -42,8 +40,6 @@ _KIND_TO_CODE = {"U8": 0, "U16": 1, "F32": 2}
 _CODE_TO_KIND = {v: k for k, v in _KIND_TO_CODE.items()}
 _KIND_TO_DTYPE = {"U8": np.dtype("<u1"), "U16": np.dtype("<u2"), "F32": np.dtype("<f4")}
 _NATIVE_TO_KIND = {np.dtype(np.uint8): "U8", np.dtype(np.uint16): "U16", np.dtype(np.float32): "F32"}
-
-PathOrIO = Union[str, Path, BinaryIO]
 
 
 @dataclass(frozen=True)
@@ -182,19 +178,11 @@ def raster_from_bytes(blob: bytes) -> Raster:
         raise FormatError(f"MRB payload: {exc}") from None
 
 
-def write_raster(raster: Raster, destination: PathOrIO) -> None:
-    """Write a raster to a path or binary stream in MRB format."""
-    blob = raster_to_bytes(raster)
-    if isinstance(destination, (str, Path)):
-        Path(destination).write_bytes(blob)
-    else:
-        destination.write(blob)
+def write_raster(raster: Raster, destination: str | Path) -> None:
+    """Write a raster to an MRB file."""
+    Path(destination).write_bytes(raster_to_bytes(raster))
 
 
-def read_raster(source: PathOrIO) -> Raster:
-    """Read an MRB raster from a path or binary stream."""
-    if isinstance(source, (str, Path)):
-        blob = Path(source).read_bytes()
-    else:
-        blob = source.read()
-    return raster_from_bytes(blob)
+def read_raster(source: str | Path) -> Raster:
+    """Read an MRB file."""
+    return raster_from_bytes(Path(source).read_bytes())

@@ -53,8 +53,6 @@ log = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
 
-BACKGROUND_CLASS_CODE = 0
-
 GROUND_OBJECT_ID = 1
 GROUND_THICKNESS_M = 0.02
 GROUND_NEAR_Z_M = 1.0
@@ -873,14 +871,15 @@ def write_frame_files(bundle: FrameBundle, dataset_dir: str | Path) -> None:
 
 def read_frame_buffers(
     dataset_dir: str | Path, frame_idx: int, *, with_instance: bool = False
-) -> tuple[Raster, Raster, list[EngineRecord], Optional[Raster]]:
-    """Load (depth, stencil, records, instance?) for one frame.
+) -> tuple[Optional[Raster], Raster, list[EngineRecord], Optional[Raster]]:
+    """Load (depth, stencil, records, instance) for one frame.
 
-    The annotation path never sets ``with_instance``; the instance raster is
-    reserved for tests and oracle labels.
+    The annotation path never sets ``with_instance`` and gets no instance
+    raster, which is reserved for tests and oracle labels. With it, depth is
+    neither read nor returned, since oracle labels do not use it.
     """
     paths = frame_paths(dataset_dir, frame_idx)
-    depth = _read_raster_of_kind(paths["depth"], "F32")
+    depth = None if with_instance else _read_raster_of_kind(paths["depth"], "F32")
     stencil = _read_raster_of_kind(paths["stencil"], "U8")
     try:
         records = parse_meta_text(paths["meta"].read_text())

@@ -207,7 +207,7 @@ def test_criterion_5_evaluator_oracle_equivalence(e2e, tmp_path):
                     pooled.append(ev.ScoredOutcome(d.score, d.box, o))
                     if o is not ev.Outcome.IGNORED:
                         pooled_rows.append((d.score, d.box[0], d.box[1], o is ev.Outcome.TP))
-            mine = ev.average_precision(pooled, required)
+            mine = ev.average_precision(ev.precision_recall_points(pooled, required), required, "11pt")
             reference_ap = brute_ap_11pt(pooled_rows, required)
             if required == 0:
                 assert mine is None and reference_ap is None
@@ -281,9 +281,9 @@ def test_criterion_8_statistics_conservation(e2e, tmp_path):
         car_boxes = sum(
             1 for labels in kl.read_label_dir(det).values() for l in labels if l.type == "Car"
         )
-        heatmap = stats.centroid_heatmap(det, (640, 480))
+        heatmap = stats.centroid_heatmap(kl.read_label_dir(det), (640, 480))
         assert heatmap.total == car_boxes, f"heatmap total {heatmap.total} != {car_boxes}"
-        histogram = stats.detections_histogram(det)
+        histogram = stats.detections_histogram(kl.read_label_dir(det))
         assert sum(histogram.values()) == 200
         # synthetic uniform centroids: multinomial 3-sigma bound per 4x4 cell
         rng = Xorshift64Star(20260809)
@@ -303,7 +303,7 @@ def test_criterion_8_statistics_conservation(e2e, tmp_path):
                     )
                 )
             kl.write_labels(labels, kl.label_path(synth, frame))
-        grid = stats.centroid_heatmap(synth, (640, 480), grid=(4, 4))
+        grid = stats.centroid_heatmap(kl.read_label_dir(synth), (640, 480), grid=(4, 4))
         assert grid.total == n
         expected = n / 16.0
         sigma = (n * (1 / 16) * (15 / 16)) ** 0.5

@@ -7,6 +7,8 @@ from matrixgt import annotator as an
 from matrixgt import scene_sim as ss
 from matrixgt.errors import ConfigError, FormatError
 from matrixgt.evaluator import iou
+from matrixgt.kitti_labels import format_label, from_annotation
+from matrixgt.oracle_labels import oracle_frame_labels
 from matrixgt.raster_codec import Raster, encode_log_depth
 
 
@@ -145,30 +147,6 @@ class TestConnectedComponents:
             assert len(got) == count, trial
             for g, e in zip(got, expected):
                 assert np.array_equal(g, e), trial
-
-
-class TestMeanRegionDepth:
-    def test_constant_region(self, codec):
-        depth = encoded_depth_raster(np.full((4, 4), 12.0), codec)
-        region = np.arange(16)
-        assert an.mean_region_depth(region, depth, codec) == pytest.approx(12.0, abs=1e-4)
-
-    def test_two_pixel_mean(self, codec):
-        depth = encoded_depth_raster([[10.0, 20.0]], codec)
-        region = np.array([0, 1])
-        assert an.mean_region_depth(region, depth, codec) == pytest.approx(15.0, abs=1e-4)
-
-    def test_empty_region_rejected(self, codec):
-        depth = encoded_depth_raster([[10.0]], codec)
-        with pytest.raises(ValueError):
-            an.mean_region_depth(np.array([], dtype=np.intp), depth, codec)
-
-    def test_rendered_cube_mean_within_bounds(self, small_camera, codec):
-        scene = [make_vehicle(2, x=0.0, z=10.0, length=1.0, width=1.0, height=1.0)]
-        bundle = ss.render_frame(small_camera, scene, 0, emit_color=False)
-        region = np.flatnonzero(bundle.instance_oracle.data == 2)
-        mu = an.mean_region_depth(region, bundle.depth, codec)
-        assert 9.5 <= mu <= 10.5
 
 
 class TestTruncationOcclusion:
@@ -322,7 +300,10 @@ class TestRecoverOrphans:
         assert orphans[0].tight_box == hull
         assert orphans[0].occlusion_level == 2
         assert orphans[0].size is None and orphans[0].yaw is None
-        assert orphans[0].range_m == pytest.approx(25.0, abs=1.0)
+        # the oracle labels unrecorded vehicle 3 through the same orphan builder
+        oracle = oracle_frame_labels(bundle.instance_oracle, bundle.stencil, bundle.records, (320, 240))
+        assert [label.bbox for label in oracle] == [oracle_hulls(bundle.instance_oracle)[2], hull]
+        assert format_label(from_annotation(orphans[0])) == format_label(oracle[1])
 
     def test_all_pixels_claimed_no_orphans(self, small_camera):
         scene = [make_ground(z_far=60.0), make_vehicle(2, x=0.0, z=12.0)]
@@ -330,11 +311,10 @@ class TestRecoverOrphans:
         annotations = an.annotate_frame(bundle.stencil, bundle.depth, bundle.records)
         assert [a.source_id for a in annotations] == [2]
 
-    def test_speck_dropped(self, codec):
+    def test_speck_dropped(self):
         mask = np.zeros((20, 20), dtype=bool)
         mask[3:4, 3:6] = True  # 3 px < min_component_px
-        depth = encoded_depth_raster(np.full((20, 20), 9.0), codec)
-        assert an.recover_orphans(mask, depth, an.RefinementParams(min_component_px=16)) == []
+        assert an.recover_orphans(mask, an.RefinementParams(min_component_px=16)) == []
 
 
 class TestAnnotateFrame:

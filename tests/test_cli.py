@@ -174,6 +174,16 @@ class TestOracleLabels:
             labels = kl.parse_labels(kl.label_path(labels_dir, frame))
             assert len(labels) == len(visible)
 
+    def test_depth_is_not_read(self, tiny_dataset, tmp_path):
+        before = tmp_path / "before"
+        assert cli.main(["oracle-labels", "--in", str(tiny_dataset), "--out", str(before)]) == 0
+        ss.frame_paths(tiny_dataset, 0)["depth"].unlink()
+        after = tmp_path / "after"
+        assert cli.main(["oracle-labels", "--in", str(tiny_dataset), "--out", str(after)]) == 0
+        assert dir_digest(after) == dir_digest(before)
+        # the annotator still needs it
+        assert cli.main(["annotate", "--in", str(tiny_dataset), "--out", str(tmp_path / "det")]) == 3
+
 
 def test_stages_take_frames_from_the_manifest(tiny_dataset, tmp_path, capsys):
     # a shorter second run into the same directory leaves frames 2 and 3 behind

@@ -32,30 +32,30 @@ def write_frames(directory, frames):
 class TestHeatmap:
     def test_center_cell(self, tmp_path):
         write_frames(tmp_path, {0: [car_at(320.0, 240.0)]})
-        grid = stats.centroid_heatmap(tmp_path, (640, 480), grid=(3, 3))
+        grid = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(3, 3))
         assert grid.counts[1, 1] == 1
         assert grid.total == 1
         assert grid.clamped == 0
 
     def test_empty_dataset(self, tmp_path):
         write_frames(tmp_path, {0: [], 1: []})
-        grid = stats.centroid_heatmap(tmp_path, (640, 480), grid=(4, 4))
+        grid = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(4, 4))
         assert grid.total == 0 and not grid.counts.any()
 
     def test_dontcare_excluded(self, tmp_path):
         write_frames(tmp_path, {0: [car_at(100, 100), dontcare(500, 400)]})
-        grid = stats.centroid_heatmap(tmp_path, (640, 480), grid=(2, 2))
+        grid = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(2, 2))
         assert grid.total == 1
 
     def test_boundary_goes_to_lower_cell(self, tmp_path):
         # centroid exactly on the 320 px boundary of a 2-column grid
         write_frames(tmp_path, {0: [car_at(320.0, 100.0)]})
-        grid = stats.centroid_heatmap(tmp_path, (640, 480), grid=(2, 1))
+        grid = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(2, 1))
         assert grid.counts[0, 0] == 1 and grid.counts[0, 1] == 0
 
     def test_outside_centroid_clamped_and_tallied(self, tmp_path):
         write_frames(tmp_path, {0: [car_at(700.0, 240.0), car_at(-30.0, 240.0)]})
-        grid = stats.centroid_heatmap(tmp_path, (640, 480), grid=(4, 2))
+        grid = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(4, 2))
         assert grid.clamped == 2
         assert grid.counts[:, 3].sum() == 1 and grid.counts[:, 0].sum() == 1
         assert grid.total == 2
@@ -69,7 +69,7 @@ class TestHeatmap:
             boxes += len(labels)
             frames[frame_idx] = labels
         write_frames(tmp_path, frames)
-        grid = stats.centroid_heatmap(tmp_path, (640, 480))
+        grid = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480))
         assert grid.total == boxes
 
     def test_uniform_multinomial_3sigma(self, tmp_path):
@@ -81,7 +81,7 @@ class TestHeatmap:
                 car_at(rng.uniform(0.0, 640.0), rng.uniform(0.0, 480.0)) for _ in range(per_frame)
             ]
         write_frames(tmp_path, frames)
-        grid = stats.centroid_heatmap(tmp_path, (640, 480), grid=(4, 4))
+        grid = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(4, 4))
         n = 100 * per_frame
         p = 1.0 / 16.0
         sigma = (n * p * (1 - p)) ** 0.5
@@ -91,7 +91,7 @@ class TestHeatmap:
     def test_invalid_grid(self, tmp_path):
         write_frames(tmp_path, {0: []})
         with pytest.raises(ConfigError):
-            stats.centroid_heatmap(tmp_path, (640, 480), grid=(0, 3))
+            stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(0, 3))
 
 
 class TestHistogram:
@@ -101,28 +101,28 @@ class TestHistogram:
             1: [car_at(100, 100), car_at(200, 100)],
             2: [car_at(100, 100), car_at(200, 100), car_at(300, 100)],
         })
-        assert stats.detections_histogram(tmp_path) == {2: 2, 3: 1}
+        assert stats.detections_histogram(kl.read_label_dir(tmp_path)) == {2: 2, 3: 1}
 
     def test_empty_dataset(self, tmp_path):
         tmp_path.mkdir(exist_ok=True)
-        assert stats.detections_histogram(tmp_path) == {}
+        assert stats.detections_histogram(kl.read_label_dir(tmp_path)) == {}
 
     def test_zero_label_frames_counted(self, tmp_path):
         write_frames(tmp_path, {0: [], 1: [car_at(50, 50)]})
-        assert stats.detections_histogram(tmp_path) == {0: 1, 1: 1}
+        assert stats.detections_histogram(kl.read_label_dir(tmp_path)) == {0: 1, 1: 1}
 
     def test_partition_law(self, tmp_path):
         rng = Xorshift64Star(11)
         frames = {i: [car_at(rng.uniform(20, 620), 240)] * rng.randint(0, 4) for i in range(9)}
         write_frames(tmp_path, frames)
-        histogram = stats.detections_histogram(tmp_path)
+        histogram = stats.detections_histogram(kl.read_label_dir(tmp_path))
         assert sum(histogram.values()) == 9
 
 
 class TestSummary:
     def test_empty(self, tmp_path):
         tmp_path.mkdir(exist_ok=True)
-        summary = stats.dataset_summary(tmp_path)
+        summary = stats.dataset_summary(kl.read_label_dir(tmp_path))
         assert summary.frames == 0 and summary.car_boxes == 0
         assert summary.mean_boxes_per_frame == 0.0
 
@@ -131,7 +131,7 @@ class TestSummary:
             0: [car_at(100, 100, h=60.0), car_at(300, 100, h=30.0, occluded=1)],
             1: [car_at(100, 100, h=10.0), dontcare(50, 50)],
         })
-        summary = stats.dataset_summary(tmp_path)
+        summary = stats.dataset_summary(kl.read_label_dir(tmp_path))
         assert summary.frames == 2
         assert summary.car_boxes == 3
         assert sum(summary.difficulty_counts.values()) == 3

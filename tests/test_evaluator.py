@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,10 @@ def det(box, score=1.0, frame="000000"):
 
 def gt(box, difficulty=Difficulty.EASY, dontcare=False, frame="000000"):
     return ev.GroundTruth(frame_id=frame, box=box, difficulty=difficulty, dontcare=dontcare)
+
+
+def ap(outcomes, gt_count, method="11pt"):
+    return ev.average_precision(ev.precision_recall_points(outcomes, gt_count), gt_count, method)
 
 
 class TestIoU:
@@ -96,21 +104,21 @@ class TestMatchFrame:
 class TestAveragePrecision:
     def test_single_tp(self):
         outcomes = [ev.ScoredOutcome(1.0, (0, 0, 10, 10), ev.Outcome.TP)]
-        assert ev.average_precision(outcomes, 1) == 1.0
+        assert ap(outcomes, 1) == 1.0
 
     def test_zero_detections(self):
-        assert ev.average_precision([], 3) == 0.0
+        assert ap([], 3) == 0.0
 
     def test_absent_when_no_required_gt(self):
-        assert ev.average_precision([], 0) is None
+        assert ap([], 0) is None
 
     def test_tp_then_fp_is_perfect_11pt(self):
         outcomes = [
             ev.ScoredOutcome(0.9, (0, 0, 10, 10), ev.Outcome.TP),
             ev.ScoredOutcome(0.8, (20, 0, 30, 10), ev.Outcome.FP),
         ]
-        assert ev.average_precision(outcomes, 1, method="11pt") == 1.0
-        assert ev.average_precision(outcomes, 1, method="all") == 1.0
+        assert ap(outcomes, 1, method="11pt") == 1.0
+        assert ap(outcomes, 1, method="all") == 1.0
 
     def test_fp_then_tp(self):
         outcomes = [
@@ -118,15 +126,15 @@ class TestAveragePrecision:
             ev.ScoredOutcome(0.8, (0, 0, 10, 10), ev.Outcome.TP),
         ]
         # PR points: (0, 0.0), (1.0, 0.5) -> every recall level sees max 0.5
-        assert ev.average_precision(outcomes, 1, method="11pt") == pytest.approx(0.5)
-        assert ev.average_precision(outcomes, 1, method="all") == pytest.approx(0.5)
+        assert ap(outcomes, 1, method="11pt") == pytest.approx(0.5)
+        assert ap(outcomes, 1, method="all") == pytest.approx(0.5)
 
     def test_ignored_outcomes_excluded(self):
         outcomes = [
             ev.ScoredOutcome(0.95, (50, 0, 60, 10), ev.Outcome.IGNORED),
             ev.ScoredOutcome(0.9, (0, 0, 10, 10), ev.Outcome.TP),
         ]
-        assert ev.average_precision(outcomes, 1) == 1.0
+        assert ap(outcomes, 1) == 1.0
 
     def test_score_transform_invariance(self):
         random.seed(4)
@@ -135,13 +143,13 @@ class TestAveragePrecision:
             kind = ev.Outcome.TP if random.random() < 0.6 else ev.Outcome.FP
             outcomes.append(ev.ScoredOutcome(random.random(), (k, 0, k + 10, 10), kind))
         n_required = sum(1 for o in outcomes if o.outcome is ev.Outcome.TP) + 3
-        base = ev.average_precision(outcomes, n_required)
+        base = ap(outcomes, n_required)
         squashed = [ev.ScoredOutcome(o.score**3 + 1.0, o.box, o.outcome) for o in outcomes]
-        assert ev.average_precision(squashed, n_required) == pytest.approx(base, abs=1e-12)
+        assert ap(squashed, n_required) == pytest.approx(base, abs=1e-12)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            ev.average_precision([], 1, method="area")
+            ap([], 1, method="area")
 
     def test_adding_detection_never_decreases_prefix_tps(self):
         gts = [gt((0, 0, 10, 10)), gt((30, 0, 40, 10))]
@@ -168,7 +176,7 @@ class TestAveragePrecision:
                     ev.ScoredOutcome(score, box, ev.Outcome.TP if is_tp else ev.Outcome.FP)
                 )
             expected = brute_ap_11pt(rows, n_gt)
-            assert ev.average_precision(outcomes, n_gt) == pytest.approx(expected, abs=1e-12)
+            assert ap(outcomes, n_gt) == pytest.approx(expected, abs=1e-12)
 
     def test_all_point_matches_quadratic_reference_bit_for_bit(self):
         rng = random.Random(2024)
@@ -181,13 +189,13 @@ class TestAveragePrecision:
             ]
             # FPs repeat the previous recall, so every curve with one has ties
             points = ev.precision_recall_points(outcomes, n_gt)
-            assert ev._curve_ap(points, n_gt, "all") == brute_ap_all(points)
+            assert ev.average_precision(points, n_gt, "all") == brute_ap_all(points)
             # arbitrary curves: runs of tied recalls, precision free to rise
             recall, raw = 0.0, []
             for _ in range(rng.randint(1, 50)):
                 recall += rng.choice((0.0, 0.0, rng.random() / 10))
                 raw.append((recall, rng.random()))
-            assert ev._curve_ap(raw, n_gt, "all") == brute_ap_all(raw)
+            assert ev.average_precision(raw, n_gt, "all") == brute_ap_all(raw)
 
 
 class TestMatchAgainstBruteForce:
@@ -293,3 +301,11 @@ class TestEvaluateDirectories:
         self._write(tmp_path / "gt", {0: []})
         report = ev.evaluate(tmp_path / "gt", tmp_path / "gt")
         assert "Easy,n/a,0,0,0,0" in ev.report_csv(report)
+
+
+def test_import_leaves_numpy_unloaded():
+    """The evaluator is pure Python, so the evaluate stage need not load numpy."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ev.__file__).parents[1])}
+    code = "import sys, matrixgt.evaluator; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"

@@ -81,7 +81,6 @@ class TestFromAnnotation:
             visible_px=100,
             truncation=0.0,
             occlusion_level=0,
-            range_m=10.0,
             size=(1.0, 1.0, 1.0),
             location_cam=(0.0, 1.0, 10.0),
             yaw=0.0,
@@ -94,7 +93,7 @@ class TestFromAnnotation:
     def test_alpha_formula(self):
         annotation = TightAnnotation(
             source_id=1, tight_box=(0, 0, 10, 10), visible_px=10, truncation=0.0,
-            occlusion_level=0, range_m=12.0, size=(4.0, 1.8, 1.5),
+            occlusion_level=0, size=(4.0, 1.8, 1.5),
             location_cam=(3.0, 1.5, 12.0), yaw=0.4,
         )
         label = kl.from_annotation(annotation)
@@ -104,7 +103,7 @@ class TestFromAnnotation:
     def test_alpha_wraps_into_pi_range(self):
         annotation = TightAnnotation(
             source_id=1, tight_box=(0, 0, 10, 10), visible_px=10, truncation=0.0,
-            occlusion_level=0, range_m=10.0, size=(4.0, 1.8, 1.5),
+            occlusion_level=0, size=(4.0, 1.8, 1.5),
             location_cam=(-5.0, 1.5, 8.0), yaw=3.0,
         )
         label = kl.from_annotation(annotation)
@@ -113,7 +112,7 @@ class TestFromAnnotation:
     def test_orphan_sentinels(self):
         orphan = TightAnnotation(
             source_id=0, tight_box=(5.0, 6.0, 25.0, 20.0), visible_px=42,
-            truncation=0.0, occlusion_level=2, range_m=55.0,
+            truncation=0.0, occlusion_level=2,
         )
         label = kl.from_annotation(orphan)
         assert label.alpha == -10.0 and label.rotation_y == -10.0
@@ -128,7 +127,7 @@ class TestTextFormat:
     def test_golden_line(self):
         annotation = TightAnnotation(
             source_id=4, tight_box=(314.74, 234.74, 325.26, 245.26), visible_px=100,
-            truncation=0.0, occlusion_level=0, range_m=10.05,
+            truncation=0.0, occlusion_level=0,
             size=(1.0, 1.0, 1.0), location_cam=(0.0, 1.0, 10.0), yaw=0.0,
         )
         assert kl.format_label(kl.from_annotation(annotation)) == self.GOLDEN

@@ -117,7 +117,7 @@ def reference_annotations(instance, stencil, records, image_size, seen):
             expected.append(record_annotation(record, hull, visible, image_size))
         else:
             expected.append(TightAnnotation(
-                source_id=0, tight_box=hull, visible_px=visible, truncation=0.0, occlusion_level=2, range_m=0.0
+                source_id=0, tight_box=hull, visible_px=visible, truncation=0.0, occlusion_level=2
             ))
     return expected
 
