@@ -60,13 +60,28 @@ class Raster:
     """Immutable width x height grid of U8, U16, or F32 samples.
 
     Wraps a locked, C-contiguous 2D numpy array (row-major, top-left origin).
-    F32 samples must be finite.
+    F32 samples must be finite. ``Raster(array)`` copies the array, so later
+    writes to it cannot reach the raster; :meth:`adopt` wraps one without a copy.
     """
 
     __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray):
-        arr = np.asarray(data)
+        self._lock(np.array(data, order="C"))
+
+    @classmethod
+    def adopt(cls, data: np.ndarray) -> Raster:
+        """Wrap ``data`` without copying it, with the constructor's checks.
+
+        ``data`` is marked read-only. Only for arrays that nothing else writes
+        to afterwards: a fresh buffer its maker hands over, or a view of
+        immutable ``bytes``.
+        """
+        raster = object.__new__(cls)
+        raster._lock(np.ascontiguousarray(data))
+        return raster
+
+    def _lock(self, arr: np.ndarray) -> None:
         if arr.ndim != 2:
             raise ValueError(f"raster data must be 2D (height, width), got shape {arr.shape}")
         kind = _NATIVE_TO_KIND.get(arr.dtype)
@@ -74,7 +89,6 @@ class Raster:
             raise ValueError(f"unsupported raster dtype {arr.dtype}; use uint8, uint16, or float32")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"raster dimensions must be >= 1, got {arr.shape[1]}x{arr.shape[0]}")
-        arr = np.ascontiguousarray(arr).copy()  # the copy is aligned, which speeds up the check
         if kind == "F32" and not np.isfinite(arr).all():
             raise ValueError("F32 raster contains non-finite samples")
         arr.flags.writeable = False
@@ -145,11 +159,15 @@ def _mrb_header(raster: Raster) -> bytes:
 def raster_to_bytes(raster: Raster) -> bytes:
     """Serialize to the MRB byte stream (deterministic: equal rasters, equal bytes)."""
     payload = np.ascontiguousarray(raster.data.astype(_KIND_TO_DTYPE[raster.sample_kind], copy=False))
-    return _mrb_header(raster) + payload.tobytes()
+    return b"".join((_mrb_header(raster), payload))
 
 
 def raster_from_bytes(blob: bytes) -> Raster:
-    """Parse an MRB byte stream; exact inverse of :func:`raster_to_bytes`."""
+    """Parse an MRB byte stream; exact inverse of :func:`raster_to_bytes`.
+
+    The raster's data is a read-only view of ``blob``, not a copy.
+    """
+    blob = bytes(blob)  # the same object when it is bytes already; a view needs immutable bytes
     if len(blob) < 4 or blob[:4] != MRB_MAGIC:
         raise FormatError(f"bad MRB magic: expected {MRB_MAGIC!r}, got {blob[:4]!r}")
     if len(blob) < 14:
@@ -173,7 +191,7 @@ def raster_from_bytes(blob: bytes) -> Raster:
         raise FormatError(f"MRB trailing data: {got - expected} extra bytes")
     samples = np.frombuffer(blob, dtype=dtype, offset=14).reshape(height, width)
     try:
-        return Raster(samples)
+        return Raster.adopt(samples)
     except ValueError as exc:  # the only check left is F32 finiteness
         raise FormatError(f"MRB payload: {exc}") from None
 

@@ -31,6 +31,7 @@ hand-crafted scenes.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import math
 from dataclasses import dataclass, fields as dataclass_fields
@@ -190,6 +191,11 @@ class ScenarioConfig:
     emit_color: bool = True
 
     def validate(self) -> None:
+        for field in dataclass_fields(self):
+            value = getattr(self, field.name)
+            # NaN passes every range comparison below, so it is caught first
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
         if self.frames < 1:
             raise ConfigError(f"frames must be >= 1, got {self.frames}")
         for name in ("vehicle_count", "distractor_count"):
@@ -386,6 +392,19 @@ def triangle_coverage_depth(
     return covered, z
 
 
+def _object_triangles(
+    camera: CameraModel, obj: SceneObject
+) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
+    """The 12 projected triangles of one object in enumeration order, as
+    yielded by :func:`scene_screen_triangles`. Raises
+    :class:`BehindCameraError` if any corner sits at or behind the near plane.
+    """
+    u, v, z = _project_corners(camera, obj)
+    pts = np.column_stack([u, v])
+    invz = 1.0 / z
+    return [(pts[list(tri)], invz[list(tri)], int(obj.cls), obj.object_id) for tri in _FACE_TRIANGLES]
+
+
 def scene_screen_triangles(
     camera: CameraModel, scene: Iterable[SceneObject]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, int, int]]:
@@ -397,15 +416,11 @@ def scene_screen_triangles(
     """
     for obj in sorted(scene, key=lambda o: o.object_id):
         try:
-            u, v, z = _project_corners(camera, obj)
+            triangles = _object_triangles(camera, obj)
         except BehindCameraError as exc:
             log.warning("%s, skipped", exc)
             continue
-        pts = np.column_stack([u, v])
-        invz = 1.0 / z
-        for tri in _FACE_TRIANGLES:
-            idx = list(tri)
-            yield pts[idx], invz[idx], int(obj.cls), obj.object_id
+        yield from triangles
 
 
 def _clip_bounds(
@@ -510,6 +525,36 @@ def _render_color(instance: np.ndarray, scene: Sequence[SceneObject]) -> np.ndar
     return lut[instance]
 
 
+@functools.lru_cache(maxsize=1)
+def _first_object_layer(
+    camera: CameraModel, obj: SceneObject
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[str]]:
+    """``obj`` drawn alone into empty buffers: read-only zbuf, stencil,
+    instance and encoded depth, and the near-plane message of an object that
+    is not drawn (else None).
+
+    :func:`render_frame` starts every frame from copies of these. A scenario
+    draws its ground slab first in every frame, so one entry serves a whole
+    run; the arrays depend only on the two frozen, hashable arguments.
+    """
+    height, width = camera.height, camera.width
+    zbuf = np.full((height, width), np.inf, dtype=np.float64)
+    stencil = np.zeros((height, width), dtype=np.uint8)
+    instance = np.zeros((height, width), dtype=np.uint16)
+    try:
+        triangles, skipped = _object_triangles(camera, obj), None
+    except BehindCameraError as exc:
+        triangles, skipped = [], str(exc)
+    for pts2d, invz, class_code, object_id in triangles:
+        _rasterize_into(zbuf, stencil, instance, pts2d, invz, class_code, object_id)
+    covered = np.isfinite(zbuf)
+    encoded = np.ones((height, width), dtype=np.float32)
+    encoded[covered] = encode_log_depth(zbuf[covered], camera.depth_params)
+    for arr in (zbuf, stencil, instance, encoded):
+        arr.flags.writeable = False
+    return zbuf, stencil, instance, encoded, skipped
+
+
 def render_frame(
     camera: CameraModel,
     scene: Sequence[SceneObject],
@@ -530,22 +575,22 @@ def render_frame(
     """
     if not scene:
         raise ValueError("scene must be nonempty")
-    height, width = camera.height, camera.width
-    zbuf = np.full((height, width), np.inf, dtype=np.float64)
-    stencil = np.zeros((height, width), dtype=np.uint8)
-    instance = np.zeros((height, width), dtype=np.uint16)
+    ordered = sorted(scene, key=lambda o: o.object_id)
+    zbuf0, stencil0, instance0, encoded0, skipped = _first_object_layer(camera, ordered[0])
+    if skipped is not None:
+        log.warning("%s, skipped", skipped)
+    zbuf, stencil, instance, encoded = zbuf0.copy(), stencil0.copy(), instance0.copy(), encoded0.copy()
 
-    for pts2d, invz, class_code, object_id in scene_screen_triangles(camera, scene):
+    for pts2d, invz, class_code, object_id in scene_screen_triangles(camera, ordered[1:]):
         _rasterize_into(zbuf, stencil, instance, pts2d, invz, class_code, object_id)
 
-    covered = np.isfinite(zbuf)
-    encoded = np.ones((height, width), dtype=np.float32)
-    if covered.any():
-        encoded[covered] = encode_log_depth(zbuf[covered], camera.depth_params)
-    depth = Raster(encoded)
+    # a hit lowers z strictly, so this marks exactly the pixels drawn after
+    # the first object; the encoding is elementwise, so all others keep theirs
+    drawn = zbuf != zbuf0
+    encoded[drawn] = encode_log_depth(zbuf[drawn], camera.depth_params)
 
     records = []
-    for obj in sorted(scene, key=lambda o: o.object_id):
+    for obj in ordered:
         try:
             box = coarse_box(camera, obj)
         except BehindCameraError:
@@ -570,9 +615,9 @@ def render_frame(
     return FrameBundle(
         frame_id=frame_id,
         color=color,
-        depth=depth,
-        stencil=Raster(stencil),
-        instance_oracle=Raster(instance),
+        depth=Raster.adopt(encoded),
+        stencil=Raster.adopt(stencil),
+        instance_oracle=Raster.adopt(instance),
         records=records,
     )
 

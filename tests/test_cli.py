@@ -361,6 +361,20 @@ def _corrupted_dataset_argv(command, corrupt):
     return make_argv
 
 
+def _with_key(text, key, value):
+    """key=value text with ``key`` set to ``value``, replaced or appended."""
+    lines = [line for line in text.splitlines() if not line.startswith(key + "=")]
+    return "\n".join(lines + [f"{key}={value}"]) + "\n"
+
+
+def _manifest_key(key, value):
+    def corrupt(paths):
+        manifest = paths["meta"].parent / ss.MANIFEST_NAME
+        manifest.write_text(_with_key(manifest.read_text(), key, value))
+
+    return corrupt
+
+
 def _nan_depth_sample(paths):
     blob = bytearray(paths["depth"].read_bytes())
     blob[14:18] = np.array([np.nan], dtype="<f4").tobytes()
@@ -452,6 +466,26 @@ BAD_INPUTS = {
     "oracle-meta-id-above-u16": ({}, _corrupted_dataset_argv("oracle-labels", _meta_field(0, "70000")), 2),
     "annotate-meta-duplicate-id": ({}, _corrupted_dataset_argv("annotate", _meta_duplicate_id), 2),
     "oracle-meta-duplicate-id": ({}, _corrupted_dataset_argv("oracle-labels", _meta_duplicate_id), 2),
+    # non-finite scenario and manifest numbers; NaN passes every range comparison
+    **{
+        f"scenario-{value}-{key}": (
+            {}, lambda root, key=key, value=value: _generate_argv(root, _with_key(TINY_SCENARIO, key, value)), 2
+        )
+        for key, value in (
+            ("fx", "nan"),
+            ("camera_height_m", "nan"),
+            ("vehicle_length_min", "nan"),
+            ("region_x_min", "nan"),
+            ("region_z_max", "inf"),
+            ("record_max_range_m", "nan"),
+            ("min_depth_gap_m", "nan"),
+            ("coarse_box_inflate_pct", "inf"),
+        )
+    },
+    "annotate-manifest-nan-fx": ({}, _corrupted_dataset_argv("annotate", _manifest_key("fx", "nan")), 2),
+    "oracle-manifest-nan-camera-height": (
+        {}, _corrupted_dataset_argv("oracle-labels", _manifest_key("camera_height_m", "nan")), 2
+    ),
 }
 
 

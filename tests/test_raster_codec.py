@@ -118,6 +118,34 @@ class TestRasterType:
         with pytest.raises(AttributeError):
             raster.data = np.zeros((2, 3), dtype=np.uint8)
 
+    def test_constructor_copies_the_callers_array(self):
+        source = np.zeros((2, 3), dtype=np.uint8)
+        raster = Raster(source)
+        source[0, 0] = 5
+        assert raster.data[0, 0] == 0 and source.flags.writeable
+        # a read-only view does not protect the raster from its writable base
+        base = np.zeros((2, 3), dtype=np.float32)
+        view = base[:, :]
+        view.flags.writeable = False
+        raster = Raster(view)
+        base[1, 2] = 9.0
+        assert raster.data[1, 2] == 0.0
+
+    def test_adopt_wraps_without_a_copy_and_keeps_the_checks(self):
+        data = np.arange(6, dtype=np.uint16).reshape(2, 3)
+        raster = Raster.adopt(data)
+        assert np.shares_memory(raster.data, data) and not data.flags.writeable
+        assert raster == Raster(np.arange(6, dtype=np.uint16).reshape(2, 3))
+        bad = (
+            np.zeros((2, 2), dtype=np.int32),
+            np.zeros((0, 4), dtype=np.uint8),
+            np.zeros(6, dtype=np.uint8),
+            np.array([[np.nan]], dtype=np.float32),
+        )
+        for data in bad:
+            with pytest.raises(ValueError):
+                Raster.adopt(data)
+
     def test_equality_and_kind(self):
         a = Raster(np.array([[1, 2]], dtype=np.uint16))
         b = Raster(np.array([[1, 2]], dtype=np.uint16))
@@ -170,6 +198,16 @@ class TestMRB:
             data = rng.random(size=(height, width)).astype(np.float32)
         raster = Raster(data)
         assert raster_from_bytes(raster_to_bytes(raster)) == raster
+
+    def test_read_data_is_read_only_and_detached_from_a_mutable_blob(self):
+        raster = Raster(np.arange(12, dtype=np.float32).reshape(3, 4))
+        blob = bytearray(raster_to_bytes(raster))
+        loaded = raster_from_bytes(blob)
+        assert not loaded.data.flags.writeable
+        with pytest.raises(ValueError):
+            loaded.data[0, 0] = 1.0
+        blob[14:18] = np.array([7.0], dtype="<f4").tobytes()
+        assert loaded == raster
 
     def test_bad_magic(self):
         with pytest.raises(FormatError, match="magic"):

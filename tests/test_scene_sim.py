@@ -1,3 +1,7 @@
+import logging
+import math
+from dataclasses import fields as dataclass_fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,6 +323,16 @@ def _full_image_reference(pts, invz):
     return zbuf, stencil, instance
 
 
+def _assert_equals_cull_free_reference(camera, scene, bundle):
+    zref, codes, ids = brute_force_buffers(camera, scene)
+    encoded = np.ones(zref.shape)
+    covered = np.isfinite(zref)
+    encoded[covered] = encode_log_depth(zref[covered], camera.depth_params)
+    assert np.array_equal(bundle.depth.data, encoded.astype(np.float32))
+    assert np.array_equal(bundle.stencil.data, codes)
+    assert np.array_equal(bundle.instance_oracle.data, ids)
+
+
 class TestRasterizeInto:
     def test_clipped_window_matches_full_image_evaluation(self):
         drawn = 0
@@ -337,15 +351,6 @@ class TestRasterizeInto:
             for got_plane, blank_plane in zip(_rasterized(back, invz), _blank_buffers()):
                 assert got_plane.tobytes() == blank_plane.tobytes(), back.tolist()
 
-    def _assert_equals_cull_free_reference(self, camera, scene, bundle):
-        zref, codes, ids = brute_force_buffers(camera, scene)
-        encoded = np.ones(zref.shape)
-        covered = np.isfinite(zref)
-        encoded[covered] = encode_log_depth(zref[covered], camera.depth_params)
-        assert np.array_equal(bundle.depth.data, encoded.astype(np.float32))
-        assert np.array_equal(bundle.stencil.data, codes)
-        assert np.array_equal(bundle.instance_oracle.data, ids)
-
     def test_interpenetrating_yawed_cuboids_match_cull_free_reference(self, small_camera):
         scene = [
             make_ground(z_far=40.0),
@@ -359,7 +364,7 @@ class TestRasterizeInto:
         ]
         bundle = ss.render_frame(small_camera, scene, 0, emit_color=False)
         assert set(np.unique(bundle.instance_oracle.data)) == {0, 1, 2, 3, 4, 5}
-        self._assert_equals_cull_free_reference(small_camera, scene, bundle)
+        _assert_equals_cull_free_reference(small_camera, scene, bundle)
 
     def test_generated_overlapping_scenes_match_cull_free_reference(self):
         # no overlap or depth-gap constraint, any yaw, a crowded region close
@@ -373,11 +378,101 @@ class TestRasterizeInto:
         camera = config.camera()
         for frame in range(config.frames):
             scene = ss.generate_scene(config, frame)
-            self._assert_equals_cull_free_reference(camera, scene, ss.render_scenario_frame(config, frame))
+            _assert_equals_cull_free_reference(camera, scene, ss.render_scenario_frame(config, frame))
 
     def test_every_triangle_still_enumerated(self, small_camera):
         scene = [make_ground(z_far=40.0), make_vehicle(2, x=0.0, z=10.0)]
         assert sum(1 for _ in ss.scene_screen_triangles(small_camera, scene)) == 24
+
+
+def _planes(bundle):
+    return bundle.depth.data, bundle.stencil.data, bundle.instance_oracle.data
+
+
+class TestFirstObjectCache:
+    """render_frame draws the lowest-id object through a one-entry cache keyed
+    by (camera, object) and starts every frame from copies of its buffers."""
+
+    def test_one_computation_per_scenario(self):
+        config = ss.ScenarioConfig(seed=9, frames=5, width=96, height=72, fx=80.0, fy=80.0, cx=48.0,
+                                   cy=36.0, region_x_min=-5.0, region_x_max=5.0, region_z_min=8.0,
+                                   region_z_max=20.0, emit_color=False)
+        ss._first_object_layer.cache_clear()
+        for frame in range(config.frames):
+            ss.render_scenario_frame(config, frame)
+        info = ss._first_object_layer.cache_info()
+        assert (info.misses, info.hits) == (1, config.frames - 1)
+
+    def test_alternating_cameras_and_first_objects_match_references(self, small_camera, codec):
+        other_camera = ss.CameraModel(fx=200.0, fy=210.0, cx=150.0, cy=100.0, width=300, height=200,
+                                      depth_params=codec)
+        ground_first = [make_ground(z_far=40.0), make_vehicle(2, x=0.5, z=9.0, yaw=0.3),
+                        make_vehicle(3, x=-1.0, z=14.0)]
+        # the same slab as make_ground's, drawn after two vehicles
+        vehicle_first = [make_vehicle(2, x=0.0, z=8.0, yaw=0.4), make_vehicle(3, x=0.8, z=11.0),
+                         ss.SceneObject(4, ss.ObjectClass.GROUND, (0.0, 1.41, 20.5), (60.0, 39.0, 0.02), 0.0)]
+        moved_first = [make_vehicle(2, x=-0.6, z=8.0, yaw=0.4), *vehicle_first[1:]]
+        cases = [(camera, scene) for scene in (ground_first, vehicle_first, moved_first, ground_first)
+                 for camera in (small_camera, other_camera)]
+        bundles = [ss.render_frame(camera, scene, 0, emit_color=False) for camera, scene in cases]
+        for (camera, scene), bundle in zip(cases, bundles):
+            _assert_equals_cull_free_reference(camera, scene, bundle)
+            ss._first_object_layer.cache_clear()
+            fresh = ss.render_frame(camera, scene, 0, emit_color=False)
+            for got, want in zip(_planes(bundle), _planes(fresh)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_near_plane_warning_on_every_frame(self, small_camera, caplog):
+        scene = [make_vehicle(2, x=0.0, z=0.5, length=2.0), make_vehicle(3, x=0.0, z=10.0)]
+        ss._first_object_layer.cache_clear()
+        with caplog.at_level(logging.WARNING, logger=ss.log.name):
+            bundles = [ss.render_frame(small_camera, scene, frame, emit_color=False) for frame in (0, 1)]
+        assert ss._first_object_layer.cache_info().hits == 1
+        warned = [r.getMessage() for r in caplog.records if "has a corner" in r.getMessage()]
+        assert len(warned) == 2 and all(m.startswith("object 2 ") and m.endswith(", skipped") for m in warned)
+        for bundle in bundles:
+            assert set(np.unique(bundle.instance_oracle.data)) == {0, 3}
+            _assert_equals_cull_free_reference(small_camera, scene, bundle)
+
+    def test_frame_buffers_are_read_only_and_never_shared(self, small_camera):
+        scene = [make_ground(z_far=40.0), make_vehicle(2, x=0.5, z=9.0)]
+        first = ss.render_frame(small_camera, scene, 0, emit_color=False)
+        expected = [plane.copy() for plane in _planes(first)]
+        for plane in _planes(first):
+            with pytest.raises(ValueError):
+                plane[0, 0] = 0
+        # even with the lock lifted by hand, a write reaches neither the
+        # cached buffers nor the next frame
+        for plane in _planes(first):
+            plane.flags.writeable = True
+            plane[...] = 7
+        again = ss.render_frame(small_camera, scene, 1, emit_color=False)
+        for got, want in zip(_planes(again), expected):
+            assert got.tobytes() == want.tobytes()
+        for cached in ss._first_object_layer(small_camera, scene[0])[:4]:
+            assert not cached.flags.writeable
+
+
+_SCENARIO_BASE = {"seed": "1", "frames": "2", "width": "48", "height": "36", "fx": "50.0", "fy": "50.0",
+                  "cx": "24.0", "cy": "18.0"}
+_SCENARIO_TOKENS = ["0", "1", "-1", "2.5", "1_0", "\u0661", "nan", "NaN", "inf", "-inf", "1e999", "-1e999",
+                    "true", "x", ""]
+
+
+@st.composite
+def _scenario_texts(draw):
+    """A small valid scenario with up to three keys set to junk, non-finite
+    or out-of-range values; sometimes a key dropped, unknown or repeated."""
+    pairs = dict(_SCENARIO_BASE)
+    keys = [f.name for f in dataclass_fields(ss.ScenarioConfig)]
+    values = st.floats().map(repr) | st.integers(min_value=-3, max_value=700).map(str) | st.sampled_from(_SCENARIO_TOKENS)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
+        pairs[key] = draw(values)
+    lines = [f"{key}={value}" for key, value in pairs.items()]
+    if draw(st.booleans()):
+        lines.pop(draw(st.integers(min_value=0, max_value=len(lines) - 1)))
+    lines += draw(st.lists(st.sampled_from(["bogus=1", "seed=3", "# note", "", "frames"]), max_size=1))
+    return "\n".join(lines) + "\n"
 
 
 class TestScenarioText:
@@ -417,6 +512,24 @@ class TestScenarioText:
         path.write_text("format_version=99\nseed=1\nframes=1\n")
         with pytest.raises(FormatError, match="format_version"):
             ss.read_manifest(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=200), _scenario_texts()))
+    def test_fuzzed_scenario_and_manifest_raise_only_matrixgt_errors(self, tmp_path_factory, text):
+        manifest = tmp_path_factory.mktemp("fuzz") / "manifest.txt"
+        manifest.write_text(f"format_version={ss.FORMAT_VERSION}\n" + text)
+        configs = []
+        for parse in (ss.parse_scenario_text, lambda t: ss.read_manifest(manifest)):
+            try:
+                configs.append(parse(text))
+            except MatrixGTError:
+                configs.append(None)
+        scenario, from_manifest = configs
+        assert scenario == from_manifest
+        if scenario is not None:
+            values = [getattr(scenario, f.name) for f in dataclass_fields(ss.ScenarioConfig)]
+            assert all(math.isfinite(v) for v in values if isinstance(v, float))
+            assert ss.parse_scenario_text(ss.scenario_to_text(scenario)) == scenario
 
 
 _META_TOKENS = ["1", "-1", "65535", "1_0", "\u0661", "2.5", "nan", "inf", "-inf", "1e999", "vehicle", "x", "0x1f", ""]
