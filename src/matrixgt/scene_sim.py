@@ -402,7 +402,7 @@ def _object_triangles(
     u, v, z = _project_corners(camera, obj)
     pts = np.column_stack([u, v])
     invz = 1.0 / z
-    return [(pts[list(tri)], invz[list(tri)], int(obj.cls), obj.object_id) for tri in _FACE_TRIANGLES]
+    return [(pts[idx], invz[idx], int(obj.cls), obj.object_id) for idx in map(list, _FACE_TRIANGLES)]
 
 
 def scene_screen_triangles(
