@@ -367,6 +367,10 @@ def _with_key(text, key, value):
     return "\n".join(lines + [f"{key}={value}"]) + "\n"
 
 
+def _scenario_key_argv(key, value):
+    return lambda root: _generate_argv(root, _with_key(TINY_SCENARIO, key, value))
+
+
 def _manifest_key(key, value):
     def corrupt(paths):
         manifest = paths["meta"].parent / ss.MANIFEST_NAME
@@ -467,21 +471,14 @@ BAD_INPUTS = {
     "annotate-meta-duplicate-id": ({}, _corrupted_dataset_argv("annotate", _meta_duplicate_id), 2),
     "oracle-meta-duplicate-id": ({}, _corrupted_dataset_argv("oracle-labels", _meta_duplicate_id), 2),
     # non-finite scenario and manifest numbers; NaN passes every range comparison
-    **{
-        f"scenario-{value}-{key}": (
-            {}, lambda root, key=key, value=value: _generate_argv(root, _with_key(TINY_SCENARIO, key, value)), 2
-        )
-        for key, value in (
-            ("fx", "nan"),
-            ("camera_height_m", "nan"),
-            ("vehicle_length_min", "nan"),
-            ("region_x_min", "nan"),
-            ("region_z_max", "inf"),
-            ("record_max_range_m", "nan"),
-            ("min_depth_gap_m", "nan"),
-            ("coarse_box_inflate_pct", "inf"),
-        )
-    },
+    "scenario-nan-fx": ({}, _scenario_key_argv("fx", "nan"), 2),
+    "scenario-nan-camera-height": ({}, _scenario_key_argv("camera_height_m", "nan"), 2),
+    "scenario-nan-vehicle-length-min": ({}, _scenario_key_argv("vehicle_length_min", "nan"), 2),
+    "scenario-nan-region-x-min": ({}, _scenario_key_argv("region_x_min", "nan"), 2),
+    "scenario-inf-region-z-max": ({}, _scenario_key_argv("region_z_max", "inf"), 2),
+    "scenario-nan-record-max-range": ({}, _scenario_key_argv("record_max_range_m", "nan"), 2),
+    "scenario-nan-min-depth-gap": ({}, _scenario_key_argv("min_depth_gap_m", "nan"), 2),
+    "scenario-inf-coarse-box-inflate": ({}, _scenario_key_argv("coarse_box_inflate_pct", "inf"), 2),
     "annotate-manifest-nan-fx": ({}, _corrupted_dataset_argv("annotate", _manifest_key("fx", "nan")), 2),
     "oracle-manifest-nan-camera-height": (
         {}, _corrupted_dataset_argv("oracle-labels", _manifest_key("camera_height_m", "nan")), 2

@@ -475,6 +475,13 @@ def _scenario_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+def _parsed_or_none(parse, source):
+    try:
+        return parse(source)
+    except MatrixGTError:
+        return None
+
+
 class TestScenarioText:
     def test_round_trip(self):
         config = ss.ScenarioConfig(seed=123, frames=7, min_depth_gap_m=2.5, emit_color=False)
@@ -516,16 +523,10 @@ class TestScenarioText:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(max_size=200), _scenario_texts()))
     def test_fuzzed_scenario_and_manifest_raise_only_matrixgt_errors(self, tmp_path_factory, text):
-        manifest = tmp_path_factory.mktemp("fuzz") / "manifest.txt"
+        manifest = tmp_path_factory.getbasetemp() / "fuzzed_manifest.txt"
         manifest.write_text(f"format_version={ss.FORMAT_VERSION}\n" + text)
-        configs = []
-        for parse in (ss.parse_scenario_text, lambda t: ss.read_manifest(manifest)):
-            try:
-                configs.append(parse(text))
-            except MatrixGTError:
-                configs.append(None)
-        scenario, from_manifest = configs
-        assert scenario == from_manifest
+        scenario = _parsed_or_none(ss.parse_scenario_text, text)
+        assert _parsed_or_none(ss.read_manifest, manifest) == scenario
         if scenario is not None:
             values = [getattr(scenario, f.name) for f in dataclass_fields(ss.ScenarioConfig)]
             assert all(math.isfinite(v) for v in values if isinstance(v, float))
