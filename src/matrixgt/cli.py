@@ -23,15 +23,26 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import annotator, dataset_stats, evaluator, kitti_labels, scene_sim
+# Stage modules that load numpy are imported inside the commands and tasks
+# that use them, so a stage starts up with only what it needs; evaluator and
+# kitti_labels are pure Python.
+from . import evaluator, kitti_labels
 from .errors import ConfigError, FormatError, ValidationError
-from .oracle_labels import oracle_frame_labels
-from .raster_codec import DepthCodecParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
+
+
+def __getattr__(name: str):
+    # ``cli.oracle_frame_labels`` stays importable for callers that reach the
+    # oracle through this module, without loading it at start-up
+    if name == "oracle_frame_labels":
+        from .oracle_labels import oracle_frame_labels
+
+        return oracle_frame_labels
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _resolve_workers(requested: Optional[int]) -> int:
@@ -68,11 +79,14 @@ def _run_tasks(task_fn, tasks: list, workers: int) -> None:
 
 
 def _generate_task(task) -> None:
-    config, frame_idx, out_dir = task
-    scene_sim.write_frame_files(scene_sim.render_scenario_frame(config, frame_idx), out_dir)
+    from . import scene_sim
+
+    scene_sim.write_scenario_frame(*task)
 
 
 def cmd_generate(args) -> int:
+    from . import scene_sim
+
     config = scene_sim.load_scenario(args.scenario)
     workers = _resolve_workers(args.workers)
     out = Path(args.out)
@@ -86,6 +100,8 @@ def cmd_generate(args) -> int:
 
 
 def _annotate_task(task) -> None:
+    from . import annotator, scene_sim
+
     dataset_dir, labels_dir, frame_idx, params, depth_params = task
     depth, stencil, records, _ = scene_sim.read_frame_buffers(dataset_dir, frame_idx)
     annotations = annotator.annotate_frame(stencil, depth, records, params, depth_params)
@@ -94,6 +110,9 @@ def _annotate_task(task) -> None:
 
 
 def cmd_annotate(args) -> int:
+    from . import annotator, scene_sim
+    from .raster_codec import DepthCodecParams
+
     dataset_dir = Path(args.input_dir)
     config = scene_sim.read_manifest(dataset_dir / scene_sim.MANIFEST_NAME)
     depth_params = DepthCodecParams(config.near_m, config.far_m)
@@ -117,6 +136,9 @@ def cmd_annotate(args) -> int:
 
 
 def _oracle_task(task) -> None:
+    from . import scene_sim
+    from .oracle_labels import oracle_frame_labels
+
     dataset_dir, labels_dir, frame_idx, image_size = task
     _, stencil, records, instance = scene_sim.read_frame_buffers(dataset_dir, frame_idx, with_instance=True)
     try:
@@ -127,6 +149,8 @@ def _oracle_task(task) -> None:
 
 
 def cmd_oracle_labels(args) -> int:
+    from . import scene_sim
+
     dataset_dir = Path(args.input_dir)
     config = scene_sim.read_manifest(dataset_dir / scene_sim.MANIFEST_NAME)
     workers = _resolve_workers(None)
@@ -167,6 +191,8 @@ def _parse_pair(value: str, separator: str, what: str) -> tuple[int, int]:
 
 
 def cmd_stats(args) -> int:
+    from . import dataset_stats
+
     grid = _parse_pair(args.grid, "x", "--grid")
     image = _parse_pair(args.image, "x", "--image")
     dataset_stats.write_stats(args.labels, args.out, image_size=image, grid=grid)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, read_text
 
 if TYPE_CHECKING:
     from .annotator import TightAnnotation
@@ -194,7 +194,7 @@ def write_labels(labels: Sequence[KittiLabel], destination: str | Path) -> None:
 
 def parse_labels(source: str | Path) -> list[KittiLabel]:
     path = Path(source)
-    return parse_labels_text(path.read_text(), origin=path.name)
+    return parse_labels_text(read_text(path, FormatError), origin=path.name)
 
 
 def label_path(labels_dir: str | Path, frame_idx: int) -> Path:

@@ -74,8 +74,9 @@ class Raster:
         """Wrap ``data`` without copying it, with the constructor's checks.
 
         ``data`` is marked read-only. Only for arrays that nothing else writes
-        to afterwards: a fresh buffer its maker hands over, or a view of
-        immutable ``bytes``.
+        to while the raster lives: a fresh buffer its maker hands over, a view
+        of immutable ``bytes``, or a view of a reused buffer whose owner drops
+        the raster before it writes to the buffer again.
         """
         raster = object.__new__(cls)
         raster._lock(np.ascontiguousarray(data))
@@ -156,10 +157,14 @@ def _mrb_header(raster: Raster) -> bytes:
     )
 
 
+def _mrb_payload(raster: Raster) -> np.ndarray:
+    # a no-op view on little-endian hosts; the data is C-contiguous already
+    return raster.data.astype(_KIND_TO_DTYPE[raster.sample_kind], copy=False)
+
+
 def raster_to_bytes(raster: Raster) -> bytes:
     """Serialize to the MRB byte stream (deterministic: equal rasters, equal bytes)."""
-    payload = np.ascontiguousarray(raster.data.astype(_KIND_TO_DTYPE[raster.sample_kind], copy=False))
-    return b"".join((_mrb_header(raster), payload))
+    return b"".join((_mrb_header(raster), _mrb_payload(raster)))
 
 
 def raster_from_bytes(blob: bytes) -> Raster:
@@ -197,8 +202,14 @@ def raster_from_bytes(blob: bytes) -> Raster:
 
 
 def write_raster(raster: Raster, destination: str | Path) -> None:
-    """Write a raster to an MRB file."""
-    Path(destination).write_bytes(raster_to_bytes(raster))
+    """Write a raster to an MRB file, the same bytes as :func:`raster_to_bytes`.
+
+    The payload goes to the file straight from the raster's buffer, with no
+    joined copy of the stream.
+    """
+    with open(destination, "wb") as f:
+        f.write(_mrb_header(raster))
+        f.write(_mrb_payload(raster))
 
 
 def read_raster(source: str | Path) -> Raster:

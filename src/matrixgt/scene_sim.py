@@ -26,6 +26,12 @@ Objects with any cuboid corner at or behind the near plane are skipped
 entirely (not rendered, not recorded) and logged; the placement region keeps
 generated scenes clear of the near plane, so this only triggers on
 hand-crafted scenes.
+
+Frame buffers have one owner each. :func:`render_frame` allocates fresh ones
+and hands them to the returned bundle. :func:`write_scenario_frame` draws into
+one set per process that every frame reuses, and writes the files from it
+before the call returns. The cached first-object layer is read-only and only
+ever copied from.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import BehindCameraError, ConfigError, FormatError
+from .errors import BehindCameraError, ConfigError, FormatError, read_text
 from .raster_codec import (
     DepthCodecParams,
     Raster,
@@ -533,7 +539,7 @@ def _first_object_layer(
     instance and encoded depth, and the near-plane message of an object that
     is not drawn (else None).
 
-    :func:`render_frame` starts every frame from copies of these. A scenario
+    Every frame starts from copies of these (see :func:`_render_into`). A scenario
     draws its ground slab first in every frame, so one entry serves a whole
     run; the arrays depend only on the two frozen, hashable arguments.
     """
@@ -555,23 +561,39 @@ def _first_object_layer(
     return zbuf, stencil, instance, encoded, skipped
 
 
-def render_frame(
+def _new_frame_buffers(height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Uninitialized zbuf (float64), stencil (U8), instance (U16) and encoded
+    depth (F32) arrays for one frame."""
+    shape = (height, width)
+    return (
+        np.empty(shape, dtype=np.float64),
+        np.empty(shape, dtype=np.uint8),
+        np.empty(shape, dtype=np.uint16),
+        np.empty(shape, dtype=np.float32),
+    )
+
+
+# The frame buffers that write_scenario_frame draws every frame into: one set
+# per process (each pool worker has its own) and image size. Reusing them keeps
+# the heap from being handed back to the OS and faulted in again every frame.
+_frame_buffers = functools.lru_cache(maxsize=1)(_new_frame_buffers)
+
+
+def _render_into(
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     camera: CameraModel,
     scene: Sequence[SceneObject],
     frame_id: int,
     *,
-    inflate_pct: float = 0.0,
-    record_max_range_m: float = 0.0,
-    emit_color: bool = True,
+    inflate_pct: float,
+    record_max_range_m: float,
+    emit_color: bool,
 ) -> FrameBundle:
-    """Z-buffered rasterization of a scene into a FrameBundle.
+    """Draw ``scene`` into the caller's ``buffers`` (as made by
+    :func:`_new_frame_buffers`, for the camera's image size) and bundle them.
 
-    Every covered pixel holds the log-encoded depth of the nearest surface,
-    that surface's stencil class code, and its object id in the instance
-    oracle. Uncovered pixels: depth exactly 1.0, stencil 0, instance 0.
-    Records carry one EngineRecord per object whose coarse box succeeded
-    (optionally inflated by ``inflate_pct`` to reproduce loose engine boxes),
-    except objects beyond ``record_max_range_m`` when that limit is set.
+    The bundle's rasters are read-only views of ``buffers``, so they hold what
+    this call drew only until the buffers are drawn into again.
     """
     if not scene:
         raise ValueError("scene must be nonempty")
@@ -579,7 +601,9 @@ def render_frame(
     zbuf0, stencil0, instance0, encoded0, skipped = _first_object_layer(camera, ordered[0])
     if skipped is not None:
         log.warning("%s, skipped", skipped)
-    zbuf, stencil, instance, encoded = zbuf0.copy(), stencil0.copy(), instance0.copy(), encoded0.copy()
+    zbuf, stencil, instance, encoded = buffers
+    for dst, src in zip(buffers, (zbuf0, stencil0, instance0, encoded0)):
+        np.copyto(dst, src)
 
     for pts2d, invz, class_code, object_id in scene_screen_triangles(camera, ordered[1:]):
         _rasterize_into(zbuf, stencil, instance, pts2d, invz, class_code, object_id)
@@ -615,10 +639,42 @@ def render_frame(
     return FrameBundle(
         frame_id=frame_id,
         color=color,
-        depth=Raster.adopt(encoded),
-        stencil=Raster.adopt(stencil),
-        instance_oracle=Raster.adopt(instance),
+        depth=Raster.adopt(encoded.view()),
+        stencil=Raster.adopt(stencil.view()),
+        instance_oracle=Raster.adopt(instance.view()),
         records=records,
+    )
+
+
+def render_frame(
+    camera: CameraModel,
+    scene: Sequence[SceneObject],
+    frame_id: int,
+    *,
+    inflate_pct: float = 0.0,
+    record_max_range_m: float = 0.0,
+    emit_color: bool = True,
+) -> FrameBundle:
+    """Z-buffered rasterization of a scene into a FrameBundle.
+
+    Every covered pixel holds the log-encoded depth of the nearest surface,
+    that surface's stencil class code, and its object id in the instance
+    oracle. Uncovered pixels: depth exactly 1.0, stencil 0, instance 0.
+    Records carry one EngineRecord per object whose coarse box succeeded
+    (optionally inflated by ``inflate_pct`` to reproduce loose engine boxes),
+    except objects beyond ``record_max_range_m`` when that limit is set.
+
+    The bundle owns its buffers: they are allocated for this call, read-only,
+    and shared with no other frame or cache.
+    """
+    return _render_into(
+        _new_frame_buffers(camera.height, camera.width),
+        camera,
+        scene,
+        frame_id,
+        inflate_pct=inflate_pct,
+        record_max_range_m=record_max_range_m,
+        emit_color=emit_color,
     )
 
 
@@ -723,19 +779,6 @@ def generate_scene(config: ScenarioConfig, frame_idx: int) -> list[SceneObject]:
     return objects
 
 
-def render_scenario_frame(config: ScenarioConfig, frame_idx: int) -> FrameBundle:
-    """generate_scene + render_frame with the scenario's knobs applied."""
-    scene = generate_scene(config, frame_idx)
-    return render_frame(
-        config.camera(),
-        scene,
-        frame_idx,
-        inflate_pct=config.coarse_box_inflate_pct,
-        record_max_range_m=config.record_max_range_m,
-        emit_color=config.emit_color,
-    )
-
-
 # --- scenario and manifest text --------------------------------------------
 
 
@@ -791,7 +834,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    return parse_scenario_text(Path(path).read_text())
+    return parse_scenario_text(read_text(path, ConfigError))
 
 
 def scenario_to_text(config: ScenarioConfig) -> str:
@@ -809,7 +852,7 @@ def manifest_text(config: ScenarioConfig) -> str:
 
 
 def read_manifest(path: str | Path) -> ScenarioConfig:
-    pairs = _parse_kv_lines(Path(path).read_text(), origin="manifest")
+    pairs = _parse_kv_lines(read_text(path, FormatError), origin="manifest")
     version = pairs.pop("format_version", None)
     if version != str(FORMAT_VERSION):
         raise FormatError(f"manifest {path}: unsupported format_version {version!r}")
@@ -914,6 +957,25 @@ def write_frame_files(bundle: FrameBundle, dataset_dir: str | Path) -> None:
         paths["color"].write_bytes(ppm_bytes(bundle.color))
 
 
+def write_scenario_frame(config: ScenarioConfig, frame_idx: int, dataset_dir: str | Path) -> None:
+    """Generate, render and write one frame of a scenario.
+
+    The same files as :func:`write_frame_files` of :func:`render_frame` with
+    the scenario's knobs, but drawn into this process's reused frame buffers
+    rather than fresh ones; nothing that views them outlives the call.
+    """
+    bundle = _render_into(
+        _frame_buffers(config.height, config.width),
+        config.camera(),
+        generate_scene(config, frame_idx),
+        frame_idx,
+        inflate_pct=config.coarse_box_inflate_pct,
+        record_max_range_m=config.record_max_range_m,
+        emit_color=config.emit_color,
+    )
+    write_frame_files(bundle, dataset_dir)
+
+
 def read_frame_buffers(
     dataset_dir: str | Path, frame_idx: int, *, with_instance: bool = False
 ) -> tuple[Optional[Raster], Raster, list[EngineRecord], Optional[Raster]]:
@@ -926,9 +988,10 @@ def read_frame_buffers(
     paths = frame_paths(dataset_dir, frame_idx)
     depth = None if with_instance else _read_raster_of_kind(paths["depth"], "F32")
     stencil = _read_raster_of_kind(paths["stencil"], "U8")
+    text = read_text(paths["meta"], FormatError)
     try:
-        records = parse_meta_text(paths["meta"].read_text())
-    except (FormatError, UnicodeDecodeError) as exc:
+        records = parse_meta_text(text)
+    except FormatError as exc:
         raise FormatError(f"{paths['meta']}: {exc}") from None
     instance = _read_raster_of_kind(paths["instance"], "U16") if with_instance else None
     return depth, stencil, records, instance

@@ -36,6 +36,19 @@ def make_vehicle(object_id, x, z, length=4.2, width=1.8, height=1.5, yaw=0.0, gr
     )
 
 
+def render_scenario_frame(config, frame_idx):
+    """``render_frame`` of one generated scenario frame with the scenario's
+    knobs: the bundle that ``generate`` writes for it."""
+    return ss.render_frame(
+        config.camera(),
+        ss.generate_scene(config, frame_idx),
+        frame_idx,
+        inflate_pct=config.coarse_box_inflate_pct,
+        record_max_range_m=config.record_max_range_m,
+        emit_color=config.emit_color,
+    )
+
+
 @pytest.fixture
 def small_camera(codec):
     return ss.CameraModel(fx=260.0, fy=260.0, cx=160.0, cy=120.0, width=320, height=240, depth_params=codec)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_SCENARIO, oracle_hulls
+from conftest import ACCEPTANCE_SCENARIO, oracle_hulls, render_scenario_frame
 from oracles import brute_ap_11pt, brute_force_depth, brute_match_frame, ray_cast_depth
 from test_cli import dir_digest
 
@@ -98,7 +98,7 @@ def test_criterion_2_rasterizer_oracles():
         worst_ray = 0.0
         for frame in range(config.frames):
             scene = ss.generate_scene(config, frame)
-            bundle = ss.render_scenario_frame(config, frame)
+            bundle = render_scenario_frame(config, frame)
             # same-arithmetic-path brute force: bit-exact
             zref = brute_force_depth(camera, scene)
             encoded = np.ones(zref.shape)

@@ -1,6 +1,8 @@
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +295,27 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert "generate" in result.stdout
 
+    def test_evaluate_stage_leaves_numpy_unloaded(self, tmp_path):
+        """evaluate imports only the pure-Python stage modules; -X importtime
+        lists every module the child process imports."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "matrixgt", *_evaluate_argv(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "matrixgt.evaluator" in imported
+        assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+    def test_oracle_frame_labels_resolves_through_cli(self):
+        from matrixgt import oracle_labels
+
+        assert cli.oracle_frame_labels is oracle_labels.oracle_frame_labels
+        with pytest.raises(AttributeError):
+            cli.no_such_name
+
     def test_env_var_worker_fallback(self, tiny_dataset, tmp_path, monkeypatch):
         run_tasks = cli._run_tasks
         seen = []
@@ -413,6 +436,33 @@ def _meta_duplicate_id(paths):
     paths["meta"].write_text(first + second + "".join(rest))
 
 
+def _not_utf8(path):
+    """Prefix a text file with a byte that no UTF-8 text starts with."""
+    path.write_bytes(b"\xe9" + path.read_bytes())
+
+
+def _manifest_not_utf8(paths):
+    _not_utf8(paths["meta"].parent / ss.MANIFEST_NAME)
+
+
+def _scenario_not_utf8_argv(root):
+    argv = _generate_argv(root, "# caf\u00e9\n" + TINY_SCENARIO)
+    (root / "s.txt").write_bytes((root / "s.txt").read_text().encode("latin-1"))
+    return argv
+
+
+def _evaluate_argv_label_not_utf8(root):
+    argv = _evaluate_argv(root)
+    _not_utf8(root / "det" / "000000.txt")
+    return argv
+
+
+def _stats_argv_label_not_utf8(root):
+    labels = _label_dir(root, "l")
+    _not_utf8(labels / "000000.txt")
+    return ["stats", "--labels", str(labels), "--out", str(root / "s")]
+
+
 BAD_INPUTS = {
     # (environment, argv builder, expected exit code)
     "workers-env-not-integer": ({"MATRIXGT_WORKERS": "abc"}, _generate_argv, 2),
@@ -461,6 +511,12 @@ BAD_INPUTS = {
     "annotate-meta-inf-height": ({}, _corrupted_dataset_argv("annotate", _meta_field(7, "inf")), 2),
     "oracle-meta-inf-height": ({}, _corrupted_dataset_argv("oracle-labels", _meta_field(7, "inf")), 2),
     "annotate-meta-not-utf8": ({}, _corrupted_dataset_argv("annotate", _meta_not_utf8), 2),
+    # text inputs that are not UTF-8
+    "generate-scenario-not-utf8": ({}, _scenario_not_utf8_argv, 2),
+    "annotate-manifest-not-utf8": ({}, _corrupted_dataset_argv("annotate", _manifest_not_utf8), 2),
+    "oracle-manifest-not-utf8": ({}, _corrupted_dataset_argv("oracle-labels", _manifest_not_utf8), 2),
+    "evaluate-label-not-utf8": ({}, _evaluate_argv_label_not_utf8, 2),
+    "stats-label-not-utf8": ({}, _stats_argv_label_not_utf8, 2),
     # meta object ids: 1..65535 (U16 instance ids, 0 is no object), each once per file
     "annotate-meta-id-0": ({}, _corrupted_dataset_argv("annotate", _meta_field(0, "0")), 2),
     "oracle-meta-id-0": ({}, _corrupted_dataset_argv("oracle-labels", _meta_field(0, "0")), 2),

@@ -1,12 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matrixgt import kitti_labels as kl
 from matrixgt.annotator import TightAnnotation
-from matrixgt.errors import FormatError
+from matrixgt.errors import FormatError, MatrixGTError
 
 
 def car(bbox=(100.0, 100.0, 150.0, 140.0), truncated=0.0, occluded=0, **kw):
@@ -186,3 +186,33 @@ class TestTextFormat:
         loaded = kl.read_label_dir(tmp_path)
         assert list(loaded) == ["000000", "000002"]
         assert loaded["000000"] == []
+
+
+_JUNK_TOKENS = ["nan", "NaN", "inf", "-inf", "1e999", "-1e999", "0x10", "x", "--1", "1.2.3", "2.5"]
+
+
+@st.composite
+def _label_lines(draw):
+    """A label-shaped line: type, truncation, occlusion and 11-14 more numbers
+    (12 or 13 are valid), a quarter of them with one field swapped for a
+    non-finite or unparseable token."""
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.floats(
+        min_value=-1e4, max_value=1e4).map(lambda v: f"{v:.2f}")
+    fields = [draw(number), str(draw(st.integers(min_value=-3, max_value=10**6)))]
+    count = draw(st.sampled_from([12, 13, 12, 13, 11, 14]))
+    fields += draw(st.lists(number, min_size=count, max_size=count))
+    if draw(st.integers(0, 3)) == 0:
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_JUNK_TOKENS))
+    kind = draw(st.sampled_from([kl.CAR_TYPE, kl.DONTCARE_TYPE, "Van", "nan"]))
+    return " ".join([kind, *fields])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=80) | st.lists(_label_lines() | st.just(""), max_size=4).map("\n".join))
+def test_fuzzed_label_text_raises_only_matrixgt_errors(text):
+    try:
+        labels = kl.parse_labels_text(text)
+    except MatrixGTError:
+        return
+    written = kl.labels_to_text(labels)
+    assert kl.labels_to_text(kl.parse_labels_text(written)) == written

@@ -1,19 +1,24 @@
+import dataclasses
 import logging
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields as dataclass_fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_ground, make_vehicle
+from conftest import ACCEPTANCE_SCENARIO, make_ground, make_vehicle, render_scenario_frame
 from oracles import brute_force_buffers, brute_force_depth, ray_cast_depth
 
 from matrixgt import cli
 from matrixgt import scene_sim as ss
 from matrixgt.errors import BehindCameraError, ConfigError, FormatError, MatrixGTError
-from matrixgt.raster_codec import encode_log_depth, linearize_depth
+from matrixgt.raster_codec import Raster, encode_log_depth, linearize_depth, raster_to_bytes, write_raster
 
 
 class TestCoarseBox:
@@ -179,7 +184,7 @@ class TestRenderFrame:
         camera = config.camera()
         for frame in range(config.frames):
             scene = ss.generate_scene(config, frame)
-            bundle = ss.render_scenario_frame(config, frame)
+            bundle = render_scenario_frame(config, frame)
             zref = brute_force_depth(camera, scene)
             encoded = np.ones(zref.shape)
             covered = np.isfinite(zref)
@@ -378,7 +383,7 @@ class TestRasterizeInto:
         camera = config.camera()
         for frame in range(config.frames):
             scene = ss.generate_scene(config, frame)
-            _assert_equals_cull_free_reference(camera, scene, ss.render_scenario_frame(config, frame))
+            _assert_equals_cull_free_reference(camera, scene, render_scenario_frame(config, frame))
 
     def test_every_triangle_still_enumerated(self, small_camera):
         scene = [make_ground(z_far=40.0), make_vehicle(2, x=0.0, z=10.0)]
@@ -399,7 +404,7 @@ class TestFirstObjectCache:
                                    region_z_max=20.0, emit_color=False)
         ss._first_object_layer.cache_clear()
         for frame in range(config.frames):
-            ss.render_scenario_frame(config, frame)
+            render_scenario_frame(config, frame)
         info = ss._first_object_layer.cache_info()
         assert (info.misses, info.hits) == (1, config.frames - 1)
 
@@ -451,6 +456,107 @@ class TestFirstObjectCache:
             assert got.tobytes() == want.tobytes()
         for cached in ss._first_object_layer(small_camera, scene[0])[:4]:
             assert not cached.flags.writeable
+
+
+def _acceptance_config(**overrides):
+    config = ss.parse_scenario_text(ACCEPTANCE_SCENARIO)
+    return dataclasses.replace(config, **{"frames": 3, **overrides})
+
+
+# the benchmark's crowd shape: 320x240, many overlapping objects, a record range
+_CROWD_KEYS = dict(width=320, height=240, fx=350.0, fy=350.0, cx=160.0, cy=120.0, vehicle_count_min=14,
+                   vehicle_count_max=22, distractor_count_max=4, region_z_min=12.0, region_z_max=80.0,
+                   min_depth_gap_m=0.0, max_overlap_frac=1.0, record_max_range_m=60.0)
+# the ground slab (from z = 1 m) lies behind the 1.5 m near plane and vehicles
+# are placed at it, so frames skip the first object and some records
+_NEAR_PLANE_KEYS = dict(width=160, height=120, fx=120.0, fy=120.0, cx=80.0, cy=60.0, near_m=1.5,
+                        region_x_min=-3.0, region_x_max=3.0, region_z_min=3.0, region_z_max=9.0,
+                        min_depth_gap_m=0.0, max_overlap_frac=1.0)
+
+
+def _frame_files(directory, frame):
+    return {key: path.read_bytes() for key, path in ss.frame_paths(directory, frame).items() if path.exists()}
+
+
+class TestReusedFrameBuffers:
+    """write_scenario_frame draws every frame into one set of buffers per
+    process and image size, and writes the files straight from them."""
+
+    @pytest.mark.parametrize("emit_color", [False, True])
+    @pytest.mark.parametrize("shape", ["acceptance", "crowd", "near-plane"])
+    def test_files_equal_render_frame_and_write_frame_files(self, shape, emit_color, tmp_path):
+        keys = {"acceptance": {}, "crowd": _CROWD_KEYS, "near-plane": _NEAR_PLANE_KEYS}[shape]
+        config = _acceptance_config(emit_color=emit_color, **keys)
+        (tmp_path / "streamed").mkdir()
+        (tmp_path / "fresh").mkdir()
+        for frame in range(config.frames):
+            ss.write_scenario_frame(config, frame, tmp_path / "streamed")
+            ss.write_frame_files(render_scenario_frame(config, frame), tmp_path / "fresh")
+            streamed = _frame_files(tmp_path / "streamed", frame)
+            assert set(streamed) == {"depth", "stencil", "instance", "meta"} | ({"color"} if emit_color else set())
+            assert streamed == _frame_files(tmp_path / "fresh", frame)
+
+    def test_near_plane_shape_skips_the_first_object(self, caplog):
+        config = _acceptance_config(**_NEAR_PLANE_KEYS)
+        with caplog.at_level(logging.WARNING, logger=ss.log.name):
+            bundle = render_scenario_frame(config, 0)
+        assert any(m.startswith(f"object {ss.GROUND_OBJECT_ID} has a corner") for m in caplog.messages)
+        assert ss.GROUND_OBJECT_ID not in bundle.instance_oracle.data
+
+    def test_alternating_image_sizes_match_a_fresh_process(self, tmp_path):
+        configs = {
+            "a": _acceptance_config(width=96, height=72, fx=105.0, fy=105.0, cx=48.0, cy=36.0),
+            "b": _acceptance_config(width=64, height=48, fx=70.0, fy=70.0, cx=32.0, cy=24.0),
+            # the size of "a" again, another scenario: its frames reuse a's buffers
+            "c": _acceptance_config(seed=5, width=96, height=72, fx=90.0, fy=90.0, cx=40.0, cy=30.0),
+        }
+        for name in configs:
+            (tmp_path / "in-process" / name).mkdir(parents=True)
+        for frame in range(3):
+            for name, config in configs.items():
+                ss.write_scenario_frame(config, frame, tmp_path / "in-process" / name)
+        env = {**os.environ, "PYTHONPATH": str(Path(ss.__file__).parents[1])}
+        for name, config in configs.items():
+            scenario = tmp_path / f"{name}.txt"
+            scenario.write_text(ss.scenario_to_text(config))
+            subprocess.run([sys.executable, "-m", "matrixgt", "generate", "--scenario", str(scenario),
+                            "--out", str(tmp_path / "fresh" / name)], check=True, env=env)
+            for frame in range(3):
+                assert _frame_files(tmp_path / "in-process" / name, frame) == _frame_files(
+                    tmp_path / "fresh" / name, frame), (name, frame)
+
+    def test_render_frame_bundle_survives_streamed_frames(self, tmp_path):
+        config = _acceptance_config(width=96, height=72, fx=105.0, fy=105.0, cx=48.0, cy=36.0, frames=5)
+        ss._frame_buffers.cache_clear()
+        bundle = render_scenario_frame(config, 0)
+        expected = [plane.copy() for plane in _planes(bundle)]
+        for frame in range(config.frames):
+            ss.write_scenario_frame(config, frame, tmp_path)
+        assert ss._frame_buffers.cache_info().misses == 1
+        reused = ss._frame_buffers(config.height, config.width)
+        for plane, want in zip(_planes(bundle), expected):
+            assert plane.tobytes() == want.tobytes()
+            assert not any(np.shares_memory(plane, buffer) for buffer in reused)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.float32])
+    def test_write_raster_writes_raster_to_bytes(self, dtype, tmp_path):
+        buffer = (np.arange(35) * 37 % 251).astype(dtype).reshape(5, 7)
+        raster = Raster.adopt(buffer.view())
+        write_raster(raster, tmp_path / "r.mrb")
+        assert (tmp_path / "r.mrb").read_bytes() == raster_to_bytes(raster)
+        assert buffer.flags.writeable  # only the view was locked
+
+    def test_non_finite_depth_is_rejected_before_it_is_written(self, tmp_path, monkeypatch):
+        buffer = np.zeros((2, 3), dtype=np.float32)
+        buffer[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            Raster.adopt(buffer.view())
+        config = _acceptance_config(width=96, height=72, fx=105.0, fy=105.0, cx=48.0, cy=36.0)
+        render_scenario_frame(config, 0)  # caches the first-object layer before the patch
+        monkeypatch.setattr(ss, "encode_log_depth", lambda z, params: np.full_like(z, np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            ss.write_scenario_frame(config, 0, tmp_path)
+        assert not ss.frame_paths(tmp_path, 0)["depth"].exists()
 
 
 _SCENARIO_BASE = {"seed": "1", "frames": "2", "width": "48", "height": "36", "fx": "50.0", "fy": "50.0",
