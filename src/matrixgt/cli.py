@@ -62,7 +62,9 @@ def _resolve_workers(requested: Optional[int]) -> int:
 def _run_tasks(task_fn, tasks: list, workers: int) -> None:
     """Execute independent per-frame tasks; results land in per-frame files, so
     scheduling order never affects output bytes."""
-    if workers <= 1 or len(tasks) <= 1:
+    # a forked pool starts all its workers at once, so no more than there are tasks
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         for task in tasks:
             task_fn(task)
         return
@@ -111,11 +113,10 @@ def _annotate_task(task) -> None:
 
 def cmd_annotate(args) -> int:
     from . import annotator, scene_sim
-    from .raster_codec import DepthCodecParams
 
     dataset_dir = Path(args.input_dir)
     config = scene_sim.read_manifest(dataset_dir / scene_sim.MANIFEST_NAME)
-    depth_params = DepthCodecParams(config.near_m, config.far_m)
+    depth_params = config.camera().depth_params
     params = (
         annotator.RefinementParams(rho=args.rho)
         if args.rho is not None

@@ -98,8 +98,10 @@ def iou(a: Box, b: Box) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def _det_sort_key(det: Detection) -> tuple:
-    return (-det.score, det.box[0], det.box[1])
+def _score_order(item: Detection | ScoredOutcome) -> tuple:
+    """Descending score, ties by box left then top: the order detections are
+    matched in and PR points are taken in."""
+    return (-item.score, item.box[0], item.box[1])
 
 
 def match_frame(
@@ -115,7 +117,7 @@ def match_frame(
     """
     matched = [False] * len(gts)
     outcomes = []
-    for det in sorted(dets, key=_det_sort_key):
+    for det in sorted(dets, key=_score_order):
         best_required = -1
         best_required_iou = 0.0
         best_ignore = -1
@@ -149,7 +151,7 @@ def precision_recall_points(
     descending-score order; ignored detections do not contribute points."""
     counted = sorted(
         (o for o in outcomes if o.outcome is not Outcome.IGNORED),
-        key=lambda o: (-o.score, o.box[0], o.box[1]),
+        key=_score_order,
     )
     points = []
     tp = fp = 0

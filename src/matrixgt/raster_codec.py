@@ -59,30 +59,17 @@ class DepthCodecParams:
 class Raster:
     """Immutable width x height grid of U8, U16, or F32 samples.
 
-    Wraps a locked, C-contiguous 2D numpy array (row-major, top-left origin).
-    F32 samples must be finite. ``Raster(array)`` copies the array, so later
-    writes to it cannot reach the raster; :meth:`adopt` wraps one without a copy.
+    Wraps a C-contiguous 2D numpy array (row-major, top-left origin) without
+    copying it, and marks it read-only. F32 samples must be finite. Only for
+    arrays that nothing else writes to while the raster lives: a fresh buffer
+    its maker hands over, a view of immutable ``bytes``, or a view of a reused
+    buffer whose owner drops the raster before it writes to the buffer again.
     """
 
     __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray):
-        self._lock(np.array(data, order="C"))
-
-    @classmethod
-    def adopt(cls, data: np.ndarray) -> Raster:
-        """Wrap ``data`` without copying it, with the constructor's checks.
-
-        ``data`` is marked read-only. Only for arrays that nothing else writes
-        to while the raster lives: a fresh buffer its maker hands over, a view
-        of immutable ``bytes``, or a view of a reused buffer whose owner drops
-        the raster before it writes to the buffer again.
-        """
-        raster = object.__new__(cls)
-        raster._lock(np.ascontiguousarray(data))
-        return raster
-
-    def _lock(self, arr: np.ndarray) -> None:
+        arr = np.ascontiguousarray(data)
         if arr.ndim != 2:
             raise ValueError(f"raster data must be 2D (height, width), got shape {arr.shape}")
         kind = _NATIVE_TO_KIND.get(arr.dtype)
@@ -196,7 +183,7 @@ def raster_from_bytes(blob: bytes) -> Raster:
         raise FormatError(f"MRB trailing data: {got - expected} extra bytes")
     samples = np.frombuffer(blob, dtype=dtype, offset=14).reshape(height, width)
     try:
-        return Raster.adopt(samples)
+        return Raster(samples)
     except ValueError as exc:  # the only check left is F32 finiteness
         raise FormatError(f"MRB payload: {exc}") from None
 

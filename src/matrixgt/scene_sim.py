@@ -23,9 +23,9 @@ Conventions, fixed for the whole pipeline:
   xorshift64* stream for (seed, frame_idx); nothing reads platform RNGs.
 
 Objects with any cuboid corner at or behind the near plane are skipped
-entirely (not rendered, not recorded) and logged; the placement region keeps
-generated scenes clear of the near plane, so this only triggers on
-hand-crafted scenes.
+entirely (not rendered, not recorded) with one warning per frame; the
+placement region keeps generated scenes clear of the near plane, so this only
+triggers on hand-crafted scenes.
 
 Frame buffers have one owner each. :func:`render_frame` allocates fresh ones
 and hands them to the returned bundle. :func:`write_scenario_frame` draws into
@@ -314,7 +314,11 @@ def coarse_box(camera: CameraModel, obj: SceneObject) -> tuple[float, float, flo
     Raises :class:`BehindCameraError` if any corner sits at or behind the near
     plane; callers skip such objects from the records.
     """
-    u, v, _ = _project_corners(camera, obj)
+    return _hull(_project_corners(camera, obj))
+
+
+def _hull(corners: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[float, float, float, float]:
+    u, v, _ = corners
     return float(u.min()), float(v.min()), float(u.max()), float(v.max())
 
 
@@ -366,9 +370,9 @@ def triangle_coverage_depth(
     is exact for planar faces; ``z`` is meaningful only where ``covered``.
 
     This function is the single arithmetic path for rasterization: the
-    renderer evaluates it per front-facing triangle over a window around the
-    triangle's on-image part, and brute-force checkers may evaluate it for
-    every triangle over the full image and take a minimum; both see
+    renderer evaluates it per front-facing triangle over the triangle's
+    bounding box clamped to the image, and brute-force checkers may evaluate
+    it for every triangle over the full image and take a minimum; both see
     bit-identical values per pixel.
     """
     (x0, y0), (x1, y1), (x2, y2) = pts2d.tolist()
@@ -399,13 +403,12 @@ def triangle_coverage_depth(
 
 
 def _object_triangles(
-    camera: CameraModel, obj: SceneObject
+    obj: SceneObject, corners: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
-    """The 12 projected triangles of one object in enumeration order, as
-    yielded by :func:`scene_screen_triangles`. Raises
-    :class:`BehindCameraError` if any corner sits at or behind the near plane.
-    """
-    u, v, z = _project_corners(camera, obj)
+    """The 12 triangles of one object, from its :func:`_project_corners`
+    ``corners``, in enumeration order, as yielded by
+    :func:`scene_screen_triangles`."""
+    u, v, z = corners
     pts = np.column_stack([u, v])
     invz = 1.0 / z
     return [(pts[idx], invz[idx], int(obj.cls), obj.object_id) for idx in map(list, _FACE_TRIANGLES)]
@@ -422,37 +425,11 @@ def scene_screen_triangles(
     """
     for obj in sorted(scene, key=lambda o: o.object_id):
         try:
-            triangles = _object_triangles(camera, obj)
+            corners = _project_corners(camera, obj)
         except BehindCameraError as exc:
             log.warning("%s, skipped", exc)
             continue
-        yield from triangles
-
-
-def _clip_bounds(
-    xs: Sequence[float], ys: Sequence[float], width: int, height: int
-) -> Optional[tuple[float, float, float, float]]:
-    """Bounding box ``(xmin, ymin, xmax, ymax)`` of a polygon clipped to the
-    image rectangle [0, width] x [0, height] (Sutherland & Hodgman 1974), or
-    None when nothing of it lies inside."""
-    poly = list(zip(xs, ys))
-    for axis, limit, sign in ((0, 0.0, 1.0), (0, width, -1.0), (1, 0.0, 1.0), (1, height, -1.0)):
-        clipped = []
-        prev = poly[-1]
-        d_prev = sign * (prev[axis] - limit)
-        for cur in poly:
-            d_cur = sign * (cur[axis] - limit)
-            if (d_cur >= 0.0) != (d_prev >= 0.0):
-                t = d_prev / (d_prev - d_cur)
-                clipped.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
-            if d_cur >= 0.0:
-                clipped.append(cur)
-            prev, d_prev = cur, d_cur
-        if not clipped:
-            return None
-        poly = clipped
-    cx, cy = zip(*poly)
-    return min(cx), min(cy), max(cx), max(cy)
+        yield from _object_triangles(obj, corners)
 
 
 def _rasterize_into(
@@ -473,9 +450,8 @@ def _rasterize_into(
     rendered), so a back face lies behind a front face of the same cuboid at
     every pixel it covers and can never win the strict less-than z-test.
 
-    Pixels are evaluated over the triangle's bounding box after clipping it
-    to the image, widened by one pixel against rounding in the clip; coverage
-    itself is decided only by ``triangle_coverage_depth``.
+    Pixels are evaluated over the triangle's bounding box clamped to the
+    image; coverage itself is decided only by ``triangle_coverage_depth``.
     """
     (ax, ay), (bx, by), (cx, cy) = pts2d.tolist()
     if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) >= 0.0:
@@ -488,14 +464,6 @@ def _rasterize_into(
     y1 = min(height - 1, math.floor(max(ys) - 0.5))
     if x0 > x1 or y0 > y1:
         return
-    if min(xs) < 0.0 or min(ys) < 0.0 or max(xs) > width or max(ys) > height:
-        bounds = _clip_bounds(xs, ys, width, height)
-        if bounds is None:
-            return
-        x0 = max(x0, math.ceil(bounds[0] - 0.5) - 1)
-        y0 = max(y0, math.ceil(bounds[1] - 0.5) - 1)
-        x1 = min(x1, math.floor(bounds[2] - 0.5) + 1)
-        y1 = min(y1, math.floor(bounds[3] - 0.5) + 1)
     px = np.arange(x0, x1 + 1, dtype=np.float64) + 0.5
     py = (np.arange(y0, y1 + 1, dtype=np.float64) + 0.5)[:, None]
     result = triangle_coverage_depth(pts2d, invz, px, py)
@@ -534,31 +502,29 @@ def _render_color(instance: np.ndarray, scene: Sequence[SceneObject]) -> np.ndar
 @functools.lru_cache(maxsize=1)
 def _first_object_layer(
     camera: CameraModel, obj: SceneObject
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[str]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``obj`` drawn alone into empty buffers: read-only zbuf, stencil,
-    instance and encoded depth, and the near-plane message of an object that
-    is not drawn (else None).
+    instance and encoded depth. An object at or behind the near plane is not
+    drawn; :func:`_render_into` logs its skip on every frame.
 
     Every frame starts from copies of these (see :func:`_render_into`). A scenario
     draws its ground slab first in every frame, so one entry serves a whole
     run; the arrays depend only on the two frozen, hashable arguments.
     """
-    height, width = camera.height, camera.width
-    zbuf = np.full((height, width), np.inf, dtype=np.float64)
-    stencil = np.zeros((height, width), dtype=np.uint8)
-    instance = np.zeros((height, width), dtype=np.uint16)
+    layer = zbuf, stencil, instance, encoded = _new_frame_buffers(camera.height, camera.width)
+    for arr, empty in zip(layer, (np.inf, 0, 0, 1.0)):
+        arr.fill(empty)
     try:
-        triangles, skipped = _object_triangles(camera, obj), None
-    except BehindCameraError as exc:
-        triangles, skipped = [], str(exc)
-    for pts2d, invz, class_code, object_id in triangles:
-        _rasterize_into(zbuf, stencil, instance, pts2d, invz, class_code, object_id)
+        triangles = _object_triangles(obj, _project_corners(camera, obj))
+    except BehindCameraError:
+        triangles = []
+    for triangle in triangles:
+        _rasterize_into(zbuf, stencil, instance, *triangle)
     covered = np.isfinite(zbuf)
-    encoded = np.ones((height, width), dtype=np.float32)
     encoded[covered] = encode_log_depth(zbuf[covered], camera.depth_params)
-    for arr in (zbuf, stencil, instance, encoded):
+    for arr in layer:
         arr.flags.writeable = False
-    return zbuf, stencil, instance, encoded, skipped
+    return layer
 
 
 def _new_frame_buffers(height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -592,34 +558,31 @@ def _render_into(
     """Draw ``scene`` into the caller's ``buffers`` (as made by
     :func:`_new_frame_buffers`, for the camera's image size) and bundle them.
 
+    Each object is projected once: its corners give both its triangles and
+    its record's coarse box. The lowest-id object's pixels come from the
+    cached :func:`_first_object_layer`.
+
     The bundle's rasters are read-only views of ``buffers``, so they hold what
     this call drew only until the buffers are drawn into again.
     """
     if not scene:
         raise ValueError("scene must be nonempty")
     ordered = sorted(scene, key=lambda o: o.object_id)
-    zbuf0, stencil0, instance0, encoded0, skipped = _first_object_layer(camera, ordered[0])
-    if skipped is not None:
-        log.warning("%s, skipped", skipped)
-    zbuf, stencil, instance, encoded = buffers
-    for dst, src in zip(buffers, (zbuf0, stencil0, instance0, encoded0)):
+    layer = _first_object_layer(camera, ordered[0])
+    for dst, src in zip(buffers, layer):
         np.copyto(dst, src)
-
-    for pts2d, invz, class_code, object_id in scene_screen_triangles(camera, ordered[1:]):
-        _rasterize_into(zbuf, stencil, instance, pts2d, invz, class_code, object_id)
-
-    # a hit lowers z strictly, so this marks exactly the pixels drawn after
-    # the first object; the encoding is elementwise, so all others keep theirs
-    drawn = zbuf != zbuf0
-    encoded[drawn] = encode_log_depth(zbuf[drawn], camera.depth_params)
+    zbuf, stencil, instance, encoded = buffers
 
     records = []
-    for obj in ordered:
+    for i, obj in enumerate(ordered):
         try:
-            box = coarse_box(camera, obj)
-        except BehindCameraError:
-            log.warning("object %d skipped from records: behind near plane", obj.object_id)
+            corners = _project_corners(camera, obj)
+        except BehindCameraError as exc:
+            log.warning("%s, skipped", exc)
             continue
+        if i > 0:  # the first object's pixels come from the cached layer
+            for triangle in _object_triangles(obj, corners):
+                _rasterize_into(zbuf, stencil, instance, *triangle)
         range_m = float(np.linalg.norm(obj.center))
         if record_max_range_m > 0.0 and range_m > record_max_range_m:
             continue
@@ -627,7 +590,7 @@ def _render_into(
             EngineRecord(
                 object_id=obj.object_id,
                 cls=obj.cls,
-                coarse_box=inflate_box(box, inflate_pct),
+                coarse_box=inflate_box(_hull(corners), inflate_pct),
                 range_m=range_m,
                 size=obj.size,
                 yaw=obj.yaw,
@@ -635,13 +598,18 @@ def _render_into(
             )
         )
 
+    # a hit lowers z strictly, so this marks exactly the pixels drawn after
+    # the first object; the encoding is elementwise, so all others keep theirs
+    drawn = zbuf != layer[0]
+    encoded[drawn] = encode_log_depth(zbuf[drawn], camera.depth_params)
+
     color = _render_color(instance, scene) if emit_color else None
     return FrameBundle(
         frame_id=frame_id,
         color=color,
-        depth=Raster.adopt(encoded.view()),
-        stencil=Raster.adopt(stencil.view()),
-        instance_oracle=Raster.adopt(instance.view()),
+        depth=Raster(encoded.view()),
+        stencil=Raster(stencil.view()),
+        instance_oracle=Raster(instance.view()),
         records=records,
     )
 
@@ -660,7 +628,7 @@ def render_frame(
     Every covered pixel holds the log-encoded depth of the nearest surface,
     that surface's stencil class code, and its object id in the instance
     oracle. Uncovered pixels: depth exactly 1.0, stencil 0, instance 0.
-    Records carry one EngineRecord per object whose coarse box succeeded
+    Records carry one EngineRecord per object in front of the near plane
     (optionally inflated by ``inflate_pct`` to reproduce loose engine boxes),
     except objects beyond ``record_max_range_m`` when that limit is set.
 

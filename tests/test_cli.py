@@ -289,8 +289,9 @@ class TestStats:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         result = subprocess.run(
-            [sys.executable, "-m", "matrixgt", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "matrixgt", "--help"], capture_output=True, text=True, env=env
         )
         assert result.returncode == 0
         assert "generate" in result.stdout
@@ -338,6 +339,35 @@ class TestEntryPoint:
         assert seen == [2, 2, 1, 1]
         for command in ("annotate", "oracle-labels"):
             assert digests[command, "2"] == digests[command, None]
+
+    def test_pool_is_capped_at_the_task_count(self, monkeypatch):
+        """A forked pool starts every worker it is asked for, so it is asked for
+        no more than there are tasks. The pool here is a stand-in that runs
+        the tasks in this process and starts none."""
+        import concurrent.futures
+
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        done = []
+        cli._run_tasks(done.append, [0, 1, 2], 64)
+        cli._run_tasks(done.append, [3, 4, 5], 2)
+        cli._run_tasks(done.append, [6], 64)
+        assert asked == [3, 2]
+        assert done == list(range(7))
 
 
 CAR_LINE = "Car 0.00 0 -10.00 10.00 10.00 50.00 60.00 -1.00 -1.00 -1.00 -1000.00 -1000.00 -1000.00 -10.00\n"

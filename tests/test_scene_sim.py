@@ -222,6 +222,27 @@ class TestRenderFrame:
         pb, lb = plain.records[0].coarse_box, loose.records[0].coarse_box
         assert lb[0] < pb[0] and lb[1] < pb[1] and lb[2] > pb[2] and lb[3] > pb[3]
         assert (lb[2] - lb[0]) == pytest.approx((pb[2] - pb[0]) * 1.10)
+        # every record's box is the public coarse box, inflated, bit for bit
+        scene = [make_ground(z_far=40.0), make_vehicle(2, x=0.5, z=9.0, yaw=0.3), make_vehicle(3, x=-1.0, z=14.0)]
+        for pct in (0.0, 0.10):
+            bundle = ss.render_frame(small_camera, scene, 0, inflate_pct=pct, emit_color=False)
+            assert [r.object_id for r in bundle.records] == [1, 2, 3]
+            for record, obj in zip(bundle.records, scene):
+                assert record.coarse_box == ss.inflate_box(ss.coarse_box(small_camera, obj), pct)
+
+    def test_one_projection_per_object_on_a_warm_frame(self, small_camera, monkeypatch):
+        scene = [make_ground(z_far=40.0), make_vehicle(2, x=0.5, z=9.0), make_vehicle(3, x=-1.0, z=14.0),
+                 make_vehicle(4, x=0.0, z=0.5, length=2.0)]  # 4 is skipped at the near plane
+        ss.render_frame(small_camera, scene, 0, emit_color=False)  # caches the first object's layer
+        project, projected = ss._project_corners, []
+
+        def counting(camera, obj):
+            projected.append(obj.object_id)
+            return project(camera, obj)
+
+        monkeypatch.setattr(ss, "_project_corners", counting)
+        ss.render_frame(small_camera, scene, 1, emit_color=False)
+        assert projected == [1, 2, 3, 4]
 
     def test_color_optional_and_deterministic(self, small_camera):
         scene = [make_ground(z_far=40.0), make_vehicle(2, x=0.0, z=10.0)]
@@ -428,16 +449,25 @@ class TestFirstObjectCache:
                 assert got.tobytes() == want.tobytes()
 
     def test_near_plane_warning_on_every_frame(self, small_camera, caplog):
-        scene = [make_vehicle(2, x=0.0, z=0.5, length=2.0), make_vehicle(3, x=0.0, z=10.0)]
-        ss._first_object_layer.cache_clear()
-        with caplog.at_level(logging.WARNING, logger=ss.log.name):
-            bundles = [ss.render_frame(small_camera, scene, frame, emit_color=False) for frame in (0, 1)]
-        assert ss._first_object_layer.cache_info().hits == 1
-        warned = [r.getMessage() for r in caplog.records if "has a corner" in r.getMessage()]
-        assert len(warned) == 2 and all(m.startswith("object 2 ") and m.endswith(", skipped") for m in warned)
-        for bundle in bundles:
-            assert set(np.unique(bundle.instance_oracle.data)) == {0, 3}
-            _assert_equals_cull_free_reference(small_camera, scene, bundle)
+        """One warning per frame for a skipped object, whether it is the
+        cached first object or a later one."""
+        near = dict(x=0.0, z=0.5, length=2.0)
+        cases = [
+            ([make_vehicle(2, **near), make_vehicle(3, x=0.0, z=10.0)], 2, 3),
+            ([make_vehicle(2, x=0.0, z=10.0), make_vehicle(3, **near)], 3, 2),
+        ]
+        for scene, skipped, drawn in cases:
+            ss._first_object_layer.cache_clear()
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger=ss.log.name):
+                bundles = [ss.render_frame(small_camera, scene, frame, emit_color=False) for frame in (0, 1)]
+            assert ss._first_object_layer.cache_info().hits == 1
+            warned = [m for m in caplog.messages if m.startswith(f"object {skipped} ")]
+            assert len(warned) == 2 and all("has a corner" in m and m.endswith(", skipped") for m in warned)
+            for bundle in bundles:
+                assert set(np.unique(bundle.instance_oracle.data)) == {0, drawn}
+                assert [r.object_id for r in bundle.records] == [drawn]
+                _assert_equals_cull_free_reference(small_camera, scene, bundle)
 
     def test_frame_buffers_are_read_only_and_never_shared(self, small_camera):
         scene = [make_ground(z_far=40.0), make_vehicle(2, x=0.5, z=9.0)]
@@ -541,7 +571,7 @@ class TestReusedFrameBuffers:
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.float32])
     def test_write_raster_writes_raster_to_bytes(self, dtype, tmp_path):
         buffer = (np.arange(35) * 37 % 251).astype(dtype).reshape(5, 7)
-        raster = Raster.adopt(buffer.view())
+        raster = Raster(buffer.view())
         write_raster(raster, tmp_path / "r.mrb")
         assert (tmp_path / "r.mrb").read_bytes() == raster_to_bytes(raster)
         assert buffer.flags.writeable  # only the view was locked
@@ -550,7 +580,7 @@ class TestReusedFrameBuffers:
         buffer = np.zeros((2, 3), dtype=np.float32)
         buffer[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            Raster.adopt(buffer.view())
+            Raster(buffer.view())
         config = _acceptance_config(width=96, height=72, fx=105.0, fy=105.0, cx=48.0, cy=36.0)
         render_scenario_frame(config, 0)  # caches the first-object layer before the patch
         monkeypatch.setattr(ss, "encode_log_depth", lambda z, params: np.full_like(z, np.nan))
