@@ -23,10 +23,10 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-# Stage modules that load numpy are imported inside the commands and tasks
-# that use them, so a stage starts up with only what it needs; evaluator and
-# kitti_labels are pure Python.
-from . import evaluator, kitti_labels
+# Only the stage modules that load numpy are imported lazily, inside the
+# commands and tasks that use them, so a stage starts up with only what it
+# needs; evaluator, dataset_stats and kitti_labels are pure Python.
+from . import dataset_stats, evaluator, kitti_labels
 from .errors import ConfigError, FormatError, ValidationError
 
 EXIT_OK = 0
@@ -182,20 +182,17 @@ def cmd_evaluate(args) -> int:
 # --- stats -------------------------------------------------------------------
 
 
-def _parse_pair(value: str, separator: str, what: str) -> tuple[int, int]:
-    parts = value.lower().split(separator)
+def _parse_pair(value: str, what: str) -> tuple[int, int]:
     try:
-        a, b = int(parts[0]), int(parts[1])
-    except (ValueError, IndexError):
-        raise ConfigError(f"cannot parse {what} {value!r}; expected e.g. 48{separator}27") from None
+        a, b = map(int, value.lower().split("x"))
+    except ValueError:  # a part that is not an integer, or not exactly two parts
+        raise ConfigError(f"cannot parse {what} {value!r}; expected e.g. 48x27") from None
     return a, b
 
 
 def cmd_stats(args) -> int:
-    from . import dataset_stats
-
-    grid = _parse_pair(args.grid, "x", "--grid")
-    image = _parse_pair(args.image, "x", "--image")
+    grid = _parse_pair(args.grid, "--grid")
+    image = _parse_pair(args.image, "--image")
     dataset_stats.write_stats(args.labels, args.out, image_size=image, grid=grid)
     return EXIT_OK
 

@@ -2,37 +2,24 @@
 histograms, and size summaries over the labels of a KITTI label directory,
 keyed by frame as :func:`kitti_labels.read_label_dir` returns them.
 
-Counts are the testable artifact here, so the heatmap ships as raw CSV counts
-alongside a max-normalized 8-bit PGM render; both obey the conservation law
-that cell counts sum to the number of binned boxes.
+Counts are the testable artifact here, so the heatmap is plain rows of counts
+(``counts[row][col]``), shipped as raw CSV counts alongside a max-normalized
+8-bit PGM render; both obey the conservation law that cell counts sum to the
+number of binned boxes. The stage is pure Python.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError
 from .kitti_labels import CAR_TYPE, Difficulty, KittiLabel, checked_bbox, classify_difficulty, read_label_dir
 
 DEFAULT_GRID = (48, 27)  # (cols, rows), 16:9-friendly
-
-
-@dataclass
-class HeatmapGrid:
-    cols: int
-    rows: int
-    image_width: int
-    image_height: int
-    counts: np.ndarray  # (rows, cols) int64
-    clamped: int  # centroids outside the image, clamped to border cells
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+MAX_GRID_CELLS = 2**20  # a larger grid is rejected before its rows are allocated
 
 
 @dataclass
@@ -45,37 +32,37 @@ class DatasetSummary:
 
 def _cell_index(coord: float, extent: float, cells: int) -> int:
     """Containing cell with boundary coordinates assigned to the lower-index
-    cell; out-of-range coordinates clamp to the border cells."""
-    scaled = coord * cells / extent
-    idx = int(np.ceil(scaled)) - 1
-    return min(max(idx, 0), cells - 1)
+    cell; out-of-range coordinates clamp to the border cells (before the
+    ceiling, so a huge finite coordinate cannot overflow it)."""
+    scaled = min(max(coord * cells / extent, 0.0), cells)
+    return max(math.ceil(scaled) - 1, 0)
 
 
 def centroid_heatmap(
     labels_by_frame: dict[str, list[KittiLabel]],
     image_size: tuple[int, int],
     grid: tuple[int, int] = DEFAULT_GRID,
-) -> HeatmapGrid:
-    """Bin every Car box centroid into a cols x rows grid over the image."""
+) -> list[list[int]]:
+    """Counts of Car box centroids on a cols x rows grid over the image, as
+    ``counts[row][col]``; centroids outside the image count in border cells."""
     cols, rows = grid
     if cols < 1 or rows < 1:
         raise ConfigError(f"grid dimensions must be >= 1, got {cols}x{rows}")
+    if cols * rows > MAX_GRID_CELLS:
+        raise ConfigError(f"grid {cols}x{rows} has more than {MAX_GRID_CELLS} cells")
     width, height = image_size
     if width < 1 or height < 1:
         raise ConfigError(f"image dimensions must be >= 1, got {width}x{height}")
-    counts = np.zeros((rows, cols), dtype=np.int64)
-    clamped = 0
-    for labels in labels_by_frame.values():
+    counts = [[0] * cols for _ in range(rows)]
+    for frame_id, labels in labels_by_frame.items():
         for label in labels:
             if label.type != CAR_TYPE:
                 continue
-            left, top, right, bottom = label.bbox
+            left, top, right, bottom = checked_bbox(frame_id, label)
             cx = (left + right) / 2.0
             cy = (top + bottom) / 2.0
-            if not (0.0 <= cx <= width and 0.0 <= cy <= height):
-                clamped += 1
-            counts[_cell_index(cy, height, rows), _cell_index(cx, width, cols)] += 1
-    return HeatmapGrid(cols, rows, width, height, counts, clamped)
+            counts[_cell_index(cy, height, rows)][_cell_index(cx, width, cols)] += 1
+    return counts
 
 
 def detections_histogram(labels_by_frame: dict[str, list[KittiLabel]]) -> dict[int, int]:
@@ -105,28 +92,16 @@ def dataset_summary(labels_by_frame: dict[str, list[KittiLabel]]) -> DatasetSumm
     )
 
 
-def pgm_bytes(gray: np.ndarray) -> bytes:
-    """Binary PGM (P5) encoding of an (H, W) uint8 image."""
-    if gray.ndim != 2 or gray.dtype != np.uint8:
-        raise ValueError(f"PGM image must be 2D uint8, got {gray.shape} {gray.dtype}")
-    header = f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode("ascii")
-    return header + np.ascontiguousarray(gray).tobytes()
+def heatmap_pgm(counts: list[list[int]]) -> bytes:
+    """Binary PGM (P5) of the counts, scaled so the peak cell is 255."""
+    peak = max(map(max, counts))
+    header = f"P5\n{len(counts[0])} {len(counts)}\n255\n".encode("ascii")
+    return header + bytes(count * 255 // peak if peak else 0 for row in counts for count in row)
 
 
-def heatmap_pgm(heatmap: HeatmapGrid) -> bytes:
-    peak = int(heatmap.counts.max())
-    if peak == 0:
-        gray = np.zeros_like(heatmap.counts, dtype=np.uint8)
-    else:
-        gray = (heatmap.counts * 255 // peak).astype(np.uint8)
-    return pgm_bytes(gray)
-
-
-def heatmap_csv(heatmap: HeatmapGrid) -> str:
+def heatmap_csv(counts: list[list[int]]) -> str:
     lines = ["row,col,count"]
-    for row in range(heatmap.rows):
-        for col in range(heatmap.cols):
-            lines.append(f"{row},{col},{heatmap.counts[row, col]}")
+    lines.extend(f"{r},{c},{count}" for r, row in enumerate(counts) for c, count in enumerate(row))
     return "\n".join(lines) + "\n"
 
 

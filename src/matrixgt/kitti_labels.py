@@ -68,10 +68,14 @@ class KittiLabel:
 
 def checked_bbox(frame_id: str, label: KittiLabel) -> tuple[float, float, float, float]:
     """A label's box, rejected when it encloses no area (IoU and difficulty
-    are undefined for it)."""
+    are undefined for it) or when its centroid, or twice its area (an IoU's
+    union adds two areas), overflows a float."""
     left, top, right, bottom = label.bbox
     if not (left < right and top < bottom):
         raise ValidationError(f"frame {frame_id}: {label.type} box {label.bbox} has no area")
+    area = (right - left) * (bottom - top)
+    if not (math.isfinite(left + right) and math.isfinite(top + bottom) and math.isfinite(2.0 * area)):
+        raise ValidationError(f"frame {frame_id}: {label.type} box {label.bbox} overflows its area or centroid")
     return label.bbox
 
 
@@ -202,8 +206,12 @@ def label_path(labels_dir: str | Path, frame_idx: int) -> Path:
 
 
 def read_label_dir(labels_dir: str | Path) -> dict[str, list[KittiLabel]]:
-    """All label files of a directory keyed by frame stem, sorted."""
+    """All label files of a directory keyed by frame stem, sorted; a path
+    that is not a directory is an error, not an empty label set."""
+    directory = Path(labels_dir)
+    if not directory.is_dir():
+        raise NotADirectoryError(f"no label directory at {directory}")
     out: dict[str, list[KittiLabel]] = {}
-    for path in sorted(Path(labels_dir).glob("*.txt")):
+    for path in sorted(directory.glob("*.txt")):
         out[path.stem] = parse_labels(path)
     return out

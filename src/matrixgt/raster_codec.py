@@ -138,24 +138,8 @@ def stencil_class_ids(stencil: Raster) -> np.ndarray:
     return stencil.data & 0x0F
 
 
-def _mrb_header(raster: Raster) -> bytes:
-    return MRB_MAGIC + struct.pack(
-        "<BBII", MRB_VERSION, _KIND_TO_CODE[raster.sample_kind], raster.width, raster.height
-    )
-
-
-def _mrb_payload(raster: Raster) -> np.ndarray:
-    # a no-op view on little-endian hosts; the data is C-contiguous already
-    return raster.data.astype(_KIND_TO_DTYPE[raster.sample_kind], copy=False)
-
-
-def raster_to_bytes(raster: Raster) -> bytes:
-    """Serialize to the MRB byte stream (deterministic: equal rasters, equal bytes)."""
-    return b"".join((_mrb_header(raster), _mrb_payload(raster)))
-
-
 def raster_from_bytes(blob: bytes) -> Raster:
-    """Parse an MRB byte stream; exact inverse of :func:`raster_to_bytes`.
+    """Parse an MRB byte stream as :func:`write_raster` writes it (exact inverse).
 
     The raster's data is a read-only view of ``blob``, not a copy.
     """
@@ -189,14 +173,16 @@ def raster_from_bytes(blob: bytes) -> Raster:
 
 
 def write_raster(raster: Raster, destination: str | Path) -> None:
-    """Write a raster to an MRB file, the same bytes as :func:`raster_to_bytes`.
+    """Write a raster to an MRB file.
 
     The payload goes to the file straight from the raster's buffer, with no
     joined copy of the stream.
     """
     with open(destination, "wb") as f:
-        f.write(_mrb_header(raster))
-        f.write(_mrb_payload(raster))
+        kind = raster.sample_kind
+        f.write(MRB_MAGIC + struct.pack("<BBII", MRB_VERSION, _KIND_TO_CODE[kind], raster.width, raster.height))
+        # a no-op view on little-endian hosts; the data is C-contiguous already
+        f.write(raster.data.astype(_KIND_TO_DTYPE[kind], copy=False))
 
 
 def read_raster(source: str | Path) -> Raster:

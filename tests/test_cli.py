@@ -232,6 +232,12 @@ class TestEvaluate:
         assert cli.main(["evaluate", "--det", str(partial), "--gt", str(labels),
                          "--out", str(tmp_path / "r")]) == 4
 
+    def test_missing_label_dirs_exit_3(self, tmp_path, capsys):
+        assert cli.main(["evaluate", "--det", str(tmp_path / "nope"), "--gt", str(tmp_path / "nope2"),
+                         "--out", str(tmp_path / "r")]) == 3
+        assert "nope" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_ap_method_flag(self, tiny_dataset, tmp_path, capsys):
         labels = tmp_path / "labels"
         cli.main(["annotate", "--in", str(tiny_dataset), "--out", str(labels)])
@@ -273,6 +279,11 @@ class TestStats:
         assert cli.main(["stats", "--labels", str(labels), "--out", str(out)]) == 0
         assert "frames=0" in (out / "summary.txt").read_text()
 
+    def test_missing_labels_dir_exits_3(self, tmp_path, capsys):
+        assert cli.main(["stats", "--labels", str(tmp_path / "nope"), "--out", str(tmp_path / "s")]) == 3
+        assert "nope" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_bad_grid_exits_2(self, tmp_path):
         labels = tmp_path / "labels"
         labels.mkdir()
@@ -296,18 +307,23 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert "generate" in result.stdout
 
-    def test_evaluate_stage_leaves_numpy_unloaded(self, tmp_path):
-        """evaluate imports only the pure-Python stage modules; -X importtime
-        lists every module the child process imports."""
+    @pytest.mark.parametrize("stage, module", [
+        ("evaluate", "matrixgt.evaluator"),
+        ("stats", "matrixgt.dataset_stats"),
+    ], ids=["evaluate", "stats"])
+    def test_pure_python_stage_leaves_numpy_unloaded(self, stage, module, tmp_path):
+        """evaluate and stats import only the pure-Python stage modules;
+        -X importtime lists every module the child process imports."""
+        argv = {"evaluate": _evaluate_argv, "stats": _stats_argv}[stage](tmp_path)
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         result = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "matrixgt", *_evaluate_argv(tmp_path)],
+            [sys.executable, "-X", "importtime", "-m", "matrixgt", *argv],
             capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0, result.stderr
         imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
                     if line.startswith("import time:")]
-        assert "matrixgt.evaluator" in imported
+        assert module in imported
         assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
     def test_oracle_frame_labels_resolves_through_cli(self):
@@ -386,6 +402,10 @@ def _evaluate_argv(root, det_line=CAR_LINE, gt_line=CAR_LINE, iou="0.7"):
     return ["evaluate", "--det", str(det), "--gt", str(gt), "--iou", iou, "--out", str(root / "r")]
 
 
+def _stats_argv(root, *flags, line=CAR_LINE):
+    return ["stats", "--labels", str(_label_dir(root, "l", line)), "--out", str(root / "s"), *flags]
+
+
 def _generate_argv(root, scenario_text=TINY_SCENARIO):
     scenario = root / "s.txt"
     scenario.write_text(scenario_text)
@@ -401,6 +421,8 @@ def _oracle_argv_wrong_manifest_size(root):
 
 
 ZERO_AREA_CAR_LINE = CAR_LINE.replace("50.00 60.00", "10.00 60.00")
+# finite coordinates whose centroid (left + right) and area overflow a float
+OVERFLOW_CAR_LINE = CAR_LINE.replace("10.00 10.00 50.00 60.00", "1e308 10.00 1.7e308 60.00")
 
 
 def _corrupted_dataset_argv(command, corrupt):
@@ -488,30 +510,27 @@ def _evaluate_argv_label_not_utf8(root):
 
 
 def _stats_argv_label_not_utf8(root):
-    labels = _label_dir(root, "l")
-    _not_utf8(labels / "000000.txt")
-    return ["stats", "--labels", str(labels), "--out", str(root / "s")]
+    argv = _stats_argv(root)
+    _not_utf8(root / "l" / "000000.txt")
+    return argv
 
 
 BAD_INPUTS = {
     # (environment, argv builder, expected exit code)
     "workers-env-not-integer": ({"MATRIXGT_WORKERS": "abc"}, _generate_argv, 2),
-    "stats-image-0x0": (
-        {},
-        lambda root: ["stats", "--labels", str(_label_dir(root, "l")), "--out", str(root / "s"),
-                      "--image", "0x0"],
-        2,
-    ),
+    "stats-image-0x0": ({}, lambda root: _stats_argv(root, "--image", "0x0"), 2),
+    "stats-image-three-parts": ({}, lambda root: _stats_argv(root, "--image", "640x480x3"), 2),
+    "stats-grid-three-parts": ({}, lambda root: _stats_argv(root, "--grid", "48x27x9"), 2),
+    "stats-grid-over-cell-cap": ({}, lambda root: _stats_argv(root, "--grid", "1025x1025"), 2),
     "evaluate-iou-above-1": ({}, lambda root: _evaluate_argv(root, iou="5"), 2),
     "evaluate-iou-0": ({}, lambda root: _evaluate_argv(root, iou="0"), 2),
     "zero-area-det-box": ({}, lambda root: _evaluate_argv(root, det_line=ZERO_AREA_CAR_LINE), 4),
     "zero-area-gt-box": ({}, lambda root: _evaluate_argv(root, gt_line=ZERO_AREA_CAR_LINE), 4),
-    "stats-zero-area-car-box": (
-        {},
-        lambda root: ["stats", "--labels", str(_label_dir(root, "l", ZERO_AREA_CAR_LINE)),
-                      "--out", str(root / "s")],
-        4,
+    "stats-zero-area-car-box": ({}, lambda root: _stats_argv(root, line=ZERO_AREA_CAR_LINE), 4),
+    "evaluate-car-box-overflows": (
+        {}, lambda root: _evaluate_argv(root, det_line=OVERFLOW_CAR_LINE, gt_line=OVERFLOW_CAR_LINE), 4
     ),
+    "stats-car-box-overflows": ({}, lambda root: _stats_argv(root, line=OVERFLOW_CAR_LINE), 4),
     "placement-region-crosses-near-plane": (
         {},
         lambda root: _generate_argv(

@@ -32,33 +32,38 @@ def write_frames(directory, frames):
 class TestHeatmap:
     def test_center_cell(self, tmp_path):
         write_frames(tmp_path, {0: [car_at(320.0, 240.0)]})
-        grid = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(3, 3))
-        assert grid.counts[1, 1] == 1
-        assert grid.total == 1
-        assert grid.clamped == 0
+        counts = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(3, 3))
+        assert counts[1][1] == 1
+        assert sum(map(sum, counts)) == 1
 
     def test_empty_dataset(self, tmp_path):
         write_frames(tmp_path, {0: [], 1: []})
-        grid = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(4, 4))
-        assert grid.total == 0 and not grid.counts.any()
+        counts = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(4, 4))
+        assert counts == [[0] * 4 for _ in range(4)]
 
     def test_dontcare_excluded(self, tmp_path):
         write_frames(tmp_path, {0: [car_at(100, 100), dontcare(500, 400)]})
-        grid = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(2, 2))
-        assert grid.total == 1
+        counts = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(2, 2))
+        assert sum(map(sum, counts)) == 1
 
     def test_boundary_goes_to_lower_cell(self, tmp_path):
         # centroid exactly on the 320 px boundary of a 2-column grid
         write_frames(tmp_path, {0: [car_at(320.0, 100.0)]})
-        grid = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(2, 1))
-        assert grid.counts[0, 0] == 1 and grid.counts[0, 1] == 0
+        counts = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(2, 1))
+        assert counts == [[1, 0]]
 
     def test_outside_centroid_clamped_and_tallied(self, tmp_path):
         write_frames(tmp_path, {0: [car_at(700.0, 240.0), car_at(-30.0, 240.0)]})
-        grid = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(4, 2))
-        assert grid.clamped == 2
-        assert grid.counts[:, 3].sum() == 1 and grid.counts[:, 0].sum() == 1
-        assert grid.total == 2
+        counts = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(4, 2))
+        assert sum(row[3] for row in counts) == 1 and sum(row[0] for row in counts) == 1
+        assert sum(map(sum, counts)) == 2
+
+    def test_huge_finite_centroid_clamps_to_border_cell(self, tmp_path):
+        # the centroid is finite, but centroid * cols overflows a float
+        huge = kl.KittiLabel(**{**vars(car_at(0.0, 240.0)), "bbox": (7e307, 200.0, 9e307, 201.0)})
+        write_frames(tmp_path, {0: [huge]})
+        counts = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(4, 2))
+        assert counts == [[0, 0, 0, 1], [0, 0, 0, 0]]
 
     def test_conservation(self, tmp_path):
         rng = Xorshift64Star(5)
@@ -69,8 +74,8 @@ class TestHeatmap:
             boxes += len(labels)
             frames[frame_idx] = labels
         write_frames(tmp_path, frames)
-        grid = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480))
-        assert grid.total == boxes
+        counts = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480))
+        assert sum(map(sum, counts)) == boxes
 
     def test_uniform_multinomial_3sigma(self, tmp_path):
         rng = Xorshift64Star(20260809)
@@ -81,12 +86,12 @@ class TestHeatmap:
                 car_at(rng.uniform(0.0, 640.0), rng.uniform(0.0, 480.0)) for _ in range(per_frame)
             ]
         write_frames(tmp_path, frames)
-        grid = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(4, 4))
+        counts = np.array(stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(4, 4)))
         n = 100 * per_frame
         p = 1.0 / 16.0
         sigma = (n * p * (1 - p)) ** 0.5
-        assert grid.total == n
-        assert np.all(np.abs(grid.counts - n * p) <= 3.0 * sigma)
+        assert counts.sum() == n
+        assert np.all(np.abs(counts - n * p) <= 3.0 * sigma)
 
     def test_invalid_grid(self, tmp_path):
         write_frames(tmp_path, {0: []})
@@ -165,10 +170,7 @@ class TestOutputs:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_heatmap_pgm_normalization(self):
-        grid = stats.HeatmapGrid(2, 1, 640, 480, np.array([[3, 1]], dtype=np.int64), 0)
-        blob = stats.heatmap_pgm(grid)
-        assert blob.endswith(bytes([255, 85]))
+        assert stats.heatmap_pgm([[3, 1]]) == b"P5\n2 1\n255\n" + bytes([255, 85])
 
     def test_zero_heatmap_pgm(self):
-        grid = stats.HeatmapGrid(2, 1, 640, 480, np.zeros((1, 2), dtype=np.int64), 0)
-        assert stats.heatmap_pgm(grid).endswith(bytes([0, 0]))
+        assert stats.heatmap_pgm([[0, 0]]).endswith(bytes([0, 0]))

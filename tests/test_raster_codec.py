@@ -14,7 +14,6 @@ from matrixgt.raster_codec import (
     encode_log_depth,
     linearize_depth,
     raster_from_bytes,
-    raster_to_bytes,
     read_raster,
     stencil_class_ids,
     write_raster,
@@ -141,21 +140,27 @@ class TestRasterType:
         assert a.sample_kind == "U16" and a.width == 2 and a.height == 1
 
 
+def _written(raster, path):
+    """The bytes :func:`write_raster` puts in the file at ``path``."""
+    write_raster(raster, path)
+    return path.read_bytes()
+
+
 class TestMRB:
-    def test_golden_1x1_u8(self):
-        blob = raster_to_bytes(Raster(np.array([[7]], dtype=np.uint8)))
+    def test_golden_1x1_u8(self, tmp_path):
+        blob = _written(Raster(np.array([[7]], dtype=np.uint8)), tmp_path / "r.mrb")
         assert blob == bytes.fromhex("4D 52 58 42 01 00 01 00 00 00 01 00 00 00 07".replace(" ", ""))
 
-    def test_golden_2x1_u8(self):
-        blob = raster_to_bytes(Raster(np.array([[1, 2]], dtype=np.uint8)))
+    def test_golden_2x1_u8(self, tmp_path):
+        blob = _written(Raster(np.array([[1, 2]], dtype=np.uint8)), tmp_path / "r.mrb")
         assert blob == bytes.fromhex("4D5258420100020000000100000001" + "02")
 
-    def test_golden_u16_little_endian(self):
-        blob = raster_to_bytes(Raster(np.array([[0x0102]], dtype=np.uint16)))
+    def test_golden_u16_little_endian(self, tmp_path):
+        blob = _written(Raster(np.array([[0x0102]], dtype=np.uint16)), tmp_path / "r.mrb")
         assert blob[14:] == bytes([0x02, 0x01])
 
-    def test_golden_f32_little_endian(self):
-        blob = raster_to_bytes(Raster(np.array([[1.0]], dtype=np.float32)))
+    def test_golden_f32_little_endian(self, tmp_path):
+        blob = _written(Raster(np.array([[1.0]], dtype=np.float32)), tmp_path / "r.mrb")
         assert blob[14:] == bytes([0x00, 0x00, 0x80, 0x3F])
 
     def test_round_trip_via_stream_and_path(self, tmp_path):
@@ -164,9 +169,10 @@ class TestMRB:
         write_raster(raster, path)
         assert read_raster(path) == raster
 
-    def test_writes_are_byte_identical(self):
+    def test_writes_are_byte_identical(self, tmp_path):
         raster = Raster(np.arange(6, dtype=np.uint16).reshape(2, 3))
-        assert raster_to_bytes(raster) == raster_to_bytes(Raster(raster.data.copy()))
+        copy = Raster(raster.data.copy())
+        assert _written(raster, tmp_path / "a.mrb") == _written(copy, tmp_path / "b.mrb")
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -175,7 +181,7 @@ class TestMRB:
         st.sampled_from(["U8", "U16", "F32"]),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_round_trip_random(self, width, height, kind, seed):
+    def test_round_trip_random(self, tmp_path_factory, width, height, kind, seed):
         rng = np.random.default_rng(seed)
         if kind == "U8":
             data = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
@@ -184,11 +190,13 @@ class TestMRB:
         else:
             data = rng.random(size=(height, width)).astype(np.float32)
         raster = Raster(data)
-        assert raster_from_bytes(raster_to_bytes(raster)) == raster
+        path = tmp_path_factory.getbasetemp() / "round_trip.mrb"
+        write_raster(raster, path)
+        assert read_raster(path) == raster
 
-    def test_read_data_is_read_only_and_detached_from_a_mutable_blob(self):
+    def test_read_data_is_read_only_and_detached_from_a_mutable_blob(self, tmp_path):
         raster = Raster(np.arange(12, dtype=np.float32).reshape(3, 4))
-        blob = bytearray(raster_to_bytes(raster))
+        blob = bytearray(_written(raster, tmp_path / "r.mrb"))
         loaded = raster_from_bytes(blob)
         assert not loaded.data.flags.writeable
         with pytest.raises(ValueError):
@@ -200,43 +208,43 @@ class TestMRB:
         with pytest.raises(FormatError, match="magic"):
             raster_from_bytes(bytes([0, 0, 0, 0]) + bytes(11))
 
-    def test_bad_kind_code(self):
-        blob = bytearray(raster_to_bytes(Raster(np.array([[7]], dtype=np.uint8))))
+    def test_bad_kind_code(self, tmp_path):
+        blob = bytearray(_written(Raster(np.array([[7]], dtype=np.uint8)), tmp_path / "r.mrb"))
         blob[5] = 9
         with pytest.raises(FormatError, match="sample_kind"):
             raster_from_bytes(bytes(blob))
 
-    def test_bad_version(self):
-        blob = bytearray(raster_to_bytes(Raster(np.array([[7]], dtype=np.uint8))))
+    def test_bad_version(self, tmp_path):
+        blob = bytearray(_written(Raster(np.array([[7]], dtype=np.uint8)), tmp_path / "r.mrb"))
         blob[4] = 2
         with pytest.raises(FormatError, match="version"):
             raster_from_bytes(bytes(blob))
 
-    def test_truncated_payload(self):
+    def test_truncated_payload(self, tmp_path):
         # valid header claiming 4x4 U8 with 10 payload bytes
-        good = raster_to_bytes(Raster(np.zeros((4, 4), dtype=np.uint8)))
+        good = _written(Raster(np.zeros((4, 4), dtype=np.uint8)), tmp_path / "r.mrb")
         with pytest.raises(TruncatedFileError, match="truncated"):
             raster_from_bytes(good[: 14 + 10])
 
-    def test_trailing_bytes_rejected(self):
-        good = raster_to_bytes(Raster(np.array([[7]], dtype=np.uint8)))
+    def test_trailing_bytes_rejected(self, tmp_path):
+        good = _written(Raster(np.array([[7]], dtype=np.uint8)), tmp_path / "r.mrb")
         with pytest.raises(FormatError, match="trailing"):
             raster_from_bytes(good + b"\x00")
 
-    def test_non_finite_f32_payload_is_format_error(self):
-        blob = bytearray(raster_to_bytes(Raster(np.zeros((2, 3), dtype=np.float32))))
+    def test_non_finite_f32_payload_is_format_error(self, tmp_path):
+        blob = bytearray(_written(Raster(np.zeros((2, 3), dtype=np.float32)), tmp_path / "r.mrb"))
         blob[-4:] = np.array([np.inf], dtype="<f4").tobytes()
         with pytest.raises(FormatError, match="non-finite"):
             raster_from_bytes(bytes(blob))
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.binary(max_size=64), _mrb_blobs()))
-    def test_fuzzed_bytes_raise_only_matrixgt_errors(self, blob):
+    def test_fuzzed_bytes_raise_only_matrixgt_errors(self, tmp_path_factory, blob):
         try:
             raster = raster_from_bytes(blob)
         except MatrixGTError:
             return
-        assert raster_to_bytes(raster) == blob
+        assert _written(raster, tmp_path_factory.getbasetemp() / "fuzzed.mrb") == blob
 
     def test_missing_file_propagates_with_path(self, tmp_path):
         with pytest.raises(OSError, match="nope.mrb"):

@@ -18,7 +18,7 @@ from oracles import brute_force_buffers, brute_force_depth, ray_cast_depth
 from matrixgt import cli
 from matrixgt import scene_sim as ss
 from matrixgt.errors import BehindCameraError, ConfigError, FormatError, MatrixGTError
-from matrixgt.raster_codec import Raster, encode_log_depth, linearize_depth, raster_to_bytes, write_raster
+from matrixgt.raster_codec import Raster, encode_log_depth, linearize_depth
 
 
 class TestCoarseBox:
@@ -567,14 +567,6 @@ class TestReusedFrameBuffers:
         for plane, want in zip(_planes(bundle), expected):
             assert plane.tobytes() == want.tobytes()
             assert not any(np.shares_memory(plane, buffer) for buffer in reused)
-
-    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.float32])
-    def test_write_raster_writes_raster_to_bytes(self, dtype, tmp_path):
-        buffer = (np.arange(35) * 37 % 251).astype(dtype).reshape(5, 7)
-        raster = Raster(buffer.view())
-        write_raster(raster, tmp_path / "r.mrb")
-        assert (tmp_path / "r.mrb").read_bytes() == raster_to_bytes(raster)
-        assert buffer.flags.writeable  # only the view was locked
 
     def test_non_finite_depth_is_rejected_before_it_is_written(self, tmp_path, monkeypatch):
         buffer = np.zeros((2, 3), dtype=np.float32)
