@@ -31,25 +31,21 @@ from .scene_sim import EngineRecord, ObjectClass, box_area, box_intersection_are
 FULLY_VISIBLE_FRACTION = 0.8
 PARTLY_VISIBLE_FRACTION = 0.5
 
+BAND_ITERATIONS = 2  # trimmed-mean passes of the depth-band filter
+MIN_COMPONENT_PX = 16  # smallest surviving annotation / orphan
+COARSE_BOX_MARGIN_PX = 2  # dilation when gathering candidate pixels
+
 
 @dataclass(frozen=True)
 class RefinementParams:
-    """Knobs of the depth-band refinement."""
+    """The depth-band refinement's one setting (``annotate --rho``); the pass
+    count, speck size and window margin are the module constants above."""
 
     rho: float = 0.10  # relative depth tolerance |z - mu| <= rho * mu
-    iterations: int = 2  # trimmed-mean passes
-    min_component_px: int = 16  # smallest surviving annotation / orphan
-    coarse_box_margin_px: int = 2  # dilation when gathering candidate pixels
 
     def __post_init__(self):
         if not (0.0 < self.rho < 1.0):
             raise ConfigError(f"rho must be in (0, 1), got {self.rho}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.min_component_px < 1:
-            raise ConfigError(f"min_component_px must be >= 1, got {self.min_component_px}")
-        if self.coarse_box_margin_px < 0:
-            raise ConfigError(f"coarse_box_margin_px must be >= 0, got {self.coarse_box_margin_px}")
 
 
 @dataclass
@@ -229,7 +225,7 @@ def refine_tight_box(
     if record.cls is not ObjectClass.VEHICLE:
         raise ValueError(f"refinement only applies to vehicle records, got {record.cls.label}")
     height, width = mask.shape
-    window = _pixel_window(record.coarse_box, params.coarse_box_margin_px, width, height)
+    window = _pixel_window(record.coarse_box, COARSE_BOX_MARGIN_PX, width, height)
     if window is None:
         return None
     x0, y0, x1, y1 = window
@@ -242,31 +238,31 @@ def refine_tight_box(
     # depth cluster instead of eroding it
     mu = float(z[candidates].mean())
     kept = candidates
-    for _ in range(params.iterations):
+    for _ in range(BAND_ITERATIONS):
         kept = candidates & (np.abs(z - mu) <= params.rho * mu)
         if not kept.any():
             return None
         mu = float(z[kept].mean())
     visible = int(kept.sum())
-    if visible < params.min_component_px:
+    if visible < MIN_COMPONENT_PX:
         return None
     ys, xs = np.nonzero(kept)
     annotation = record_annotation(record, pixel_hull(ys + y0, xs + x0), visible, (width, height))
     return annotation, window, kept
 
 
-def recover_orphans(residual: np.ndarray, params: RefinementParams = RefinementParams()) -> list[TightAnnotation]:
+def recover_orphans(residual: np.ndarray) -> list[TightAnnotation]:
     """Promote residual vehicle pixels, those no accepted annotation kept, to
     orphan annotations (rendered objects the engine never registered).
 
-    Connected components smaller than ``min_component_px`` are dropped as
+    Connected components smaller than ``MIN_COMPONENT_PX`` are dropped as
     specks.
     """
     width = residual.shape[1]
     return [
         orphan_annotation(pixel_hull(*np.divmod(pixels, width)), len(pixels))
         for pixels in connected_components(residual)
-        if len(pixels) >= params.min_component_px
+        if len(pixels) >= MIN_COMPONENT_PX
     ]
 
 
@@ -299,4 +295,4 @@ def annotate_frame(
             annotation, (x0, y0, x1, y1), kept = refined
             residual[y0:y1, x0:x1] &= ~kept
             accepted.append(annotation)
-    return accepted + recover_orphans(residual, params)
+    return accepted + recover_orphans(residual)

@@ -23,10 +23,11 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-# Only the stage modules that load numpy are imported lazily, inside the
-# commands and tasks that use them, so a stage starts up with only what it
-# needs; evaluator, dataset_stats and kitti_labels are pure Python.
-from . import dataset_stats, evaluator, kitti_labels
+# Each command imports the stage module it runs, inside the command or its
+# task, so a stage starts up with only what it needs. evaluator is imported
+# here because the parser reads its default IoU threshold, and it loads
+# kitti_labels anyway.
+from . import evaluator, kitti_labels
 from .errors import ConfigError, FormatError, ValidationError
 
 EXIT_OK = 0
@@ -191,6 +192,8 @@ def _parse_pair(value: str, what: str) -> tuple[int, int]:
 
 
 def cmd_stats(args) -> int:
+    from . import dataset_stats
+
     grid = _parse_pair(args.grid, "--grid")
     image = _parse_pair(args.image, "--image")
     dataset_stats.write_stats(args.labels, args.out, image_size=image, grid=grid)

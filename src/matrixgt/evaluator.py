@@ -42,29 +42,18 @@ class Outcome(enum.Enum):
 
 @dataclass(frozen=True)
 class Detection:
-    frame_id: str
     box: Box
     score: float
 
 
 @dataclass(frozen=True)
 class GroundTruth:
-    frame_id: str
     box: Box
     difficulty: Difficulty
     dontcare: bool = False
 
     def required(self, level: Difficulty) -> bool:
         return not self.dontcare and self.difficulty <= level
-
-
-@dataclass(frozen=True)
-class ScoredOutcome:
-    """One detection's fate, with the keys AP sorting needs."""
-
-    score: float
-    box: Box
-    outcome: Outcome
 
 
 @dataclass
@@ -98,10 +87,10 @@ def iou(a: Box, b: Box) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def _score_order(item: Detection | ScoredOutcome) -> tuple:
+def _score_order(det: Detection) -> tuple:
     """Descending score, ties by box left then top: the order detections are
     matched in and PR points are taken in."""
-    return (-item.score, item.box[0], item.box[1])
+    return (-det.score, det.box[0], det.box[1])
 
 
 def match_frame(
@@ -109,12 +98,9 @@ def match_frame(
     gts: Sequence[GroundTruth],
     iou_thr: float,
     level: Difficulty,
-) -> tuple[list[tuple[Detection, Outcome]], list[bool]]:
-    """Greedy single-match assignment for one frame.
-
-    Returns per-detection outcomes (in descending-score order) and per-GT
-    matched flags aligned with ``gts``.
-    """
+) -> list[tuple[Detection, Outcome]]:
+    """Greedy single-match assignment for one frame: each detection with its
+    outcome, in descending-score order."""
     matched = [False] * len(gts)
     outcomes = []
     for det in sorted(dets, key=_score_order):
@@ -141,22 +127,22 @@ def match_frame(
             outcomes.append((det, Outcome.IGNORED))
         else:
             outcomes.append((det, Outcome.FP))
-    return outcomes, matched
+    return outcomes
 
 
 def precision_recall_points(
-    outcomes: Sequence[ScoredOutcome], gt_count: int
+    outcomes: Sequence[tuple[Detection, Outcome]], gt_count: int
 ) -> list[tuple[float, float]]:
     """Cumulative (recall, precision) after each counted detection, in global
     descending-score order; ignored detections do not contribute points."""
     counted = sorted(
-        (o for o in outcomes if o.outcome is not Outcome.IGNORED),
-        key=_score_order,
+        ((d, o) for d, o in outcomes if o is not Outcome.IGNORED),
+        key=lambda pair: _score_order(pair[0]),
     )
     points = []
     tp = fp = 0
-    for o in counted:
-        if o.outcome is Outcome.TP:
+    for _, outcome in counted:
+        if outcome is Outcome.TP:
             tp += 1
         else:
             fp += 1
@@ -203,7 +189,7 @@ def _load_ground_truth(labels_by_frame) -> dict[str, list[GroundTruth]]:
                 difficulty = classify_difficulty(label)
             else:
                 difficulty = Difficulty.UNKNOWN
-            rows.append(GroundTruth(frame_id, box, difficulty, dontcare=label.type == DONTCARE_TYPE))
+            rows.append(GroundTruth(box, difficulty, dontcare=label.type == DONTCARE_TYPE))
         gts[frame_id] = rows
     return gts
 
@@ -212,7 +198,7 @@ def _load_detections(labels_by_frame) -> dict[str, list[Detection]]:
     dets: dict[str, list[Detection]] = {}
     for frame_id, labels in labels_by_frame.items():
         dets[frame_id] = [
-            Detection(frame_id, checked_bbox(frame_id, label), 1.0 if label.score is None else label.score)
+            Detection(checked_bbox(frame_id, label), 1.0 if label.score is None else label.score)
             for label in labels
             if label.type == CAR_TYPE
         ]
@@ -241,15 +227,14 @@ def evaluate(
 
     levels = {}
     for level in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
-        pooled: list[ScoredOutcome] = []
+        pooled: list[tuple[Detection, Outcome]] = []
         gt_count = 0
         for frame_id in sorted(ground_truth):
             gts = ground_truth[frame_id]
             gt_count += sum(1 for g in gts if g.required(level))
-            outcomes, _ = match_frame(detections[frame_id], gts, iou_thr, level)
-            pooled.extend(ScoredOutcome(d.score, d.box, o) for d, o in outcomes)
-        tp = sum(1 for o in pooled if o.outcome is Outcome.TP)
-        fp = sum(1 for o in pooled if o.outcome is Outcome.FP)
+            pooled.extend(match_frame(detections[frame_id], gts, iou_thr, level))
+        tp = sum(1 for _, o in pooled if o is Outcome.TP)
+        fp = sum(1 for _, o in pooled if o is Outcome.FP)
         points = precision_recall_points(pooled, gt_count)
         levels[level] = LevelResult(
             ap=average_precision(points, gt_count, method),

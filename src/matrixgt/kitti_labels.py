@@ -71,9 +71,9 @@ def checked_bbox(frame_id: str, label: KittiLabel) -> tuple[float, float, float,
     are undefined for it) or when its centroid, or twice its area (an IoU's
     union adds two areas), overflows a float."""
     left, top, right, bottom = label.bbox
-    if not (left < right and top < bottom):
-        raise ValidationError(f"frame {frame_id}: {label.type} box {label.bbox} has no area")
     area = (right - left) * (bottom - top)
+    if not (left < right and top < bottom and area > 0.0):
+        raise ValidationError(f"frame {frame_id}: {label.type} box {label.bbox} has no area")
     if not (math.isfinite(left + right) and math.isfinite(top + bottom) and math.isfinite(2.0 * area)):
         raise ValidationError(f"frame {frame_id}: {label.type} box {label.bbox} overflows its area or centroid")
     return label.bbox

@@ -140,8 +140,8 @@ class EngineRecord:
 
     def __post_init__(self):
         left, top, right, bottom = self.coarse_box
-        if not (left < right and top < bottom):
-            raise ValueError(f"coarse_box must be well-ordered, got {self.coarse_box}")
+        if not (left < right and top < bottom and box_area(self.coarse_box) > 0.0):
+            raise ValueError(f"coarse_box must be well-ordered with positive area, got {self.coarse_box}")
         if self.range_m <= 0:
             raise ValueError(f"range_m must be positive, got {self.range_m}")
 
@@ -345,6 +345,9 @@ def box_intersection_area(a, b) -> float:
 
 # --- triangle rasterization core -------------------------------------------
 
+Vertex = tuple[float, float, float]  # projected (x, y, 1/z): screen position, inverse camera depth
+Triangle = tuple[Vertex, Vertex, Vertex]
+
 
 def _edge_accepts(w: np.ndarray, ax: float, ay: float, bx: float, by: float) -> np.ndarray:
     """Half-plane test with the top-left tie rule for edge a->b of a
@@ -356,18 +359,17 @@ def _edge_accepts(w: np.ndarray, ax: float, ay: float, bx: float, by: float) -> 
     return w > 0.0
 
 
-def triangle_coverage_depth(
-    pts2d: np.ndarray, invz: np.ndarray, px: np.ndarray, py: np.ndarray
-):
+def triangle_coverage_depth(tri: Triangle, px: np.ndarray, py: np.ndarray):
     """Coverage and camera-space depth of one projected triangle at pixel centers.
 
-    ``pts2d`` is (3, 2) screen coordinates, ``invz`` the matching 1/z values,
-    ``px``/``py`` broadcastable float64 arrays of pixel-center coordinates.
-    Returns ``(covered, z)`` arrays, or None for degenerate (zero-area)
-    triangles. Either winding is accepted: the vertex order is normalized to
-    positive orientation first, so a triangle and its mirror-wound copy give
-    the same values. Depth comes from barycentric interpolation of 1/z, which
-    is exact for planar faces; ``z`` is meaningful only where ``covered``.
+    ``tri`` is three ``(x, y, 1/z)`` vertices: screen coordinates and the
+    inverse camera depth. ``px``/``py`` are broadcastable float64 arrays of
+    pixel-center coordinates. Returns ``(covered, z)`` arrays, or None for
+    degenerate (zero-area) triangles. Either winding is accepted: the vertex
+    order is normalized to positive orientation first, so a triangle and its
+    mirror-wound copy give the same values. Depth comes from barycentric
+    interpolation of 1/z, which is exact for planar faces; ``z`` is
+    meaningful only where ``covered``.
 
     This function is the single arithmetic path for rasterization: the
     renderer evaluates it per front-facing triangle over the triangle's
@@ -375,8 +377,7 @@ def triangle_coverage_depth(
     it for every triangle over the full image and take a minimum; both see
     bit-identical values per pixel.
     """
-    (x0, y0), (x1, y1), (x2, y2) = pts2d.tolist()
-    i0, i1, i2 = invz.tolist()
+    (x0, y0, i0), (x1, y1, i1), (x2, y2, i2) = tri
     area = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
     if area == 0.0:
         return None
@@ -404,24 +405,25 @@ def triangle_coverage_depth(
 
 def _object_triangles(
     obj: SceneObject, corners: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
+) -> list[tuple[Triangle, int, int]]:
     """The 12 triangles of one object, from its :func:`_project_corners`
     ``corners``, in enumeration order, as yielded by
     :func:`scene_screen_triangles`."""
     u, v, z = corners
-    pts = np.column_stack([u, v])
-    invz = 1.0 / z
-    return [(pts[idx], invz[idx], int(obj.cls), obj.object_id) for idx in map(list, _FACE_TRIANGLES)]
+    verts = list(zip(u.tolist(), v.tolist(), (1.0 / z).tolist()))
+    code = int(obj.cls)
+    return [((verts[a], verts[b], verts[c]), code, obj.object_id) for a, b, c in _FACE_TRIANGLES]
 
 
 def scene_screen_triangles(
     camera: CameraModel, scene: Iterable[SceneObject]
-) -> Iterator[tuple[np.ndarray, np.ndarray, int, int]]:
+) -> Iterator[tuple[Triangle, int, int]]:
     """Projected triangles of all renderable objects, in deterministic draw
     order (object_id ascending, fixed face/triangle enumeration).
 
-    Yields ``(pts2d (3, 2), invz (3,), class_code, object_id)``. Objects with
-    any corner at or behind the near plane are skipped and logged.
+    Yields ``(triangle, class_code, object_id)``, the triangle as three
+    ``(x, y, 1/z)`` vertices. Objects with any corner at or behind the near
+    plane are skipped and logged.
     """
     for obj in sorted(scene, key=lambda o: o.object_id):
         try:
@@ -436,8 +438,7 @@ def _rasterize_into(
     zbuf: np.ndarray,
     stencil: np.ndarray,
     instance: np.ndarray,
-    pts2d: np.ndarray,
-    invz: np.ndarray,
+    tri: Triangle,
     class_code: int,
     object_id: int,
 ) -> None:
@@ -453,7 +454,7 @@ def _rasterize_into(
     Pixels are evaluated over the triangle's bounding box clamped to the
     image; coverage itself is decided only by ``triangle_coverage_depth``.
     """
-    (ax, ay), (bx, by), (cx, cy) = pts2d.tolist()
+    (ax, ay, _), (bx, by, _), (cx, cy, _) = tri
     if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) >= 0.0:
         return
     height, width = zbuf.shape
@@ -466,7 +467,7 @@ def _rasterize_into(
         return
     px = np.arange(x0, x1 + 1, dtype=np.float64) + 0.5
     py = (np.arange(y0, y1 + 1, dtype=np.float64) + 0.5)[:, None]
-    result = triangle_coverage_depth(pts2d, invz, px, py)
+    result = triangle_coverage_depth(tri, px, py)
     if result is None:
         return
     covered, z = result

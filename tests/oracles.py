@@ -23,8 +23,8 @@ def brute_force_buffers(camera, scene):
     zmin = np.full((height, width), np.inf)
     codes = np.zeros((height, width), dtype=np.uint8)
     ids = np.zeros((height, width), dtype=np.uint16)
-    for pts2d, invz, code, oid in ss.scene_screen_triangles(camera, scene):
-        result = ss.triangle_coverage_depth(pts2d, invz, px, py)
+    for tri, code, oid in ss.scene_screen_triangles(camera, scene):
+        result = ss.triangle_coverage_depth(tri, px, py)
         if result is None:
             continue
         covered, z = result

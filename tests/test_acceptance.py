@@ -171,14 +171,12 @@ def test_criterion_5_evaluator_oracle_equivalence(e2e, tmp_path):
             pooled = []
             pooled_rows = []
             required = 0
-            for frame in range(rng.randint(1, 5)):
-                frame_id = f"{frame:06d}"
+            for _ in range(rng.randint(1, 5)):
                 gts = []
                 for _ in range(rng.randint(0, 6)):
                     left, top = rng.uniform(0, 80), rng.uniform(0, 80)
                     gts.append(
                         ev.GroundTruth(
-                            frame_id,
                             (left, top, left + rng.uniform(5, 30), top + rng.uniform(5, 30)),
                             Difficulty(rng.randint(0, 3)),
                             dontcare=rng.random() < 0.15,
@@ -193,9 +191,9 @@ def test_criterion_5_evaluator_oracle_equivalence(e2e, tmp_path):
                     else:
                         left, top = rng.uniform(0, 80), rng.uniform(0, 80)
                         box = (left, top, left + rng.uniform(5, 30), top + rng.uniform(5, 30))
-                    dets.append(ev.Detection(frame_id, box, round(rng.random(), 2)))
+                    dets.append(ev.Detection(box, round(rng.random(), 2)))
                 required += sum(1 for g in gts if g.required(level))
-                outcomes, _ = ev.match_frame(dets, gts, 0.7, level)
+                outcomes = ev.match_frame(dets, gts, 0.7, level)
                 reference = brute_match_frame(
                     [{"box": d.box, "score": d.score} for d in dets],
                     [{"box": g.box, "difficulty": int(g.difficulty), "dontcare": g.dontcare} for g in gts],
@@ -203,8 +201,8 @@ def test_criterion_5_evaluator_oracle_equivalence(e2e, tmp_path):
                     int(level),
                 )
                 assert [o.value for _, o in outcomes] == [o for _, o in reference]
+                pooled.extend(outcomes)
                 for d, o in outcomes:
-                    pooled.append(ev.ScoredOutcome(d.score, d.box, o))
                     if o is not ev.Outcome.IGNORED:
                         pooled_rows.append((d.score, d.box[0], d.box[1], o is ev.Outcome.TP))
             mine = ev.average_precision(ev.precision_recall_points(pooled, required), required, "11pt")

@@ -209,14 +209,15 @@ class TestRefineTightBox:
         depth = encoded_depth_raster(np.full((240, 320), 12.0), codec)
         assert an.refine_tight_box(record, mask, depth) is None
 
-    def test_survivor_below_min_component_rejected(self, codec):
+    def test_survivor_below_min_component_rejected(self, codec, monkeypatch):
         mask = np.zeros((20, 20), dtype=bool)
         mask[5:7, 5:7] = True  # 4 px
         depth = encoded_depth_raster(np.full((20, 20), 10.0), codec)
         record = ss.EngineRecord(1, ss.ObjectClass.VEHICLE, (3, 3, 10, 10), 10.0,
                                  (1.0, 1.0, 1.0), 0.0, (0.0, 0.0, 10.0))
-        assert an.refine_tight_box(record, mask, depth, an.RefinementParams(min_component_px=16)) is None
-        refined = an.refine_tight_box(record, mask, depth, an.RefinementParams(min_component_px=4))
+        assert an.refine_tight_box(record, mask, depth) is None  # 4 px < MIN_COMPONENT_PX
+        monkeypatch.setattr(an, "MIN_COMPONENT_PX", 4)
+        refined = an.refine_tight_box(record, mask, depth)
         assert refined is not None and refined[0].visible_px == 4
 
     def test_non_vehicle_record_rejected(self, codec):
@@ -239,16 +240,16 @@ class TestRefineTightBox:
         assert refined is not None
         assert refined[0].tight_box == (0.0, 0.0, 16.0, 10.0)
 
-    def test_rho_monotone_at_first_iteration(self, occlusion_scene):
+    def test_rho_monotone_at_first_iteration(self, occlusion_scene, monkeypatch):
+        monkeypatch.setattr(an, "BAND_ITERATIONS", 1)
+        monkeypatch.setattr(an, "MIN_COMPONENT_PX", 1)
         camera, scene = occlusion_scene
         bundle = ss.render_frame(camera, scene, 0, inflate_pct=0.10, emit_color=False)
         mask = an.vehicle_mask(bundle.stencil)
         record = [r for r in bundle.records if r.object_id == 3][0]
         previous = None
         for rho in (0.02, 0.05, 0.10, 0.20, 0.40):
-            refined = an.refine_tight_box(
-                record, mask, bundle.depth, an.RefinementParams(rho=rho, iterations=1, min_component_px=1)
-            )
+            refined = an.refine_tight_box(record, mask, bundle.depth, an.RefinementParams(rho=rho))
             kept = set()
             if refined is not None:
                 kept = window_pixels(*refined[1:])
@@ -260,7 +261,7 @@ class TestRefineTightBox:
         camera, scene = occlusion_scene
         bundle = ss.render_frame(camera, scene, 0, inflate_pct=0.10, emit_color=False)
         mask = an.vehicle_mask(bundle.stencil)
-        margin = an.RefinementParams().coarse_box_margin_px
+        margin = an.COARSE_BOX_MARGIN_PX
         for record in bundle.records:
             if record.cls is not ss.ObjectClass.VEHICLE:
                 continue
@@ -280,10 +281,6 @@ class TestRefineTightBox:
             an.RefinementParams(rho=0.0)
         with pytest.raises(ConfigError):
             an.RefinementParams(rho=1.5)
-        with pytest.raises(ConfigError):
-            an.RefinementParams(iterations=0)
-        with pytest.raises(ConfigError):
-            an.RefinementParams(min_component_px=0)
 
 
 class TestRecoverOrphans:
@@ -313,8 +310,8 @@ class TestRecoverOrphans:
 
     def test_speck_dropped(self):
         mask = np.zeros((20, 20), dtype=bool)
-        mask[3:4, 3:6] = True  # 3 px < min_component_px
-        assert an.recover_orphans(mask, an.RefinementParams(min_component_px=16)) == []
+        mask[3:4, 3:6] = True  # 3 px < MIN_COMPONENT_PX
+        assert an.recover_orphans(mask) == []
 
 
 class TestAnnotateFrame:
@@ -361,7 +358,7 @@ class TestAnnotateFrame:
                 refined.append(annotation)
         assert [a for a in annotations if a.source_id != 0] == refined
         # each orphan owns one whole component of the unclaimed pixels
-        orphans = [c for c in an.connected_components(mask & ~claimed) if len(c) >= params.min_component_px]
+        orphans = [c for c in an.connected_components(mask & ~claimed) if len(c) >= an.MIN_COMPONENT_PX]
         assert [(a.visible_px, a.tight_box) for a in annotations if a.source_id == 0] == [
             (len(c), hull(c, mask.shape[1])) for c in orphans
         ]
@@ -370,7 +367,7 @@ class TestAnnotateFrame:
         specks = mask & ~claimed
         # leftover pixels must all sit in dropped specks
         for comp in an.connected_components(specks):
-            assert len(comp) < params.min_component_px
+            assert len(comp) < an.MIN_COMPONENT_PX
 
     def test_deterministic_order_and_output(self, occlusion_scene):
         camera, scene = occlusion_scene

@@ -307,13 +307,13 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert "generate" in result.stdout
 
-    @pytest.mark.parametrize("stage, module", [
-        ("evaluate", "matrixgt.evaluator"),
-        ("stats", "matrixgt.dataset_stats"),
+    @pytest.mark.parametrize("stage, module, unused", [
+        ("evaluate", "matrixgt.evaluator", ["matrixgt.dataset_stats"]),
+        ("stats", "matrixgt.dataset_stats", []),
     ], ids=["evaluate", "stats"])
-    def test_pure_python_stage_leaves_numpy_unloaded(self, stage, module, tmp_path):
-        """evaluate and stats import only the pure-Python stage modules;
-        -X importtime lists every module the child process imports."""
+    def test_pure_python_stage_leaves_numpy_unloaded(self, stage, module, unused, tmp_path):
+        """evaluate and stats import only the pure-Python stage module they
+        run; -X importtime lists every module the child process imports."""
         argv = {"evaluate": _evaluate_argv, "stats": _stats_argv}[stage](tmp_path)
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         result = subprocess.run(
@@ -324,6 +324,7 @@ class TestEntryPoint:
         imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
                     if line.startswith("import time:")]
         assert module in imported
+        assert not [name for name in unused if name in imported]
         assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
     def test_oracle_frame_labels_resolves_through_cli(self):
@@ -423,6 +424,8 @@ def _oracle_argv_wrong_manifest_size(root):
 ZERO_AREA_CAR_LINE = CAR_LINE.replace("50.00 60.00", "10.00 60.00")
 # finite coordinates whose centroid (left + right) and area overflow a float
 OVERFLOW_CAR_LINE = CAR_LINE.replace("10.00 10.00 50.00 60.00", "1e308 10.00 1.7e308 60.00")
+# a well-ordered box whose area underflows to 0.0
+UNDERFLOW_CAR_LINE = CAR_LINE.replace("10.00 10.00 50.00 60.00", "0 0 1e-200 1e-200")
 
 
 def _corrupted_dataset_argv(command, corrupt):
@@ -478,6 +481,15 @@ def _meta_field(index, value):
     return corrupt
 
 
+def _meta_vehicle_box_area_underflows(paths):
+    # the second record of frame 0 is a visible vehicle; its box becomes
+    # well-ordered with an area that underflows to 0.0
+    first, second, *rest = paths["meta"].read_text().splitlines(keepends=True)
+    parts = second.split()
+    parts[2:6] = ["0", "0", "1e-200", "1e-200"]
+    paths["meta"].write_text(first + " ".join(parts) + "\n" + "".join(rest))
+
+
 def _meta_not_utf8(paths):
     paths["meta"].write_bytes(b"\xff\xfe" + paths["meta"].read_bytes())
 
@@ -531,6 +543,9 @@ BAD_INPUTS = {
         {}, lambda root: _evaluate_argv(root, det_line=OVERFLOW_CAR_LINE, gt_line=OVERFLOW_CAR_LINE), 4
     ),
     "stats-car-box-overflows": ({}, lambda root: _stats_argv(root, line=OVERFLOW_CAR_LINE), 4),
+    "evaluate-det-car-box-area-underflows": ({}, lambda root: _evaluate_argv(root, det_line=UNDERFLOW_CAR_LINE), 4),
+    "evaluate-gt-car-box-area-underflows": ({}, lambda root: _evaluate_argv(root, gt_line=UNDERFLOW_CAR_LINE), 4),
+    "stats-car-box-area-underflows": ({}, lambda root: _stats_argv(root, line=UNDERFLOW_CAR_LINE), 4),
     "placement-region-crosses-near-plane": (
         {},
         lambda root: _generate_argv(
@@ -560,6 +575,12 @@ BAD_INPUTS = {
     "annotate-meta-inf-height": ({}, _corrupted_dataset_argv("annotate", _meta_field(7, "inf")), 2),
     "oracle-meta-inf-height": ({}, _corrupted_dataset_argv("oracle-labels", _meta_field(7, "inf")), 2),
     "annotate-meta-not-utf8": ({}, _corrupted_dataset_argv("annotate", _meta_not_utf8), 2),
+    "annotate-meta-box-area-underflows": (
+        {}, _corrupted_dataset_argv("annotate", _meta_vehicle_box_area_underflows), 2
+    ),
+    "oracle-meta-box-area-underflows": (
+        {}, _corrupted_dataset_argv("oracle-labels", _meta_vehicle_box_area_underflows), 2
+    ),
     # text inputs that are not UTF-8
     "generate-scenario-not-utf8": ({}, _scenario_not_utf8_argv, 2),
     "annotate-manifest-not-utf8": ({}, _corrupted_dataset_argv("annotate", _manifest_not_utf8), 2),

@@ -14,12 +14,12 @@ from matrixgt.errors import ValidationError
 from matrixgt.kitti_labels import Difficulty
 
 
-def det(box, score=1.0, frame="000000"):
-    return ev.Detection(frame_id=frame, box=box, score=score)
+def det(box, score=1.0):
+    return ev.Detection(box=box, score=score)
 
 
-def gt(box, difficulty=Difficulty.EASY, dontcare=False, frame="000000"):
-    return ev.GroundTruth(frame_id=frame, box=box, difficulty=difficulty, dontcare=dontcare)
+def gt(box, difficulty=Difficulty.EASY, dontcare=False):
+    return ev.GroundTruth(box=box, difficulty=difficulty, dontcare=dontcare)
 
 
 def ap(outcomes, gt_count, method="11pt"):
@@ -61,49 +61,47 @@ class TestIoU:
 
 class TestMatchFrame:
     def test_single_tp(self):
-        outcomes, matched = ev.match_frame([det((0, 0, 10, 10))], [gt((1, 0, 11, 10))], 0.7, Difficulty.EASY)
+        outcomes = ev.match_frame([det((0, 0, 10, 10))], [gt((1, 0, 11, 10))], 0.7, Difficulty.EASY)
         assert outcomes[0][1] is ev.Outcome.TP
-        assert matched == [True]
 
     def test_second_detection_is_fp(self):
         dets = [det((0, 0, 10, 10), score=0.9), det((0.5, 0, 10.5, 10), score=0.8)]
-        outcomes, _ = ev.match_frame(dets, [gt((0, 0, 10, 10))], 0.7, Difficulty.EASY)
+        outcomes = ev.match_frame(dets, [gt((0, 0, 10, 10))], 0.7, Difficulty.EASY)
         assert [o for _, o in outcomes] == [ev.Outcome.TP, ev.Outcome.FP]
 
     def test_harder_gt_ignored_at_easy(self):
-        outcomes, matched = ev.match_frame(
+        outcomes = ev.match_frame(
             [det((0, 0, 10, 10))], [gt((0, 0, 10, 10), difficulty=Difficulty.HARD)], 0.7, Difficulty.EASY
         )
         assert outcomes[0][1] is ev.Outcome.IGNORED
-        assert matched == [True]
 
     def test_dontcare_ignored_everywhere(self):
         for level in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
-            outcomes, _ = ev.match_frame(
-                [det((0, 0, 10, 10))], [gt((0, 0, 10, 10), dontcare=True)], 0.7, level
-            )
+            outcomes = ev.match_frame([det((0, 0, 10, 10))], [gt((0, 0, 10, 10), dontcare=True)], 0.7, level)
             assert outcomes[0][1] is ev.Outcome.IGNORED
 
     def test_prefers_required_over_ignore(self):
         gts = [gt((0, 0, 10, 10), dontcare=True), gt((0.5, 0, 10.5, 10))]
-        outcomes, matched = ev.match_frame([det((0, 0, 10, 10))], gts, 0.7, Difficulty.EASY)
-        assert outcomes[0][1] is ev.Outcome.TP
-        assert matched == [False, True]
+        # the top detection overlaps the DontCare box best but takes the
+        # required one, which leaves the DontCare box to the second detection
+        dets = [det((0, 0, 10, 10), score=0.9), det((0, 0, 10, 10), score=0.5)]
+        outcomes = ev.match_frame(dets, gts, 0.7, Difficulty.EASY)
+        assert [o for _, o in outcomes] == [ev.Outcome.TP, ev.Outcome.IGNORED]
 
     def test_low_iou_is_fp(self):
-        outcomes, _ = ev.match_frame([det((0, 0, 10, 10))], [gt((8, 0, 18, 10))], 0.7, Difficulty.EASY)
+        outcomes = ev.match_frame([det((0, 0, 10, 10))], [gt((8, 0, 18, 10))], 0.7, Difficulty.EASY)
         assert outcomes[0][1] is ev.Outcome.FP
 
     def test_score_order_drives_matching(self):
         dets = [det((0.5, 0, 10.5, 10), score=0.5), det((0, 0, 10, 10), score=0.9)]
-        outcomes, _ = ev.match_frame(dets, [gt((0, 0, 10, 10))], 0.7, Difficulty.EASY)
+        outcomes = ev.match_frame(dets, [gt((0, 0, 10, 10))], 0.7, Difficulty.EASY)
         assert outcomes[0][0].score == 0.9 and outcomes[0][1] is ev.Outcome.TP
         assert outcomes[1][1] is ev.Outcome.FP
 
 
 class TestAveragePrecision:
     def test_single_tp(self):
-        outcomes = [ev.ScoredOutcome(1.0, (0, 0, 10, 10), ev.Outcome.TP)]
+        outcomes = [(det((0, 0, 10, 10), 1.0), ev.Outcome.TP)]
         assert ap(outcomes, 1) == 1.0
 
     def test_zero_detections(self):
@@ -114,16 +112,16 @@ class TestAveragePrecision:
 
     def test_tp_then_fp_is_perfect_11pt(self):
         outcomes = [
-            ev.ScoredOutcome(0.9, (0, 0, 10, 10), ev.Outcome.TP),
-            ev.ScoredOutcome(0.8, (20, 0, 30, 10), ev.Outcome.FP),
+            (det((0, 0, 10, 10), 0.9), ev.Outcome.TP),
+            (det((20, 0, 30, 10), 0.8), ev.Outcome.FP),
         ]
         assert ap(outcomes, 1, method="11pt") == 1.0
         assert ap(outcomes, 1, method="all") == 1.0
 
     def test_fp_then_tp(self):
         outcomes = [
-            ev.ScoredOutcome(0.9, (20, 0, 30, 10), ev.Outcome.FP),
-            ev.ScoredOutcome(0.8, (0, 0, 10, 10), ev.Outcome.TP),
+            (det((20, 0, 30, 10), 0.9), ev.Outcome.FP),
+            (det((0, 0, 10, 10), 0.8), ev.Outcome.TP),
         ]
         # PR points: (0, 0.0), (1.0, 0.5) -> every recall level sees max 0.5
         assert ap(outcomes, 1, method="11pt") == pytest.approx(0.5)
@@ -131,8 +129,8 @@ class TestAveragePrecision:
 
     def test_ignored_outcomes_excluded(self):
         outcomes = [
-            ev.ScoredOutcome(0.95, (50, 0, 60, 10), ev.Outcome.IGNORED),
-            ev.ScoredOutcome(0.9, (0, 0, 10, 10), ev.Outcome.TP),
+            (det((50, 0, 60, 10), 0.95), ev.Outcome.IGNORED),
+            (det((0, 0, 10, 10), 0.9), ev.Outcome.TP),
         ]
         assert ap(outcomes, 1) == 1.0
 
@@ -141,10 +139,10 @@ class TestAveragePrecision:
         outcomes = []
         for k in range(30):
             kind = ev.Outcome.TP if random.random() < 0.6 else ev.Outcome.FP
-            outcomes.append(ev.ScoredOutcome(random.random(), (k, 0, k + 10, 10), kind))
-        n_required = sum(1 for o in outcomes if o.outcome is ev.Outcome.TP) + 3
+            outcomes.append((det((k, 0, k + 10, 10), random.random()), kind))
+        n_required = sum(1 for _, o in outcomes if o is ev.Outcome.TP) + 3
         base = ap(outcomes, n_required)
-        squashed = [ev.ScoredOutcome(o.score**3 + 1.0, o.box, o.outcome) for o in outcomes]
+        squashed = [(det(d.box, d.score**3 + 1.0), o) for d, o in outcomes]
         assert ap(squashed, n_required) == pytest.approx(base, abs=1e-12)
 
     def test_unknown_method(self):
@@ -155,8 +153,8 @@ class TestAveragePrecision:
         gts = [gt((0, 0, 10, 10)), gt((30, 0, 40, 10))]
         base_dets = [det((0, 0, 10, 10), score=0.9)]
         extra = det((30, 0, 40, 10), score=0.5)  # sorts after every base det
-        base_outcomes, _ = ev.match_frame(base_dets, gts, 0.7, Difficulty.EASY)
-        more_outcomes, _ = ev.match_frame(base_dets + [extra], gts, 0.7, Difficulty.EASY)
+        base_outcomes = ev.match_frame(base_dets, gts, 0.7, Difficulty.EASY)
+        more_outcomes = ev.match_frame(base_dets + [extra], gts, 0.7, Difficulty.EASY)
         # the shared prefix keeps its outcomes; gt count is unaffected by dets
         assert more_outcomes[: len(base_outcomes)] == base_outcomes
         assert sum(1 for g in gts if g.required(Difficulty.EASY)) == 2
@@ -172,9 +170,7 @@ class TestAveragePrecision:
                 score = round(rng.random(), 2)  # deliberate ties
                 box = (rng.uniform(0, 50), rng.uniform(0, 50), 60.0 + k, 60.0 + k)
                 rows.append((score, box[0], box[1], is_tp))
-                outcomes.append(
-                    ev.ScoredOutcome(score, box, ev.Outcome.TP if is_tp else ev.Outcome.FP)
-                )
+                outcomes.append((det(box, score), ev.Outcome.TP if is_tp else ev.Outcome.FP))
             expected = brute_ap_11pt(rows, n_gt)
             assert ap(outcomes, n_gt) == pytest.approx(expected, abs=1e-12)
 
@@ -183,8 +179,8 @@ class TestAveragePrecision:
         for _ in range(300):
             n_gt = rng.randint(1, 40)
             outcomes = [
-                ev.ScoredOutcome(round(rng.random(), 1), (k, 0, k + 10, 10),
-                                 ev.Outcome.TP if rng.random() < 0.4 else ev.Outcome.FP)
+                (det((k, 0, k + 10, 10), round(rng.random(), 1)),
+                 ev.Outcome.TP if rng.random() < 0.4 else ev.Outcome.FP)
                 for k in range(rng.randint(0, 60))
             ]
             # FPs repeat the previous recall, so every curve with one has ties
@@ -218,7 +214,7 @@ class TestMatchAgainstBruteForce:
                     left, top = rng.uniform(0, 80), rng.uniform(0, 80)
                     box = (left, top, left + rng.uniform(5, 30), top + rng.uniform(5, 30))
                 dets.append(det(box, score=round(rng.random(), 2)))
-            outcomes, _ = ev.match_frame(dets, gts, 0.7, level)
+            outcomes = ev.match_frame(dets, gts, 0.7, level)
             reference = brute_match_frame(
                 [{"box": d.box, "score": d.score} for d in dets],
                 [{"box": g.box, "difficulty": int(g.difficulty), "dontcare": g.dontcare} for g in gts],

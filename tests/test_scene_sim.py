@@ -258,12 +258,11 @@ class TestTopLeftRule:
         # two triangles sharing a diagonal cover every pixel exactly once
         px = np.arange(16, dtype=np.float64) + 0.5
         py = (np.arange(16, dtype=np.float64) + 0.5)[:, None]
-        quad = [(2.0, 2.0), (13.0, 2.0), (13.0, 13.0), (2.0, 13.0)]
-        invz = np.array([0.1, 0.1, 0.1])
-        tri_a = np.array([quad[0], quad[1], quad[2]])
-        tri_b = np.array([quad[0], quad[2], quad[3]])
-        cov_a, _ = ss.triangle_coverage_depth(tri_a, invz, px, py)
-        cov_b, _ = ss.triangle_coverage_depth(tri_b, invz, px, py)
+        quad = [(2.0, 2.0, 0.1), (13.0, 2.0, 0.1), (13.0, 13.0, 0.1), (2.0, 13.0, 0.1)]
+        tri_a = (quad[0], quad[1], quad[2])
+        tri_b = (quad[0], quad[2], quad[3])
+        cov_a, _ = ss.triangle_coverage_depth(tri_a, px, py)
+        cov_b, _ = ss.triangle_coverage_depth(tri_b, px, py)
         assert not (cov_a & cov_b).any()
         # pixel centers on the shared diagonal land in exactly one triangle
         diag = np.eye(16, dtype=bool)[4:12, 4:12]
@@ -273,19 +272,18 @@ class TestTopLeftRule:
     def test_horizontal_shared_edge(self):
         px = np.arange(12, dtype=np.float64) + 0.5
         py = (np.arange(12, dtype=np.float64) + 0.5)[:, None]
-        invz = np.array([0.1, 0.1, 0.1])
-        upper = np.array([(1.0, 1.0), (10.0, 1.0), (5.0, 6.5)])
-        lower = np.array([(1.0, 11.0), (10.0, 11.0), (5.0, 6.5)])
+        upper = ((1.0, 1.0, 0.1), (10.0, 1.0, 0.1), (5.0, 6.5, 0.1))
+        lower = ((1.0, 11.0, 0.1), (10.0, 11.0, 0.1), (5.0, 6.5, 0.1))
         # edge y = 6.5 passes exactly through pixel centers of row 6
-        cov_u, _ = ss.triangle_coverage_depth(upper, invz, px, py)
-        cov_l, _ = ss.triangle_coverage_depth(lower, invz, px, py)
+        cov_u, _ = ss.triangle_coverage_depth(upper, px, py)
+        cov_l, _ = ss.triangle_coverage_depth(lower, px, py)
         assert not (cov_u & cov_l).any()
 
     def test_degenerate_triangle_skipped(self):
         px = np.arange(4, dtype=np.float64) + 0.5
         py = (np.arange(4, dtype=np.float64) + 0.5)[:, None]
-        tri = np.array([(0.0, 0.0), (2.0, 2.0), (1.0, 1.0)])
-        assert ss.triangle_coverage_depth(tri, np.array([0.1, 0.1, 0.1]), px, py) is None
+        tri = ((0.0, 0.0, 0.1), (2.0, 2.0, 0.1), (1.0, 1.0, 0.1))
+        assert ss.triangle_coverage_depth(tri, px, py) is None
 
 
 _WIN_W, _WIN_H = 64, 48
@@ -294,7 +292,7 @@ _WIN_W, _WIN_H = 64, 48
 def _random_triangles(seed, count):
     """Seeded triangles from four families: vertices up to 1e5 px off-screen,
     vertices on or near the image, slivers, and small triangles straddling
-    the image border. Yields ``(pts (3, 2), invz (3,))``."""
+    the image border. Yields triangles of three ``(x, y, 1/z)`` vertices."""
     rng = np.random.default_rng(seed)
     for k in range(count):
         family = k % 4
@@ -313,14 +311,20 @@ def _random_triangles(seed, count):
             axis = rng.integers(2)
             anchor[axis] = rng.choice([0.0, size[axis]])
             pts = anchor + rng.uniform(-3.0, 3.0, size=(3, 2))
-        yield pts, rng.uniform(1.0 / 600.0, 1.0 / 0.15, size=3)
+        invz = rng.uniform(1.0 / 600.0, 1.0 / 0.15, size=3)
+        yield tuple(zip(*pts.T.tolist(), invz.tolist()))
 
 
-def _front_facing(pts):
+def _mirrored(tri):
+    a, b, c = tri
+    return a, c, b
+
+
+def _front_facing(tri):
     """The triangle wound so its screen signed area is negative (y-down),
     the orientation the renderer keeps."""
-    (x0, y0), (x1, y1), (x2, y2) = pts.tolist()
-    return pts[[0, 2, 1]] if (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) > 0.0 else pts
+    (x0, y0, _), (x1, y1, _), (x2, y2, _) = tri
+    return _mirrored(tri) if (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) > 0.0 else tri
 
 
 def _blank_buffers():
@@ -331,17 +335,17 @@ def _blank_buffers():
     )
 
 
-def _rasterized(pts, invz):
+def _rasterized(tri):
     buffers = _blank_buffers()
-    ss._rasterize_into(*buffers, pts, invz, 2, 7)
+    ss._rasterize_into(*buffers, tri, 2, 7)
     return buffers
 
 
-def _full_image_reference(pts, invz):
+def _full_image_reference(tri):
     zbuf, stencil, instance = _blank_buffers()
     px = np.arange(_WIN_W, dtype=np.float64) + 0.5
     py = (np.arange(_WIN_H, dtype=np.float64) + 0.5)[:, None]
-    result = ss.triangle_coverage_depth(pts, invz, px, py)
+    result = ss.triangle_coverage_depth(tri, px, py)
     if result is not None:
         covered, z = result
         hit = covered & (z < zbuf)
@@ -362,20 +366,20 @@ def _assert_equals_cull_free_reference(camera, scene, bundle):
 class TestRasterizeInto:
     def test_clipped_window_matches_full_image_evaluation(self):
         drawn = 0
-        for pts, invz in _random_triangles(seed=11, count=4000):
-            pts = _front_facing(pts)
-            got = _rasterized(pts, invz)
-            want = _full_image_reference(pts, invz)
+        for tri in _random_triangles(seed=11, count=4000):
+            tri = _front_facing(tri)
+            got = _rasterized(tri)
+            want = _full_image_reference(tri)
             for got_plane, want_plane in zip(got, want):
-                assert got_plane.tobytes() == want_plane.tobytes(), pts.tolist()
+                assert got_plane.tobytes() == want_plane.tobytes(), tri
             drawn += bool(want[2].any())
         assert drawn > 1500  # most cases cover pixels
 
     def test_back_faces_draw_nothing(self):
-        for pts, invz in _random_triangles(seed=12, count=400):
-            back = _front_facing(pts)[[0, 2, 1]]
-            for got_plane, blank_plane in zip(_rasterized(back, invz), _blank_buffers()):
-                assert got_plane.tobytes() == blank_plane.tobytes(), back.tolist()
+        for tri in _random_triangles(seed=12, count=400):
+            back = _mirrored(_front_facing(tri))
+            for got_plane, blank_plane in zip(_rasterized(back), _blank_buffers()):
+                assert got_plane.tobytes() == blank_plane.tobytes(), back
 
     def test_interpenetrating_yawed_cuboids_match_cull_free_reference(self, small_camera):
         scene = [
