@@ -30,6 +30,7 @@ from .errors import ConfigError, ValidationError
 from .kitti_labels import CAR_TYPE, DONTCARE_TYPE, Difficulty, checked_bbox, classify_difficulty, read_label_dir
 
 DEFAULT_IOU_THRESHOLD = 0.7
+LEVELS = (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD)
 
 Box = tuple[float, float, float, float]
 
@@ -97,24 +98,47 @@ def match_frame(
     dets: Sequence[Detection],
     gts: Sequence[GroundTruth],
     iou_thr: float,
-    level: Difficulty,
+) -> dict[Difficulty, list[tuple[Detection, Outcome]]]:
+    """Greedy single-match assignment for one frame at every level: each
+    detection with its outcome, in descending-score order.
+
+    The overlaps are computed once and shared by the levels. A pair whose
+    boxes are disjoint on either axis has IoU 0.0, which no threshold in
+    (0, 1] accepts, so :func:`iou` runs only for pairs that overlap on both."""
+    ordered = sorted(dets, key=_score_order)
+    boxes = [g.box for g in gts]
+    candidates = []  # per detection: (gt index, IoU) at or above the threshold, index ascending
+    for det in ordered:
+        box = det.box
+        left, top, right, bottom = box
+        row = []
+        for j, other in enumerate(boxes):
+            if other[0] < right and left < other[2] and other[1] < bottom and top < other[3]:
+                overlap = iou(box, other)
+                if overlap >= iou_thr:
+                    row.append((j, overlap))
+        candidates.append(row)
+    return {
+        level: _greedy_outcomes(ordered, candidates, [g.required(level) for g in gts]) for level in LEVELS
+    }
+
+
+def _greedy_outcomes(
+    ordered: Sequence[Detection], candidates: Sequence[list[tuple[int, float]]], required: Sequence[bool]
 ) -> list[tuple[Detection, Outcome]]:
-    """Greedy single-match assignment for one frame: each detection with its
-    outcome, in descending-score order."""
-    matched = [False] * len(gts)
+    """One level's greedy pass: each detection takes the unmatched box of
+    highest IoU, required before ignore, the lowest index on ties."""
+    matched = [False] * len(required)
     outcomes = []
-    for det in sorted(dets, key=_score_order):
+    for det, row in zip(ordered, candidates):
         best_required = -1
         best_required_iou = 0.0
         best_ignore = -1
         best_ignore_iou = 0.0
-        for j, gt in enumerate(gts):
+        for j, overlap in row:
             if matched[j]:
                 continue
-            overlap = iou(det.box, gt.box)
-            if overlap < iou_thr:
-                continue
-            if gt.required(level):
+            if required[j]:
                 if overlap > best_required_iou:
                     best_required, best_required_iou = j, overlap
             elif overlap > best_ignore_iou:
@@ -225,17 +249,20 @@ def evaluate(
     detections = _load_detections(det_labels)
     ground_truth = _load_ground_truth(gt_labels)
 
+    pooled: dict[Difficulty, list[tuple[Detection, Outcome]]] = {level: [] for level in LEVELS}
+    gt_counts = dict.fromkeys(LEVELS, 0)
+    for frame_id in sorted(ground_truth):
+        gts = ground_truth[frame_id]
+        for level, outcomes in match_frame(detections[frame_id], gts, iou_thr).items():
+            pooled[level].extend(outcomes)
+            gt_counts[level] += sum(1 for g in gts if g.required(level))
+
     levels = {}
-    for level in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
-        pooled: list[tuple[Detection, Outcome]] = []
-        gt_count = 0
-        for frame_id in sorted(ground_truth):
-            gts = ground_truth[frame_id]
-            gt_count += sum(1 for g in gts if g.required(level))
-            pooled.extend(match_frame(detections[frame_id], gts, iou_thr, level))
-        tp = sum(1 for _, o in pooled if o is Outcome.TP)
-        fp = sum(1 for _, o in pooled if o is Outcome.FP)
-        points = precision_recall_points(pooled, gt_count)
+    for level, outcomes in pooled.items():
+        gt_count = gt_counts[level]
+        tp = sum(1 for _, o in outcomes if o is Outcome.TP)
+        fp = sum(1 for _, o in outcomes if o is Outcome.FP)
+        points = precision_recall_points(outcomes, gt_count)
         levels[level] = LevelResult(
             ap=average_precision(points, gt_count, method),
             tp=tp,

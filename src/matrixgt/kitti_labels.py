@@ -162,19 +162,18 @@ def labels_to_text(labels: Sequence[KittiLabel]) -> str:
 def parse_labels_text(text: str, origin: str = "labels") -> list[KittiLabel]:
     labels = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) not in (15, 16):
             raise FormatError(f"{origin} line {lineno}: expected 15 or 16 fields, got {len(parts)}")
         try:
             truncated = float(parts[1])
             occluded = int(parts[2])
-            nums = [float(p) for p in parts[3:]]
+            nums = list(map(float, parts[3:]))
         except ValueError as exc:
             raise FormatError(f"{origin} line {lineno}: {exc}") from None
-        if not all(math.isfinite(v) for v in (truncated, *nums)):
+        if not (math.isfinite(truncated) and all(map(math.isfinite, nums))):
             raise FormatError(f"{origin} line {lineno}: non-finite number")
         labels.append(
             KittiLabel(

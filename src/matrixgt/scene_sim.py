@@ -59,6 +59,9 @@ from .rng import Xorshift64Star, mix64
 log = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
+# frame files are named by a six-digit index, and generate lists every frame
+# before it writes one
+MAX_FRAMES = 1_000_000
 
 GROUND_OBJECT_ID = 1
 GROUND_THICKNESS_M = 0.02
@@ -202,8 +205,8 @@ class ScenarioConfig:
             # NaN passes every range comparison below, so it is caught first
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{field.name} must be finite, got {value}")
-        if self.frames < 1:
-            raise ConfigError(f"frames must be >= 1, got {self.frames}")
+        if not (1 <= self.frames <= MAX_FRAMES):
+            raise ConfigError(f"frames must be in [1, {MAX_FRAMES}], got {self.frames}")
         for name in ("vehicle_count", "distractor_count"):
             lo, hi = getattr(self, name + "_min"), getattr(self, name + "_max")
             if lo < 0 or hi < lo:

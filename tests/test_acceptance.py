@@ -167,10 +167,9 @@ def test_criterion_5_evaluator_oracle_equivalence(e2e, tmp_path):
         rng = random.Random(555)
         worst = 0.0
         for _ in range(500):
-            level = Difficulty(rng.randint(0, 2))
-            pooled = []
-            pooled_rows = []
-            required = 0
+            pooled = {level: [] for level in ev.LEVELS}
+            pooled_rows = {level: [] for level in ev.LEVELS}
+            required = dict.fromkeys(ev.LEVELS, 0)
             for _ in range(rng.randint(1, 5)):
                 gts = []
                 for _ in range(rng.randint(0, 6)):
@@ -192,33 +191,35 @@ def test_criterion_5_evaluator_oracle_equivalence(e2e, tmp_path):
                         left, top = rng.uniform(0, 80), rng.uniform(0, 80)
                         box = (left, top, left + rng.uniform(5, 30), top + rng.uniform(5, 30))
                     dets.append(ev.Detection(box, round(rng.random(), 2)))
-                required += sum(1 for g in gts if g.required(level))
-                outcomes = ev.match_frame(dets, gts, 0.7, level)
-                reference = brute_match_frame(
-                    [{"box": d.box, "score": d.score} for d in dets],
-                    [{"box": g.box, "difficulty": int(g.difficulty), "dontcare": g.dontcare} for g in gts],
-                    0.7,
-                    int(level),
-                )
-                assert [o.value for _, o in outcomes] == [o for _, o in reference]
-                pooled.extend(outcomes)
-                for d, o in outcomes:
-                    if o is not ev.Outcome.IGNORED:
-                        pooled_rows.append((d.score, d.box[0], d.box[1], o is ev.Outcome.TP))
-            mine = ev.average_precision(ev.precision_recall_points(pooled, required), required, "11pt")
-            reference_ap = brute_ap_11pt(pooled_rows, required)
-            if required == 0:
-                assert mine is None and reference_ap is None
-            else:
-                gap = abs(mine - reference_ap)
-                worst = max(worst, gap)
-                assert gap <= 1e-9, f"AP disagreement {gap}"
+                for level, outcomes in ev.match_frame(dets, gts, 0.7).items():
+                    required[level] += sum(1 for g in gts if g.required(level))
+                    reference = brute_match_frame(
+                        [{"box": d.box, "score": d.score} for d in dets],
+                        [{"box": g.box, "difficulty": int(g.difficulty), "dontcare": g.dontcare} for g in gts],
+                        0.7,
+                        int(level),
+                    )
+                    assert [o.value for _, o in outcomes] == [o for _, o in reference]
+                    pooled[level].extend(outcomes)
+                    for d, o in outcomes:
+                        if o is not ev.Outcome.IGNORED:
+                            pooled_rows[level].append((d.score, d.box[0], d.box[1], o is ev.Outcome.TP))
+            for level in ev.LEVELS:
+                n = required[level]
+                mine = ev.average_precision(ev.precision_recall_points(pooled[level], n), n, "11pt")
+                reference_ap = brute_ap_11pt(pooled_rows[level], n)
+                if n == 0:
+                    assert mine is None and reference_ap is None
+                else:
+                    gap = abs(mine - reference_ap)
+                    worst = max(worst, gap)
+                    assert gap <= 1e-9, f"AP disagreement {gap}"
         # exact self-evaluation on the real pipeline labels
         report = ev.evaluate(e2e["det"], e2e["det"], iou_thr=0.7)
         for level, result in report.levels.items():
             if result.gt_count:
                 assert result.ap == 1.0, f"self-eval {level.label}: {result.ap}"
-        return f"(500 instances, worst AP gap {worst:.1e}, self-eval exact 1.0)"
+        return f"(500 instances at 3 levels, worst AP gap {worst:.1e}, self-eval exact 1.0)"
 
     _verdict(5, "evaluator oracle equivalence", body)
 

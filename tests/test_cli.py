@@ -605,6 +605,11 @@ BAD_INPUTS = {
     "scenario-nan-record-max-range": ({}, _scenario_key_argv("record_max_range_m", "nan"), 2),
     "scenario-nan-min-depth-gap": ({}, _scenario_key_argv("min_depth_gap_m", "nan"), 2),
     "scenario-inf-coarse-box-inflate": ({}, _scenario_key_argv("coarse_box_inflate_pct", "inf"), 2),
+    # frame files carry a six-digit index, so frames is capped at 10^6
+    "generate-frames-above-cap": ({}, _scenario_key_argv("frames", "1000001"), 2),
+    "annotate-manifest-frames-above-cap": (
+        {}, _corrupted_dataset_argv("annotate", _manifest_key("frames", "1000001")), 2
+    ),
     "annotate-manifest-nan-fx": ({}, _corrupted_dataset_argv("annotate", _manifest_key("fx", "nan")), 2),
     "oracle-manifest-nan-camera-height": (
         {}, _corrupted_dataset_argv("oracle-labels", _manifest_key("camera_height_m", "nan")), 2

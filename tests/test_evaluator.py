@@ -61,23 +61,23 @@ class TestIoU:
 
 class TestMatchFrame:
     def test_single_tp(self):
-        outcomes = ev.match_frame([det((0, 0, 10, 10))], [gt((1, 0, 11, 10))], 0.7, Difficulty.EASY)
+        outcomes = ev.match_frame([det((0, 0, 10, 10))], [gt((1, 0, 11, 10))], 0.7)[Difficulty.EASY]
         assert outcomes[0][1] is ev.Outcome.TP
 
     def test_second_detection_is_fp(self):
         dets = [det((0, 0, 10, 10), score=0.9), det((0.5, 0, 10.5, 10), score=0.8)]
-        outcomes = ev.match_frame(dets, [gt((0, 0, 10, 10))], 0.7, Difficulty.EASY)
+        outcomes = ev.match_frame(dets, [gt((0, 0, 10, 10))], 0.7)[Difficulty.EASY]
         assert [o for _, o in outcomes] == [ev.Outcome.TP, ev.Outcome.FP]
 
     def test_harder_gt_ignored_at_easy(self):
-        outcomes = ev.match_frame(
-            [det((0, 0, 10, 10))], [gt((0, 0, 10, 10), difficulty=Difficulty.HARD)], 0.7, Difficulty.EASY
-        )
-        assert outcomes[0][1] is ev.Outcome.IGNORED
+        by_level = ev.match_frame([det((0, 0, 10, 10))], [gt((0, 0, 10, 10), difficulty=Difficulty.HARD)], 0.7)
+        assert by_level[Difficulty.EASY][0][1] is ev.Outcome.IGNORED
+        assert by_level[Difficulty.HARD][0][1] is ev.Outcome.TP
 
     def test_dontcare_ignored_everywhere(self):
-        for level in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
-            outcomes = ev.match_frame([det((0, 0, 10, 10))], [gt((0, 0, 10, 10), dontcare=True)], 0.7, level)
+        by_level = ev.match_frame([det((0, 0, 10, 10))], [gt((0, 0, 10, 10), dontcare=True)], 0.7)
+        assert list(by_level) == [Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD]
+        for outcomes in by_level.values():
             assert outcomes[0][1] is ev.Outcome.IGNORED
 
     def test_prefers_required_over_ignore(self):
@@ -85,18 +85,36 @@ class TestMatchFrame:
         # the top detection overlaps the DontCare box best but takes the
         # required one, which leaves the DontCare box to the second detection
         dets = [det((0, 0, 10, 10), score=0.9), det((0, 0, 10, 10), score=0.5)]
-        outcomes = ev.match_frame(dets, gts, 0.7, Difficulty.EASY)
+        outcomes = ev.match_frame(dets, gts, 0.7)[Difficulty.EASY]
         assert [o for _, o in outcomes] == [ev.Outcome.TP, ev.Outcome.IGNORED]
 
     def test_low_iou_is_fp(self):
-        outcomes = ev.match_frame([det((0, 0, 10, 10))], [gt((8, 0, 18, 10))], 0.7, Difficulty.EASY)
+        outcomes = ev.match_frame([det((0, 0, 10, 10))], [gt((8, 0, 18, 10))], 0.7)[Difficulty.EASY]
         assert outcomes[0][1] is ev.Outcome.FP
 
     def test_score_order_drives_matching(self):
         dets = [det((0.5, 0, 10.5, 10), score=0.5), det((0, 0, 10, 10), score=0.9)]
-        outcomes = ev.match_frame(dets, [gt((0, 0, 10, 10))], 0.7, Difficulty.EASY)
+        outcomes = ev.match_frame(dets, [gt((0, 0, 10, 10))], 0.7)[Difficulty.EASY]
         assert outcomes[0][0].score == 0.9 and outcomes[0][1] is ev.Outcome.TP
         assert outcomes[1][1] is ev.Outcome.FP
+
+    def test_shared_edge_never_matches(self):
+        # IoU of boxes that only share an edge is 0.0, below every threshold
+        gts = [gt((10, 0, 20, 10)), gt((0, 10, 10, 20))]
+        for thr in (5e-324, 0.7, 1.0):
+            for outcomes in ev.match_frame([det((0, 0, 10, 10))], gts, thr).values():
+                assert [o for _, o in outcomes] == [ev.Outcome.FP]
+
+    def test_equal_iou_tie_takes_lowest_index(self):
+        # the top detection overlaps both boxes with the same IoU (9/11) and
+        # takes gts[0]; the second detection then only meets gts[1], whose
+        # IoU with it (2/3) is below the threshold
+        dets = [det((0, 0, 10, 10), score=0.9), det((1, 0, 11, 10), score=0.8)]
+        gts = [gt((1, 0, 11, 10)), gt((-1, 0, 9, 10))]
+        outcomes = ev.match_frame(dets, gts, 0.7)[Difficulty.EASY]
+        assert [o for _, o in outcomes] == [ev.Outcome.TP, ev.Outcome.FP]
+        outcomes = ev.match_frame(dets, gts[::-1], 0.7)[Difficulty.EASY]
+        assert [o for _, o in outcomes] == [ev.Outcome.TP, ev.Outcome.TP]
 
 
 class TestAveragePrecision:
@@ -153,8 +171,8 @@ class TestAveragePrecision:
         gts = [gt((0, 0, 10, 10)), gt((30, 0, 40, 10))]
         base_dets = [det((0, 0, 10, 10), score=0.9)]
         extra = det((30, 0, 40, 10), score=0.5)  # sorts after every base det
-        base_outcomes = ev.match_frame(base_dets, gts, 0.7, Difficulty.EASY)
-        more_outcomes = ev.match_frame(base_dets + [extra], gts, 0.7, Difficulty.EASY)
+        base_outcomes = ev.match_frame(base_dets, gts, 0.7)[Difficulty.EASY]
+        more_outcomes = ev.match_frame(base_dets + [extra], gts, 0.7)[Difficulty.EASY]
         # the shared prefix keeps its outcomes; gt count is unaffected by dets
         assert more_outcomes[: len(base_outcomes)] == base_outcomes
         assert sum(1 for g in gts if g.required(Difficulty.EASY)) == 2
@@ -197,16 +215,25 @@ class TestAveragePrecision:
 class TestMatchAgainstBruteForce:
     def test_random_micro_frames(self):
         rng = random.Random(2024)
-        for _ in range(300):
-            level = Difficulty(rng.randint(0, 2))
+        for trial in range(300):
+            thr = (0.7, 1.0, 5e-324)[trial % 3]
             gts = []
             for _ in range(rng.randint(0, 6)):
-                left, top = rng.uniform(0, 80), rng.uniform(0, 80)
-                box = (left, top, left + rng.uniform(5, 30), top + rng.uniform(5, 30))
+                if gts and rng.random() < 0.15:
+                    box = rng.choice(gts).box  # a duplicate ground-truth box
+                else:
+                    left, top = rng.uniform(0, 80), rng.uniform(0, 80)
+                    box = (left, top, left + rng.uniform(5, 30), top + rng.uniform(5, 30))
                 gts.append(gt(box, difficulty=Difficulty(rng.randint(0, 3)), dontcare=rng.random() < 0.15))
             dets = []
             for _ in range(rng.randint(0, 6)):
-                if gts and rng.random() < 0.7:
+                roll = rng.random()
+                if gts and roll < 0.2:
+                    box = rng.choice(gts).box  # IoU exactly 1.0
+                elif gts and roll < 0.35:
+                    left, top, right, bottom = rng.choice(gts).box
+                    box = (right, top, right + rng.uniform(5, 30), bottom)  # shares the right edge exactly
+                elif gts and roll < 0.7:
                     seed_box = rng.choice(gts).box
                     jitter = rng.uniform(-3, 3)
                     box = (seed_box[0] + jitter, seed_box[1], seed_box[2] + jitter, seed_box[3])
@@ -214,14 +241,17 @@ class TestMatchAgainstBruteForce:
                     left, top = rng.uniform(0, 80), rng.uniform(0, 80)
                     box = (left, top, left + rng.uniform(5, 30), top + rng.uniform(5, 30))
                 dets.append(det(box, score=round(rng.random(), 2)))
-            outcomes = ev.match_frame(dets, gts, 0.7, level)
-            reference = brute_match_frame(
-                [{"box": d.box, "score": d.score} for d in dets],
-                [{"box": g.box, "difficulty": int(g.difficulty), "dontcare": g.dontcare} for g in gts],
-                0.7,
-                int(level),
-            )
-            assert [o.value for _, o in outcomes] == [o for _, o in reference]
+            by_level = ev.match_frame(dets, gts, thr)
+            assert list(by_level) == [Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD]
+            for level, outcomes in by_level.items():
+                reference = brute_match_frame(
+                    [{"box": d.box, "score": d.score} for d in dets],
+                    [{"box": g.box, "difficulty": int(g.difficulty), "dontcare": g.dontcare} for g in gts],
+                    thr,
+                    int(level),
+                )
+                assert [d for d, _ in outcomes] == [dets[i] for i, _ in reference]
+                assert [o.value for _, o in outcomes] == [o for _, o in reference]
 
 
 class TestEvaluateDirectories:
@@ -236,6 +266,51 @@ class TestEvaluateDirectories:
             type="Car", truncated=0.0, occluded=0, alpha=0.0, bbox=box,
             dimensions=(1.5, 1.8, 4.2), location=(0.0, 1.6, 20.0), rotation_y=0.0, score=score,
         )
+
+    def test_iou_runs_once_per_pair_overlapping_on_both_axes(self, tmp_path, monkeypatch):
+        dontcare = kl.KittiLabel(
+            type="DontCare", truncated=-1.0, occluded=-1, alpha=-10.0, bbox=(0, 0, 40, 30),
+            dimensions=(-1.0, -1.0, -1.0), location=(-1000.0, -1000.0, -1000.0), rotation_y=-10.0,
+        )
+        gt_frames = {
+            0: [self._car((100, 100, 180, 160)), self._car((300, 120, 360, 150)), dontcare],
+            1: [self._car((50, 50, 120, 110))],
+        }
+        det_frames = {
+            0: [
+                self._car((105, 100, 185, 160), score=0.9),  # overlaps the first car
+                self._car((180, 100, 240, 160), score=0.8),  # shares its right edge
+                self._car((300, 150, 360, 200), score=0.7),  # shares the second car's bottom edge
+                self._car((20, 10, 60, 40), score=0.6),  # overlaps the DontCare box
+                self._car((500, 300, 560, 350), score=0.5),  # disjoint on both axes
+            ],
+            1: [
+                self._car((60, 55, 130, 115), score=0.9),  # overlaps
+                self._car((200, 50, 260, 110), score=0.8),  # overlaps on y only
+                self._car((50, 200, 120, 260), score=0.7),  # overlaps on x only
+            ],
+        }
+        self._write(tmp_path / "gt", gt_frames)
+        self._write(tmp_path / "det", det_frames)
+        calls = []
+        real_iou = ev.iou
+
+        def counted_iou(a, b):
+            calls.append((a, b))
+            return real_iou(a, b)
+
+        monkeypatch.setattr(ev, "iou", counted_iou)
+        ev.evaluate(tmp_path / "det", tmp_path / "gt")
+
+        def overlaps(a, b):
+            return min(a[2], b[2]) > max(a[0], b[0]) and min(a[3], b[3]) > max(a[1], b[1])
+
+        pairs = [
+            (d.bbox, g.bbox) for frame in gt_frames for d in det_frames[frame] for g in gt_frames[frame]
+        ]
+        expected = [(d, g) for d, g in pairs if overlaps(d, g)]
+        assert len(expected) == 3 and len(pairs) == 18
+        assert sorted(calls) == sorted(expected)
 
     def test_self_evaluation_is_perfect(self, tmp_path):
         frames = {

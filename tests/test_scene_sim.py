@@ -646,6 +646,16 @@ class TestScenarioText:
         path.write_text(ss.manifest_text(config))
         assert ss.read_manifest(path) == config
 
+    def test_frames_capped_at_a_million(self, tmp_path):
+        # frame files carry a six-digit index
+        assert ss.parse_scenario_text("seed=1\nframes=1000000\n").frames == 1_000_000
+        with pytest.raises(ConfigError, match="frames"):
+            ss.parse_scenario_text("seed=1\nframes=1000001\n")
+        path = tmp_path / "manifest.txt"
+        path.write_text(f"format_version={ss.FORMAT_VERSION}\nseed=1\nframes=1000001\n")
+        with pytest.raises(ConfigError, match="frames"):
+            ss.read_manifest(path)
+
     def test_manifest_bad_version(self, tmp_path):
         path = tmp_path / "manifest.txt"
         path.write_text("format_version=99\nseed=1\nframes=1\n")
