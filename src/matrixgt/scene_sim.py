@@ -62,6 +62,9 @@ FORMAT_VERSION = 1
 # frame files are named by a six-digit index, and generate lists every frame
 # before it writes one
 MAX_FRAMES = 1_000_000
+# a frame's buffers take ~32 bytes per pixel in each process that draws or
+# reads it, so the image is capped at 2^24 pixels (~0.5 GB at the cap)
+MAX_IMAGE_PIXELS = 1 << 24
 
 GROUND_OBJECT_ID = 1
 GROUND_THICKNESS_M = 0.02
@@ -232,6 +235,10 @@ class ScenarioConfig:
         if not (0.0 < self.vehicle_yaw_max_deg <= 180.0):
             raise ConfigError(f"vehicle_yaw_max_deg must be in (0, 180], got {self.vehicle_yaw_max_deg}")
         self.camera()  # camera/codec field validation
+        if self.width * self.height > MAX_IMAGE_PIXELS:
+            raise ConfigError(
+                f"image must have at most {MAX_IMAGE_PIXELS} pixels, got {self.width}x{self.height}"
+            )
 
     def camera(self) -> CameraModel:
         return CameraModel(

@@ -610,6 +610,16 @@ BAD_INPUTS = {
     "annotate-manifest-frames-above-cap": (
         {}, _corrupted_dataset_argv("annotate", _manifest_key("frames", "1000001")), 2
     ),
+    # frame buffers take ~32 bytes per pixel, so images are capped at 2^24 pixels
+    "generate-image-above-pixel-cap": (
+        {}, lambda root: _generate_argv(root, _with_key(_with_key(TINY_SCENARIO, "width", "100000"), "height", "100000")), 2
+    ),
+    "annotate-manifest-image-above-pixel-cap": (
+        {}, _corrupted_dataset_argv("annotate", _manifest_key("width", "233017")), 2
+    ),
+    "oracle-manifest-image-above-pixel-cap": (
+        {}, _corrupted_dataset_argv("oracle-labels", _manifest_key("width", "233017")), 2
+    ),
     "annotate-manifest-nan-fx": ({}, _corrupted_dataset_argv("annotate", _manifest_key("fx", "nan")), 2),
     "oracle-manifest-nan-camera-height": (
         {}, _corrupted_dataset_argv("oracle-labels", _manifest_key("camera_height_m", "nan")), 2

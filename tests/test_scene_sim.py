@@ -656,6 +656,17 @@ class TestScenarioText:
         with pytest.raises(ConfigError, match="frames"):
             ss.read_manifest(path)
 
+    def test_image_capped_at_2_24_pixels(self, tmp_path):
+        # checked before any frame buffer is allocated
+        text = "seed=1\nframes=1\ncx=1\ncy=1\n"
+        assert ss.parse_scenario_text(text + "width=4096\nheight=4096\n").width == 4096
+        with pytest.raises(ConfigError, match="pixels"):
+            ss.parse_scenario_text(text + "width=4096\nheight=4097\n")
+        path = tmp_path / "manifest.txt"
+        path.write_text(f"format_version={ss.FORMAT_VERSION}\n" + text + "width=100000\nheight=100000\n")
+        with pytest.raises(ConfigError, match="pixels"):
+            ss.read_manifest(path)
+
     def test_manifest_bad_version(self, tmp_path):
         path = tmp_path / "manifest.txt"
         path.write_text("format_version=99\nseed=1\nframes=1\n")
