@@ -27,11 +27,16 @@ entirely (not rendered, not recorded) with one warning per frame; the
 placement region keeps generated scenes clear of the near plane, so this only
 triggers on hand-crafted scenes.
 
-Frame buffers have one owner each. :func:`render_frame` allocates fresh ones
-and hands them to the returned bundle. :func:`write_scenario_frame` draws into
-one set per process that every frame reuses, and writes the files from it
-before the call returns. The cached first-object layer is read-only and only
-ever copied from.
+Frame buffers have one owner each. :func:`render_frame` allocates fresh ones,
+copies the whole cached first-object layer into them and hands them to the
+returned bundle. :func:`write_scenario_frame` draws into one set per process
+that every frame reuses, and writes the files from it before the call
+returns; the set remembers which layer it holds and the window that its last
+frame drew into, and the next frame resets only that window. The cached
+first-object layer is read-only and only ever copied from.
+
+Cuboid corners are computed in Python floats, with one rounding per fused
+multiply-add and no BLAS, so their bits do not depend on the host's CPU.
 """
 
 from __future__ import annotations
@@ -145,8 +150,7 @@ class EngineRecord:
     location_cam: tuple[float, float, float]
 
     def __post_init__(self):
-        left, top, right, bottom = self.coarse_box
-        if not (left < right and top < bottom and box_area(self.coarse_box) > 0.0):
+        if not _proper_box(self.coarse_box):
             raise ValueError(f"coarse_box must be well-ordered with positive area, got {self.coarse_box}")
         if self.range_m <= 0:
             raise ValueError(f"range_m must be positive, got {self.range_m}")
@@ -256,19 +260,12 @@ class ScenarioConfig:
 
 # Corner index i = 4*(sx>0) + 2*(sy>0) + (sz>0) over local signs
 # (sx*l/2, sy*h/2, sz*w/2).
-_CORNER_SIGNS = np.array(
-    [
-        (-1, -1, -1),
-        (-1, -1, +1),
-        (-1, +1, -1),
-        (-1, +1, +1),
-        (+1, -1, -1),
-        (+1, -1, +1),
-        (+1, +1, -1),
-        (+1, +1, +1),
-    ],
-    dtype=np.float64,
-)
+_CORNER_SIGNS = tuple((sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1))
+
+# Per corner, the index of its (sx, sz) pair in _fma_signs' order, which
+# picks its x and z, and of its sy, which picks its y.
+_XZ_INDEX = tuple(2 * (sx > 0) + (sz > 0) for sx, _, sz in _CORNER_SIGNS)
+_Y_INDEX = tuple(int(sy > 0) for _, sy, _ in _CORNER_SIGNS)
 
 # Quads in perimeter order, wound so that (b - a) x (c - a) points out of the
 # cuboid. Every triangle below inherits that outward winding, which lets the
@@ -287,34 +284,97 @@ _FACE_TRIANGLES = tuple(
     tri for (a, b, c, d) in _FACE_QUADS for tri in ((a, b, c), (a, c, d))
 )
 
+# Dekker's product: p + e == x*y exactly for p = fl(x*y), with each factor cut
+# into two halves by Veltkamp's splitter 2^27 + 1. It holds while no split
+# overflows and the low part e does not underflow, which these bounds ensure.
+_VELTKAMP_SPLITTER = 134217729.0
+_SPLIT_MAX = 2.0**995
+_PRODUCT_MIN = 2.0**-968
+_PRODUCT_MAX = 2.0**1000
 
-def cuboid_corners(obj: SceneObject) -> np.ndarray:
-    """The 8 corners of an object's oriented cuboid, camera space, shape (8, 3)."""
+
+def _fma_signs(m: float, y: float, a: float) -> tuple[float, float, float, float]:
+    """``fma(+-m, y, +-a)`` in the order (-m, -a), (+m, -a), (-m, +a), (+m, +a).
+
+    ``fma(x, y, a)`` is ``x*y + a`` rounded once, as a hardware fused
+    multiply-add gives it (Python 3.11 has no ``math.fma``). Dekker's product
+    gives ``m*y`` exactly as ``p + e``, and ``math.fsum`` rounds ``p + e + a``
+    correctly. Where Dekker's product is not exact (a factor too large to
+    split, a product that overflows or whose low part underflows) or ``fsum``
+    overflows part-way, the exact rational value is rounded instead.
+    """
+    p = m * y
+    if abs(m) < _SPLIT_MAX and abs(y) < _SPLIT_MAX and _PRODUCT_MIN <= abs(p) < _PRODUCT_MAX:
+        t = m * _VELTKAMP_SPLITTER
+        mh = t - (t - m)
+        ml = m - mh
+        t = y * _VELTKAMP_SPLITTER
+        yh = t - (t - y)
+        yl = y - yh
+        e = ((mh * yh - p) + mh * yl + ml * yh) + ml * yl
+        try:
+            return (math.fsum((-p, -e, -a)), math.fsum((p, e, -a)),
+                    math.fsum((-p, -e, a)), math.fsum((p, e, a)))
+        except OverflowError:  # a partial sum overflowed; the exact value may not
+            pass
+    return tuple(_exact_fma(sm * m, y, sa * a) for sa in (-1.0, 1.0) for sm in (-1.0, 1.0))
+
+
+def _exact_fma(x: float, y: float, a: float) -> float:
+    """``x*y + a`` rounded once, from the exact rational value; +-inf where it
+    overflows, and IEEE 754's special values and signed zeros elsewhere."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return x * y + a  # the product is exact: +-inf or nan
+    if not math.isfinite(a):
+        return a
+    from fractions import Fraction  # imported only on this rare path: it loads decimal
+
+    exact = Fraction(x) * Fraction(y) + Fraction(a)
+    if not exact:
+        return x * y + a  # x*y is exact here, so this sum gives zero's IEEE sign
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def _cuboid_corners(obj: SceneObject) -> tuple[list[float], list[float], list[float]]:
+    """Camera-space ``x``, ``y`` and ``z`` of the 8 corners of an object's
+    oriented cuboid, each a list in corner index order.
+
+    With local ``(a, b, d) = (sx*l/2, sy*h/2, sz*w/2)`` and ``c, s`` the
+    cosine and sine of the yaw, a corner is ``x = fma(d, s, a*c) + ox``,
+    ``y = b + oy`` and ``z = fma(d, c, a*(-s)) + oz``. These are the bits that
+    an FMA kernel gives for the rotation ``half @ rot.T`` (rows of
+    ``rot``: ``(c, 0, s)``, ``(0, 1, 0)``, ``(-s, 0, c)``), here on every host
+    and without BLAS. ``x`` and ``z`` depend only on the ``(sx, sz)`` signs.
+    """
     length, width, height = obj.size
-    half = _CORNER_SIGNS * np.array([length / 2.0, height / 2.0, width / 2.0])
+    a, b, d = length / 2.0, height / 2.0, width / 2.0
     c, s = math.cos(obj.yaw), math.sin(obj.yaw)
-    rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-    return half @ rot.T + np.asarray(obj.center, dtype=np.float64)
+    ox, oy, oz = obj.center
+    xs = [x + ox for x in _fma_signs(d, s, a * c)]
+    zs = [z + oz for z in _fma_signs(d, c, a * -s)]
+    ys = (-b + oy, b + oy)
+    return [xs[k] for k in _XZ_INDEX], [ys[k] for k in _Y_INDEX], [zs[k] for k in _XZ_INDEX]
 
 
-def _project_corners(
-    camera: CameraModel, obj: SceneObject
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _project_corners(camera: CameraModel, obj: SceneObject) -> tuple[list[float], list[float], list[float]]:
     """Pixel coordinates ``(u, v)`` and camera depth ``z`` of the 8 cuboid
-    corners, each shape (8,).
+    corners, each a list in corner index order.
 
     Raises :class:`BehindCameraError` if any corner sits at or behind the near
-    plane; such objects are neither rendered nor recorded.
+    plane; such objects are neither rendered nor recorded. The check comes
+    before any division, so every divisor is positive.
     """
-    corners = cuboid_corners(obj)
-    z = corners[:, 2]
-    if z.min() <= camera.depth_params.near_m:
-        raise BehindCameraError(
-            f"object {obj.object_id} has a corner at z={z.min():.3f} <= near plane"
-        )
-    u = camera.fx * corners[:, 0] / z + camera.cx
-    v = camera.fy * corners[:, 1] / z + camera.cy
-    return u, v, z
+    xs, ys, zs = _cuboid_corners(obj)
+    z_min = min(zs)
+    if z_min <= camera.depth_params.near_m:
+        raise BehindCameraError(f"object {obj.object_id} has a corner at z={z_min:.3f} <= near plane")
+    fx, fy, cx, cy = camera.fx, camera.fy, camera.cx, camera.cy
+    u = [fx * x / z + cx for x, z in zip(xs, zs)]
+    v = [fy * y / z + cy for y, z in zip(ys, zs)]
+    return u, v, zs
 
 
 def coarse_box(camera: CameraModel, obj: SceneObject) -> tuple[float, float, float, float]:
@@ -327,9 +387,9 @@ def coarse_box(camera: CameraModel, obj: SceneObject) -> tuple[float, float, flo
     return _hull(_project_corners(camera, obj))
 
 
-def _hull(corners: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[float, float, float, float]:
+def _hull(corners: tuple[list[float], list[float], list[float]]) -> tuple[float, float, float, float]:
     u, v, _ = corners
-    return float(u.min()), float(v.min()), float(u.max()), float(v.max())
+    return min(u), min(v), max(u), max(v)
 
 
 def inflate_box(
@@ -340,6 +400,13 @@ def inflate_box(
     dx = (right - left) * pct / 2.0
     dy = (bottom - top) * pct / 2.0
     return left - dx, top - dy, right + dx, bottom + dy
+
+
+def _proper_box(box) -> bool:
+    """Whether a (left, top, right, bottom) box is well-ordered with a
+    positive area, as an :class:`EngineRecord`'s coarse box must be."""
+    left, top, right, bottom = box
+    return left < right and top < bottom and box_area(box) > 0.0
 
 
 def box_area(box) -> float:
@@ -414,13 +481,13 @@ def triangle_coverage_depth(tri: Triangle, px: np.ndarray, py: np.ndarray):
 
 
 def _object_triangles(
-    obj: SceneObject, corners: tuple[np.ndarray, np.ndarray, np.ndarray]
+    obj: SceneObject, corners: tuple[list[float], list[float], list[float]]
 ) -> list[tuple[Triangle, int, int]]:
     """The 12 triangles of one object, from its :func:`_project_corners`
     ``corners``, in enumeration order, as yielded by
     :func:`scene_screen_triangles`."""
     u, v, z = corners
-    verts = list(zip(u.tolist(), v.tolist(), (1.0 / z).tolist()))
+    verts = list(zip(u, v, [1.0 / depth for depth in z]))
     code = int(obj.cls)
     return [((verts[a], verts[b], verts[c]), code, obj.object_id) for a, b, c in _FACE_TRIANGLES]
 
@@ -518,7 +585,7 @@ def _first_object_layer(
     instance and encoded depth. An object at or behind the near plane is not
     drawn; :func:`_render_into` logs its skip on every frame.
 
-    Every frame starts from copies of these (see :func:`_render_into`). A scenario
+    Every frame starts from these pixels (see :func:`_render_into`). A scenario
     draws its ground slab first in every frame, so one entry serves a whole
     run; the arrays depend only on the two frozen, hashable arguments.
     """
@@ -550,14 +617,55 @@ def _new_frame_buffers(height: int, width: int) -> tuple[np.ndarray, np.ndarray,
     )
 
 
+Window = tuple[slice, slice]  # rows, columns
+
+
+class _FrameBuffers:
+    """One frame's ``arrays`` (as made by :func:`_new_frame_buffers`) and what
+    they hold: the pixels of ``layer``, a :func:`_first_object_layer`,
+    everywhere outside ``window``, which the last frame drew into on top of
+    it. A fresh set holds no layer, so its first frame copies all of one.
+    """
+
+    def __init__(self, height: int, width: int):
+        self.arrays = _new_frame_buffers(height, width)
+        self.layer: Optional[tuple[np.ndarray, ...]] = None
+        self.window: Optional[Window] = None
+
+
 # The frame buffers that write_scenario_frame draws every frame into: one set
 # per process (each pool worker has its own) and image size. Reusing them keeps
-# the heap from being handed back to the OS and faulted in again every frame.
-_frame_buffers = functools.lru_cache(maxsize=1)(_new_frame_buffers)
+# the heap from being handed back to the OS and faulted in again every frame,
+# and a frame restores only the window that the one before it drew into.
+_frame_buffers = functools.lru_cache(maxsize=1)(_FrameBuffers)
+
+
+def _draw_window(hulls: Iterable[tuple[float, float, float, float]], width: int, height: int) -> Optional[Window]:
+    """The smallest window holding every pixel that :func:`_rasterize_into`
+    may draw for objects with these corner hulls, or None if it is empty.
+
+    Per object, the rows and columns whose pixel centers lie in its hull,
+    clamped to the image as :func:`_rasterize_into` clamps each triangle; a
+    triangle's vertices are corners, so its window lies in its object's. The
+    clamping comes first, so an infinite or NaN hull gives an empty or full
+    span rather than an error.
+    """
+    spans = []
+    for left, top, right, bottom in hulls:
+        x0 = math.ceil(min(width, max(0.0, left - 0.5)))
+        x1 = math.floor(max(-1.0, min(width - 1.0, right - 0.5))) + 1
+        y0 = math.ceil(min(height, max(0.0, top - 0.5)))
+        y1 = math.floor(max(-1.0, min(height - 1.0, bottom - 0.5))) + 1
+        if x0 < x1 and y0 < y1:
+            spans.append((y0, y1, x0, x1))
+    if not spans:
+        return None
+    y0s, y1s, x0s, x1s = zip(*spans)
+    return slice(min(y0s), max(y1s)), slice(min(x0s), max(x1s))
 
 
 def _render_into(
-    buffers: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    buffers: _FrameBuffers,
     camera: CameraModel,
     scene: Sequence[SceneObject],
     frame_id: int,
@@ -566,12 +674,16 @@ def _render_into(
     record_max_range_m: float,
     emit_color: bool,
 ) -> FrameBundle:
-    """Draw ``scene`` into the caller's ``buffers`` (as made by
-    :func:`_new_frame_buffers`, for the camera's image size) and bundle them.
+    """Draw ``scene`` into the caller's ``buffers`` (for the camera's image
+    size) and bundle them.
 
     Each object is projected once: its corners give both its triangles and
     its record's coarse box. The lowest-id object's pixels come from the
-    cached :func:`_first_object_layer`.
+    cached :func:`_first_object_layer`. The buffers are reset to that layer
+    only inside the window that their last frame drew into, or everywhere if
+    they last held another layer or none; this frame's window is recorded
+    before anything is drawn, so a frame that fails part-way leaves a correct
+    record for the next.
 
     The bundle's rasters are read-only views of ``buffers``, so they hold what
     this call drew only until the buffers are drawn into again.
@@ -580,20 +692,30 @@ def _render_into(
         raise ValueError("scene must be nonempty")
     ordered = sorted(scene, key=lambda o: o.object_id)
     layer = _first_object_layer(camera, ordered[0])
-    for dst, src in zip(buffers, layer):
-        np.copyto(dst, src)
-    zbuf, stencil, instance, encoded = buffers
-
-    records = []
+    projected, later = [], []
     for i, obj in enumerate(ordered):
         try:
             corners = _project_corners(camera, obj)
         except BehindCameraError as exc:
             log.warning("%s, skipped", exc)
             continue
+        projected.append((obj, corners, _hull(corners)))
         if i > 0:  # the first object's pixels come from the cached layer
-            for triangle in _object_triangles(obj, corners):
-                _rasterize_into(zbuf, stencil, instance, *triangle)
+            later.append(projected[-1])
+    window = _draw_window((hull for _, _, hull in later), camera.width, camera.height)
+
+    restore = buffers.window if buffers.layer is layer else (slice(None), slice(None))
+    if restore is not None:
+        for dst, src in zip(buffers.arrays, layer):
+            np.copyto(dst[restore], src[restore])
+    buffers.layer, buffers.window = layer, window
+    zbuf, stencil, instance, encoded = buffers.arrays
+    for obj, corners, _ in later:
+        for triangle in _object_triangles(obj, corners):
+            _rasterize_into(zbuf, stencil, instance, *triangle)
+
+    records = []
+    for obj, _, hull in projected:
         range_m = float(np.linalg.norm(obj.center))
         if record_max_range_m > 0.0 and range_m > record_max_range_m:
             continue
@@ -601,7 +723,7 @@ def _render_into(
             EngineRecord(
                 object_id=obj.object_id,
                 cls=obj.cls,
-                coarse_box=inflate_box(_hull(corners), inflate_pct),
+                coarse_box=inflate_box(hull, inflate_pct),
                 range_m=range_m,
                 size=obj.size,
                 yaw=obj.yaw,
@@ -609,10 +731,13 @@ def _render_into(
             )
         )
 
-    # a hit lowers z strictly, so this marks exactly the pixels drawn after
-    # the first object; the encoding is elementwise, so all others keep theirs
-    drawn = zbuf != layer[0]
-    encoded[drawn] = encode_log_depth(zbuf[drawn], camera.depth_params)
+    if window is not None:
+        # a hit lowers z strictly, so this marks exactly the pixels drawn after
+        # the first object, all inside the window; the encoding is elementwise,
+        # so all others keep theirs
+        zwin = zbuf[window]
+        drawn = zwin != layer[0][window]
+        encoded[window][drawn] = encode_log_depth(zwin[drawn], camera.depth_params)
 
     color = _render_color(instance, scene) if emit_color else None
     return FrameBundle(
@@ -647,7 +772,7 @@ def render_frame(
     and shared with no other frame or cache.
     """
     return _render_into(
-        _new_frame_buffers(camera.height, camera.width),
+        _FrameBuffers(camera.height, camera.width),
         camera,
         scene,
         frame_id,
@@ -696,8 +821,10 @@ def _place(
 ) -> SceneObject:
     """Rejection-sample one object; after the attempt budget the last candidate
     in front of the near plane wins so the object count stays exact
-    (constraints are best-effort). Raises :class:`ConfigError` when no
-    candidate clears the near plane."""
+    (constraints are best-effort). A candidate whose inflated coarse box has
+    no area (tiny sizes) counts as one behind the near plane: it could get no
+    engine record. Raises :class:`ConfigError` when no candidate clears
+    both."""
     fallback = None
     for _ in range(_PLACEMENT_ATTEMPTS):
         if cls is ObjectClass.VEHICLE:
@@ -720,6 +847,8 @@ def _place(
             box = inflate_box(coarse_box(camera, candidate), config.coarse_box_inflate_pct)
         except BehindCameraError:
             continue
+        if not _proper_box(box):
+            continue
         if _placement_ok(config, box, z, placed):
             placed.append((box, z))
             return candidate
@@ -728,7 +857,7 @@ def _place(
         raise ConfigError(
             f"placement region z in [{config.region_z_min}, {config.region_z_max}] m put all "
             f"{_PLACEMENT_ATTEMPTS} candidates for object {object_id} at or behind the near plane "
-            f"(near_m={config.near_m})"
+            f"(near_m={config.near_m}) or gave them a coarse box with no area"
         )
     log.warning("placement constraints not met for object %d, accepting last candidate", object_id)
     candidate, box, z = fallback
@@ -873,6 +1002,10 @@ def ppm_bytes(rgb: np.ndarray) -> bytes:
     return header + np.ascontiguousarray(rgb).tobytes()
 
 
+# pi at the four decimals meta files carry, so that a yaw of +-pi reads back
+_META_YAW_MAX = 3.1416
+
+
 def meta_text(records: Sequence[EngineRecord]) -> str:
     """One line per record: id class left top right bottom range_m h w l x y z yaw."""
     lines = []
@@ -910,6 +1043,8 @@ def parse_meta_text(text: str) -> list[EngineRecord]:
             if not all(map(math.isfinite, nums)):
                 raise ValueError("non-finite number")
             left, top, right, bottom, range_m, height, width, length, x, y, z, yaw = nums
+            if abs(yaw) > _META_YAW_MAX:
+                raise ValueError(f"yaw {yaw} outside [-{_META_YAW_MAX}, {_META_YAW_MAX}]")
             record = EngineRecord(
                 object_id=object_id,
                 cls=cls,

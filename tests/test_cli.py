@@ -449,6 +449,14 @@ def _scenario_key_argv(key, value):
     return lambda root: _generate_argv(root, _with_key(TINY_SCENARIO, key, value))
 
 
+def _scenario_sizes_argv(value):
+    """Generate with every vehicle and distractor size bound set to ``value``."""
+    text = TINY_SCENARIO
+    for name in ("vehicle_length", "vehicle_width", "vehicle_height", "distractor_size"):
+        text = _with_key(_with_key(text, name + "_min", value), name + "_max", value)
+    return lambda root: _generate_argv(root, text)
+
+
 def _manifest_key(key, value):
     def corrupt(paths):
         manifest = paths["meta"].parent / ss.MANIFEST_NAME
@@ -554,6 +562,9 @@ BAD_INPUTS = {
         ),
         2,
     ),
+    # every candidate's coarse box has no area, or lies partly behind the near plane
+    "generate-sizes-give-zero-area-boxes": ({}, _scenario_sizes_argv("1e-300"), 2),
+    "generate-sizes-reach-behind-near-plane": ({}, _scenario_sizes_argv("1e305"), 2),
     "oracle-manifest-size-differs-from-rasters": ({}, _oracle_argv_wrong_manifest_size, 4),
     "nan-truncation": (
         {},
@@ -573,6 +584,9 @@ BAD_INPUTS = {
     "annotate-meta-negative-range": ({}, _corrupted_dataset_argv("annotate", _meta_field(6, "-1")), 2),
     "oracle-meta-negative-range": ({}, _corrupted_dataset_argv("oracle-labels", _meta_field(6, "-1")), 2),
     "annotate-meta-inf-height": ({}, _corrupted_dataset_argv("annotate", _meta_field(7, "inf")), 2),
+    # field 13 is the yaw, which must lie in [-pi, pi] at the file's four decimals
+    "annotate-meta-yaw-above-pi": ({}, _corrupted_dataset_argv("annotate", _meta_field(13, "1e308")), 2),
+    "oracle-meta-yaw-above-pi": ({}, _corrupted_dataset_argv("oracle-labels", _meta_field(13, "1e308")), 2),
     "oracle-meta-inf-height": ({}, _corrupted_dataset_argv("oracle-labels", _meta_field(7, "inf")), 2),
     "annotate-meta-not-utf8": ({}, _corrupted_dataset_argv("annotate", _meta_not_utf8), 2),
     "annotate-meta-box-area-underflows": (

@@ -2,9 +2,12 @@ import dataclasses
 import logging
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 from dataclasses import fields as dataclass_fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ACCEPTANCE_SCENARIO, make_ground, make_vehicle, render_scenario_frame
-from oracles import brute_force_buffers, brute_force_depth, ray_cast_depth
+from oracles import brute_force_buffers, brute_force_depth, cuboid_corners, ray_cast_depth
 
 from matrixgt import cli
 from matrixgt import scene_sim as ss
@@ -53,6 +56,158 @@ class TestCoarseBox:
 
     def test_inflate_box(self):
         assert ss.inflate_box((10.0, 20.0, 30.0, 40.0), 0.10) == pytest.approx((9.0, 19.0, 31.0, 41.0))
+
+
+def _fraction_fma(x, y, a):
+    """``x*y + a`` rounded once from its exact rational value, as IEEE 754
+    rounds a fused multiply-add of finite operands."""
+    exact = Fraction(x) * Fraction(y) + Fraction(a)
+    if exact == 0:
+        # an exact zero is +0, unless a zero product and a zero addend are both negative
+        product_negative = (math.copysign(1.0, x) < 0) != (math.copysign(1.0, y) < 0)
+        both_negative = (x == 0 or y == 0) and product_negative and a == 0 and math.copysign(1.0, a) < 0
+        return -0.0 if both_negative else 0.0
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def _oracle_corners(obj):
+    """x, y, z of an object's corners by the fma formula, each fma rounded
+    from its exact rational value (once per (sx, sz) pair, which is all that
+    x and z depend on)."""
+    length, width, height = obj.size
+    c, s = math.cos(obj.yaw), math.sin(obj.yaw)
+    ox, oy, oz = obj.center
+    xz = {}
+    for sx in (-1, 1):
+        for sz in (-1, 1):
+            a, d = sx * (length / 2.0), sz * (width / 2.0)
+            xz[sx, sz] = (_fraction_fma(d, s, a * c) + ox, _fraction_fma(d, c, a * -s) + oz)
+    xs = [xz[sx, sz][0] for sx, _, sz in ss._CORNER_SIGNS]
+    ys = [sy * (height / 2.0) + oy for _, sy, _ in ss._CORNER_SIGNS]
+    zs = [xz[sx, sz][1] for sx, _, sz in ss._CORNER_SIGNS]
+    return xs, ys, zs
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+_SPECIAL_YAWS = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 1e-300, -1e-300, 5e-324, -5e-324,
+                 1e-170, 2.0**-500)
+
+
+def _random_objects(seed, count, size_exponents):
+    """Objects with log-uniform sizes over ``size_exponents`` (powers of ten)
+    and yaws that are uniform or one of ``_SPECIAL_YAWS``."""
+    rng = random.Random(seed)
+    lo, hi = size_exponents
+    for _ in range(count):
+        yaw = rng.uniform(-math.pi, math.pi) if rng.random() < 0.5 else rng.choice(_SPECIAL_YAWS)
+        size = tuple(10.0 ** rng.uniform(lo, hi) for _ in range(3))
+        center = (rng.uniform(-30.0, 30.0), rng.uniform(-2.0, 2.0), rng.uniform(-10.0, 90.0))
+        yield ss.SceneObject(2, ss.ObjectClass.VEHICLE, center, size, yaw)
+
+
+def _random_double(rng):
+    """A finite double from a uniformly random bit pattern: any exponent,
+    subnormals included."""
+    while True:
+        value = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        if math.isfinite(value):
+            return value
+
+
+class TestScalarCorners:
+    def test_corners_equal_an_exact_oracle_of_the_fma_formula(self):
+        for obj in _random_objects(seed=1, count=20_000, size_exponents=(-300, 300)):
+            got = ss._cuboid_corners(obj)
+            want = _oracle_corners(obj)
+            for got_axis, want_axis in zip(got, want):
+                assert _bits(got_axis) == _bits(want_axis), obj
+
+    def test_emulated_fma_equals_an_exact_oracle(self):
+        rng = random.Random(2)
+        max_double = sys.float_info.max
+        cases = [
+            (max_double, 2.0, -max_double),  # the product overflows, the sum does not
+            (max_double, 1.5, 0.0),  # the sum overflows: +-inf
+            (1e150, 1e150, max_double),  # fsum overflows part-way
+            (2.0**1000, 2.0**-1000, 1.0),  # a factor too large to split
+            (1e-200, 1e-200, 0.0),  # the product underflows to 0
+            (5e-324, 0.5, 0.0),  # a tie below the smallest subnormal
+            (5e-324, 0.75, -0.0),
+            (2.0**-500, 2.0**-480, 2.0**-1060),  # the low part of the product is subnormal
+            (-0.0, 3.0, -0.0),
+            (0.0, -3.0, 0.0),
+            (3.0, 1.0 / 3.0, -1.0),  # cancellation: the low part decides
+        ]
+        for _ in range(6000):
+            m, y = _random_double(rng), _random_double(rng)
+            kind = rng.randrange(3)
+            if kind == 0:
+                a = _random_double(rng)
+            elif kind == 1:
+                # near-cancellation, where a product rounded first would differ
+                a = -(m * y) * (1.0 + rng.uniform(-1e-12, 1e-12)) if math.isfinite(m * y) else 1.0
+            else:
+                # small operands, whose product and low part are subnormal
+                m, y, a = (math.ldexp(rng.random(), rng.randrange(-600, -450)) for _ in range(3))
+            cases.append((m, y, a))
+        for m, y, a in cases:
+            got = ss._fma_signs(m, y, a)
+            want = [_fraction_fma(sm * m, y, sa * a) for sa in (-1.0, 1.0) for sm in (-1.0, 1.0)]
+            assert _bits(got) == _bits(want), (m, y, a)
+        assert ss._fma_signs(max_double, 1.5, 0.0) == (-math.inf, math.inf, -math.inf, math.inf)
+
+    def test_corners_within_one_ulp_of_the_numpy_reference(self):
+        for obj in _random_objects(seed=3, count=2000, size_exponents=(-3, 3)):
+            want = cuboid_corners(obj)
+            for axis, got in enumerate(ss._cuboid_corners(obj)):
+                for g, w in zip(got, want[:, axis].tolist()):
+                    assert abs(g - w) <= math.ulp(w), obj
+
+    def test_extreme_objects_raise_only_the_near_plane_error(self, spec_camera):
+        # sizes up to the largest double, and centers far out: sums overflow
+        # to inf where numpy gave inf, and no division comes before the check
+        projected = 0
+        for exponents in ((-300, 300), (300, 308.25)):
+            for obj in _random_objects(seed=4, count=2000, size_exponents=exponents):
+                obj = dataclasses.replace(obj, center=(obj.center[0] * 1e306, obj.center[1], obj.center[2] * 1e306))
+                try:
+                    u, v, z = ss._project_corners(spec_camera, obj)
+                except BehindCameraError:
+                    continue
+                assert min(z) > spec_camera.depth_params.near_m
+                projected += 1
+        assert projected > 1000
+
+    def test_projection_bits_do_not_depend_on_the_blas_kernel(self):
+        script = (
+            "import hashlib, math, random\n"
+            "from matrixgt import scene_sim as ss\n"
+            "from matrixgt.raster_codec import DepthCodecParams\n"
+            "camera = ss.CameraModel(700.0, 700.0, 320.0, 240.0, 640, 480, DepthCodecParams(0.15, 600.0))\n"
+            "rng = random.Random(7)\n"
+            "digest = hashlib.sha256()\n"
+            "for _ in range(2000):\n"
+            "    center = (rng.uniform(-20, 20), rng.uniform(-1, 1.5), rng.uniform(10, 80))\n"
+            "    size = (rng.uniform(3.8, 5.0), rng.uniform(1.7, 2.0), rng.uniform(1.4, 2.2))\n"
+            "    obj = ss.SceneObject(2, ss.ObjectClass.VEHICLE, center, size, rng.uniform(-math.pi, math.pi))\n"
+            "    for coords in ss._project_corners(camera, obj):\n"
+            "        digest.update(' '.join(float(c).hex() for c in coords).encode())\n"
+            "print(digest.hexdigest())\n"
+        )
+        env = {key: value for key, value in os.environ.items() if not key.startswith("OPENBLAS_")}
+        env.update(PYTHONPATH=str(Path(ss.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+        digests = [
+            subprocess.run([sys.executable, "-c", script], env={**env, **extra}, check=True,
+                           capture_output=True, text=True).stdout
+            for extra in ({}, {"OPENBLAS_CORETYPE": "Nehalem"})  # Nehalem kernels have no FMA
+        ]
+        assert digests[0] == digests[1] != ""
 
 
 class TestSceneGeneration:
@@ -537,24 +692,56 @@ class TestReusedFrameBuffers:
         assert any(m.startswith(f"object {ss.GROUND_OBJECT_ID} has a corner") for m in caplog.messages)
         assert ss.GROUND_OBJECT_ID not in bundle.instance_oracle.data
 
-    def test_alternating_image_sizes_match_a_fresh_process(self, tmp_path):
+    def test_alternating_image_sizes_match_a_fresh_process(self, tmp_path, monkeypatch):
+        """Frames of several scenarios share this process's buffers in turn.
+        Each frame resets only the window that the frame before it drew, unless
+        it draws a different first-object layer. Every written frame must
+        equal the same frame from a fresh process."""
+        size_a = dict(width=96, height=72, fx=105.0, fy=105.0, cx=48.0, cy=36.0)
         configs = {
-            "a": _acceptance_config(width=96, height=72, fx=105.0, fy=105.0, cx=48.0, cy=36.0),
+            "a": _acceptance_config(**size_a),
             "b": _acceptance_config(width=64, height=48, fx=70.0, fy=70.0, cx=32.0, cy=24.0),
             # the size of "a" again, another scenario: its frames reuse a's buffers
             "c": _acceptance_config(seed=5, width=96, height=72, fx=90.0, fy=90.0, cx=40.0, cy=30.0),
+            # a's ground and camera with no later object: a frame that draws nothing
+            "none": _acceptance_config(**size_a, vehicle_count_min=0, vehicle_count_max=0,
+                                       distractor_count_min=0, distractor_count_max=0),
+            # the ground slab lies behind the near plane and is skipped
+            "near": _acceptance_config(**size_a, near_m=1.5),
+            # a's camera with a wider ground slab: another layer at the same size
+            "ground": _acceptance_config(**size_a, seed=7, region_x_min=-30.0),
         }
+        # the frame after the failed one draws nothing, so pixels that the
+        # failed frame left outside the reset window would show
+        steps = ["a0", "a1", "none0", "a2", "ground0", "ground1", "a0", "c0", "near0", "near1", "b0", "b1",
+                 "c1", "none1", "FAIL a1", "none2", "a2", "ground2", "near2", "b2", "c2", "a1"]
         for name in configs:
             (tmp_path / "in-process" / name).mkdir(parents=True)
-        for frame in range(3):
-            for name, config in configs.items():
-                ss.write_scenario_frame(config, frame, tmp_path / "in-process" / name)
+        rasterize, calls = ss._rasterize_into, []
+
+        def failing_once_drawn(zbuf, stencil, instance, *triangle):
+            calls.append(None)
+            # the first call after an object past the ground slab drew a pixel
+            if (instance > ss.GROUND_OBJECT_ID).any():
+                raise RuntimeError("rasterizer failed")
+            return rasterize(zbuf, stencil, instance, *triangle)
+
+        for step in steps:
+            name, frame = step.split()[-1][:-1], int(step[-1])
+            if step.startswith("FAIL"):
+                with monkeypatch.context() as patch:
+                    patch.setattr(ss, "_rasterize_into", failing_once_drawn)
+                    with pytest.raises(RuntimeError, match="rasterizer failed"):
+                        ss.write_scenario_frame(configs[name], frame, tmp_path / "in-process" / name)
+                assert len(calls) > 1
+                continue
+            ss.write_scenario_frame(configs[name], frame, tmp_path / "in-process" / name)
         env = {**os.environ, "PYTHONPATH": str(Path(ss.__file__).parents[1])}
         for name, config in configs.items():
             scenario = tmp_path / f"{name}.txt"
             scenario.write_text(ss.scenario_to_text(config))
             subprocess.run([sys.executable, "-m", "matrixgt", "generate", "--scenario", str(scenario),
-                            "--out", str(tmp_path / "fresh" / name)], check=True, env=env)
+                            "--out", str(tmp_path / "fresh" / name)], check=True, env=env, capture_output=True)
             for frame in range(3):
                 assert _frame_files(tmp_path / "in-process" / name, frame) == _frame_files(
                     tmp_path / "fresh" / name, frame), (name, frame)
@@ -570,7 +757,7 @@ class TestReusedFrameBuffers:
         reused = ss._frame_buffers(config.height, config.width)
         for plane, want in zip(_planes(bundle), expected):
             assert plane.tobytes() == want.tobytes()
-            assert not any(np.shares_memory(plane, buffer) for buffer in reused)
+            assert not any(np.shares_memory(plane, buffer) for buffer in reused.arrays)
 
     def test_non_finite_depth_is_rejected_before_it_is_written(self, tmp_path, monkeypatch):
         buffer = np.zeros((2, 3), dtype=np.float32)
@@ -717,6 +904,15 @@ class TestMetaText:
             assert loaded.size == pytest.approx(original.size, abs=5e-5)
             assert loaded.yaw == pytest.approx(original.yaw, abs=5e-5)
 
+    def test_yaw_of_plus_or_minus_pi_round_trips(self, small_camera):
+        scene = [make_ground(z_far=40.0), make_vehicle(2, x=-1.0, z=9.0, yaw=math.pi),
+                 make_vehicle(3, x=1.5, z=12.0, yaw=-math.pi)]
+        records = ss.render_frame(small_camera, scene, 0, emit_color=False).records
+        text = ss.meta_text(records)
+        parsed = ss.parse_meta_text(text)
+        assert [r.yaw for r in parsed] == [0.0, 3.1416, -3.1416]
+        assert ss.meta_text(parsed) == text
+
     def test_field_count_error(self):
         with pytest.raises(FormatError, match="line 1"):
             ss.parse_meta_text("1 Vehicle 0 0 1 1\n")
@@ -729,7 +925,7 @@ class TestMetaText:
     @pytest.mark.parametrize(
         "field, value",
         [(2, "nan"), (4, "inf"), (6, "-1"), (6, "0"), (7, "inf"), (13, "-inf"), (2, "9"), (3, "1e999"),
-         (0, "0"), (0, "-5"), (0, "70000"), (0, "7")],
+         (0, "0"), (0, "-5"), (0, "70000"), (0, "7"), (13, "3.1417"), (13, "-3.1417"), (13, "1e308")],
     )
     def test_bad_number_or_record_names_the_line(self, field, value):
         # line 2 repeats line 1 under another id; ids must be 1..65535 and unique
