@@ -24,9 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError
 from .raster_codec import DepthCodecParams, Raster, linearize_depth, stencil_class_ids
-from .scene_sim import EngineRecord, ObjectClass, box_area, box_intersection_area
+from .scene_sim import EngineRecord, ObjectClass, box_area, box_intersection_area, pixel_window
 
 FULLY_VISIBLE_FRACTION = 0.8
 PARTLY_VISIBLE_FRACTION = 0.5
@@ -189,21 +189,6 @@ def orphan_annotation(hull: tuple[float, float, float, float], visible_px: int) 
     return TightAnnotation(source_id=0, tight_box=hull, visible_px=visible_px, truncation=0.0, occlusion_level=2)
 
 
-def _pixel_window(
-    box: tuple[float, float, float, float], margin: int, width: int, height: int
-) -> Optional[tuple[int, int, int, int]]:
-    """Integer pixel window [x0, x1) x [y0, y1) of pixels whose centers lie in
-    the box dilated by ``margin`` pixels, clipped to the image."""
-    left, top, right, bottom = box
-    x0 = max(0, int(np.ceil(left - margin - 0.5)))
-    x1 = min(width, int(np.floor(right + margin - 0.5)) + 1)
-    y0 = max(0, int(np.ceil(top - margin - 0.5)))
-    y1 = min(height, int(np.floor(bottom + margin - 0.5)) + 1)
-    if x0 >= x1 or y0 >= y1:
-        return None
-    return x0, y0, x1, y1
-
-
 def refine_tight_box(
     record: EngineRecord,
     mask: np.ndarray,
@@ -225,7 +210,7 @@ def refine_tight_box(
     if record.cls is not ObjectClass.VEHICLE:
         raise ValueError(f"refinement only applies to vehicle records, got {record.cls.label}")
     height, width = mask.shape
-    window = _pixel_window(record.coarse_box, COARSE_BOX_MARGIN_PX, width, height)
+    window = pixel_window(record.coarse_box, width, height, COARSE_BOX_MARGIN_PX)
     if window is None:
         return None
     x0, y0, x1, y1 = window
@@ -277,13 +262,9 @@ def annotate_frame(
 
     Consumes only (stencil, depth, records, params); the instance oracle is
     never an input. Output order: refined records by source_id, then orphans
-    by image position.
+    by image position. The buffers are as ``read_frame_buffers`` returns
+    and checks them.
     """
-    if (stencil.width, stencil.height) != (depth.width, depth.height):
-        raise FormatError(
-            f"buffer dimension mismatch: stencil {stencil.width}x{stencil.height}, "
-            f"depth {depth.width}x{depth.height}"
-        )
     mask = vehicle_mask(stencil)
     residual = mask.copy()
     accepted = []

@@ -143,10 +143,7 @@ def _oracle_task(task) -> None:
 
     dataset_dir, labels_dir, frame_idx, image_size = task
     _, stencil, records, instance = scene_sim.read_frame_buffers(dataset_dir, frame_idx, with_instance=True)
-    try:
-        labels = oracle_frame_labels(instance, stencil, records, image_size)
-    except ValidationError as exc:
-        raise ValidationError(f"frame {frame_idx:06d}: {exc} (from the manifest)") from None
+    labels = oracle_frame_labels(instance, stencil, records, image_size)
     kitti_labels.write_labels(labels, kitti_labels.label_path(labels_dir, frame_idx))
 
 

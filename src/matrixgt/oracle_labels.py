@@ -18,11 +18,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .annotator import _pixel_window, orphan_annotation, pixel_hull, record_annotation
-from .errors import ValidationError
+from .annotator import orphan_annotation, pixel_hull, record_annotation
 from .kitti_labels import KittiLabel, from_annotation
 from .raster_codec import Raster
-from .scene_sim import EngineRecord, ObjectClass
+from .scene_sim import EngineRecord, ObjectClass, pixel_window
 
 
 def _new_sort_buffers(pixel_count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -75,16 +74,8 @@ def oracle_frame_labels(
     """One frame's labels: each visible vehicle's box is the exact hull of its
     oracle pixels. Vehicles without an engine record (beyond its registration
     range) get the annotator's orphan labels; fully occluded objects emit
-    nothing. Raises :class:`ValidationError` when a raster's size differs from
-    ``image_size``, the (width, height) truncation is measured against, and
-    ValueError when the stencil is not U8."""
-    for name, raster in (("instance", instance), ("stencil", stencil)):
-        if (raster.width, raster.height) != tuple(image_size):
-            raise ValidationError(
-                f"{name} raster is {raster.width}x{raster.height}, image size is {image_size[0]}x{image_size[1]}"
-            )
-    if stencil.sample_kind != "U8":
-        raise ValueError(f"stencil raster must be U8, got {stencil.sample_kind}")
+    nothing. The rasters are as ``read_frame_buffers`` returns and checks
+    them, of ``image_size``: the (width, height) truncation is measured in."""
     inst = instance.data
     width, height = image_size
     by_id = {r.object_id: r for r in records}
@@ -93,7 +84,7 @@ def oracle_frame_labels(
         record = by_id.get(object_id)
         if record is not None and record.cls != ObjectClass.VEHICLE:
             continue
-        window = None if record is None else _pixel_window(record.coarse_box, 0, width, height)
+        window = None if record is None else pixel_window(record.coarse_box, width, height)
         mask, x0, y0 = _object_mask(inst, object_id, visible_px, window)
         # an unrecorded id takes the class of its first pixel in row-major order
         if record is None and int(stencil.data.flat[mask.argmax()]) & 0x0F != ObjectClass.VEHICLE:

@@ -60,7 +60,8 @@ class Raster:
     """Immutable width x height grid of U8, U16, or F32 samples.
 
     Wraps a C-contiguous 2D numpy array (row-major, top-left origin) without
-    copying it, and marks it read-only. F32 samples must be finite. Only for
+    copying it, and marks it read-only. F32 samples (encoded depth) lie in
+    [0, 1], -0.0 excluded. Only for
     arrays that nothing else writes to while the raster lives: a fresh buffer
     its maker hands over, a view of immutable ``bytes``, or a view of a reused
     buffer whose owner drops the raster before it writes to the buffer again.
@@ -77,8 +78,10 @@ class Raster:
             raise ValueError(f"unsupported raster dtype {arr.dtype}; use uint8, uint16, or float32")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"raster dimensions must be >= 1, got {arr.shape[1]}x{arr.shape[0]}")
-        if kind == "F32" and not np.isfinite(arr).all():
-            raise ValueError("F32 raster contains non-finite samples")
+        # one reduction, no temporary: as unsigned integers the bits of +0.0 .. 1.0
+        # are 0 .. 0x3F800000, and larger floats, +inf, NaN and sign bits lie above
+        if kind == "F32" and arr.view(np.uint32).max() > 0x3F800000:
+            raise ValueError("F32 raster holds non-finite samples or samples outside [0, 1]")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -133,8 +136,6 @@ def linearize_depth(d, params: DepthCodecParams):
 
 def stencil_class_ids(stencil: Raster) -> np.ndarray:
     """Vectorized class-code plane of a packed U8 stencil raster."""
-    if stencil.sample_kind != "U8":
-        raise ValueError(f"stencil raster must be U8, got {stencil.sample_kind}")
     return stencil.data & 0x0F
 
 
@@ -168,7 +169,7 @@ def raster_from_bytes(blob: bytes) -> Raster:
     samples = np.frombuffer(blob, dtype=dtype, offset=14).reshape(height, width)
     try:
         return Raster(samples)
-    except ValueError as exc:  # the only check left is F32 finiteness
+    except ValueError as exc:  # the only check left is the F32 sample domain
         raise FormatError(f"MRB payload: {exc}") from None
 
 

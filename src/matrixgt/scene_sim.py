@@ -45,13 +45,13 @@ import enum
 import functools
 import logging
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import BehindCameraError, ConfigError, FormatError, read_text
+from .errors import BehindCameraError, ConfigError, FormatError, ValidationError, read_text
 from .raster_codec import (
     DepthCodecParams,
     Raster,
@@ -97,6 +97,7 @@ class ObjectClass(enum.IntEnum):
 
 
 _CLASS_BY_LABEL = {c.label.lower(): c for c in ObjectClass}
+_MAX_CLASS_CODE = max(ObjectClass)  # stencil class codes are 0 (no object) and the class values
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,10 @@ class EngineRecord:
     def __post_init__(self):
         if not _proper_box(self.coarse_box):
             raise ValueError(f"coarse_box must be well-ordered with positive area, got {self.coarse_box}")
-        if self.range_m <= 0:
-            raise ValueError(f"range_m must be positive, got {self.range_m}")
+        if not 0.0 < self.range_m < math.inf:
+            raise ValueError(f"range_m must be positive and finite, got {self.range_m}")
+        if not all(s > 0 for s in self.size):
+            raise ValueError(f"size components must be positive, got {self.size}")
 
 
 @dataclass
@@ -238,11 +241,17 @@ class ScenarioConfig:
             raise ConfigError(f"camera_height_m must be positive, got {self.camera_height_m}")
         if not (0.0 < self.vehicle_yaw_max_deg <= 180.0):
             raise ConfigError(f"vehicle_yaw_max_deg must be in (0, 180], got {self.vehicle_yaw_max_deg}")
-        self.camera()  # camera/codec field validation
+        camera = self.camera()  # camera/codec field validation
         if self.width * self.height > MAX_IMAGE_PIXELS:
             raise ConfigError(
                 f"image must have at most {MAX_IMAGE_PIXELS} pixels, got {self.width}x{self.height}"
             )
+        try:  # every frame records the ground slab, so its box must fit a meta file
+            ground = inflate_box(coarse_box(camera, _ground_object(self)), self.coarse_box_inflate_pct)
+        except BehindCameraError:
+            return  # skipped with a warning on every frame, as any such object
+        if not _proper_box(ground):
+            raise ConfigError(f"the ground slab projects to the box {ground}, which has no finite positive area")
 
     def camera(self) -> CameraModel:
         return CameraModel(
@@ -299,9 +308,9 @@ def _fma_signs(m: float, y: float, a: float) -> tuple[float, float, float, float
     ``fma(x, y, a)`` is ``x*y + a`` rounded once, as a hardware fused
     multiply-add gives it (Python 3.11 has no ``math.fma``). Dekker's product
     gives ``m*y`` exactly as ``p + e``, and ``math.fsum`` rounds ``p + e + a``
-    correctly. Where Dekker's product is not exact (a factor too large to
-    split, a product that overflows or whose low part underflows) or ``fsum``
-    overflows part-way, the exact rational value is rounded instead.
+    correctly. Where Dekker's product is not exact (a zero factor, a factor too
+    large to split, a product that overflows or whose low part underflows) or
+    ``fsum`` overflows part-way, :func:`_exact_fma` gives the value instead.
     """
     p = m * y
     if abs(m) < _SPLIT_MAX and abs(y) < _SPLIT_MAX and _PRODUCT_MIN <= abs(p) < _PRODUCT_MAX:
@@ -321,10 +330,12 @@ def _fma_signs(m: float, y: float, a: float) -> tuple[float, float, float, float
 
 
 def _exact_fma(x: float, y: float, a: float) -> float:
-    """``x*y + a`` rounded once, from the exact rational value; +-inf where it
-    overflows, and IEEE 754's special values and signed zeros elsewhere."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return x * y + a  # the product is exact: +-inf or nan
+    """``x*y + a`` rounded once; +-inf where it overflows, and IEEE 754's
+    special values and signed zeros elsewhere. A zero factor (the sine of a
+    yaw of 0, as the ground slab's) or a non-finite one makes ``x*y`` exact;
+    other operands round the exact rational value."""
+    if not (x and y and math.isfinite(x) and math.isfinite(y)):
+        return x * y + a  # the product is exact: +-0, +-inf or nan
     if not math.isfinite(a):
         return a
     from fractions import Fraction  # imported only on this rare path: it loads decimal
@@ -404,9 +415,9 @@ def inflate_box(
 
 def _proper_box(box) -> bool:
     """Whether a (left, top, right, bottom) box is well-ordered with a
-    positive area, as an :class:`EngineRecord`'s coarse box must be."""
+    finite positive area, as an :class:`EngineRecord`'s coarse box must be."""
     left, top, right, bottom = box
-    return left < right and top < bottom and box_area(box) > 0.0
+    return left < right and top < bottom and 0.0 < box_area(box) < math.inf
 
 
 def box_area(box) -> float:
@@ -418,6 +429,21 @@ def box_intersection_area(a, b) -> float:
     w = min(a[2], b[2]) - max(a[0], b[0])
     h = min(a[3], b[3]) - max(a[1], b[1])
     return w * h if (w > 0 and h > 0) else 0.0
+
+
+def pixel_window(box, width: int, height: int, margin: float = 0) -> Optional[tuple[int, int, int, int]]:
+    """``(x0, y0, x1, y1)``: the window [x0, x1) x [y0, y1) of the pixels whose
+    centers lie in ``box`` dilated by ``margin``, clipped to the image; None
+    if empty. Bounds are compared with the image before they are rounded, so
+    an infinite or NaN bound gives an empty or full span rather than an error."""
+    left, top, right, bottom = box
+    lo, hi = left - margin - 0.5, right + margin - 0.5
+    x0 = math.ceil(lo) if 0.0 < lo < width else (width if lo >= width else 0)
+    x1 = math.floor(hi) + 1 if -1.0 < hi < width - 1 else (0 if hi <= -1.0 else width)
+    lo, hi = top - margin - 0.5, bottom + margin - 0.5
+    y0 = math.ceil(lo) if 0.0 < lo < height else (height if lo >= height else 0)
+    y1 = math.floor(hi) + 1 if -1.0 < hi < height - 1 else (0 if hi <= -1.0 else height)
+    return (x0, y0, x1, y1) if x0 < x1 and y0 < y1 else None
 
 
 # --- triangle rasterization core -------------------------------------------
@@ -528,34 +554,31 @@ def _rasterize_into(
     rendered), so a back face lies behind a front face of the same cuboid at
     every pixel it covers and can never win the strict less-than z-test.
 
-    Pixels are evaluated over the triangle's bounding box clamped to the
-    image; coverage itself is decided only by ``triangle_coverage_depth``.
+    Pixels are evaluated over the triangle's :func:`pixel_window`; coverage
+    itself is decided only by ``triangle_coverage_depth``.
     """
     (ax, ay, _), (bx, by, _), (cx, cy, _) = tri
     if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) >= 0.0:
         return
     height, width = zbuf.shape
-    xs, ys = (ax, bx, cx), (ay, by, cy)
-    x0 = max(0, math.ceil(min(xs) - 0.5))
-    x1 = min(width - 1, math.floor(max(xs) - 0.5))
-    y0 = max(0, math.ceil(min(ys) - 0.5))
-    y1 = min(height - 1, math.floor(max(ys) - 0.5))
-    if x0 > x1 or y0 > y1:
+    window = pixel_window((min(ax, bx, cx), min(ay, by, cy), max(ax, bx, cx), max(ay, by, cy)), width, height)
+    if window is None:
         return
-    px = np.arange(x0, x1 + 1, dtype=np.float64) + 0.5
-    py = (np.arange(y0, y1 + 1, dtype=np.float64) + 0.5)[:, None]
+    x0, y0, x1, y1 = window
+    px = np.arange(x0, x1, dtype=np.float64) + 0.5
+    py = (np.arange(y0, y1, dtype=np.float64) + 0.5)[:, None]
     result = triangle_coverage_depth(tri, px, py)
     if result is None:
         return
     covered, z = result
-    zwin = zbuf[y0 : y1 + 1, x0 : x1 + 1]
+    zwin = zbuf[y0:y1, x0:x1]
     hit = z < zwin
     hit &= covered
     if not hit.any():
         return
     np.copyto(zwin, z, where=hit)
-    np.copyto(stencil[y0 : y1 + 1, x0 : x1 + 1], class_code, where=hit)
-    np.copyto(instance[y0 : y1 + 1, x0 : x1 + 1], object_id, where=hit)
+    np.copyto(stencil[y0:y1, x0:x1], class_code, where=hit)
+    np.copyto(instance[y0:y1, x0:x1], object_id, where=hit)
 
 
 _SKY_RGB = (96, 144, 200)
@@ -642,25 +665,14 @@ _frame_buffers = functools.lru_cache(maxsize=1)(_FrameBuffers)
 
 def _draw_window(hulls: Iterable[tuple[float, float, float, float]], width: int, height: int) -> Optional[Window]:
     """The smallest window holding every pixel that :func:`_rasterize_into`
-    may draw for objects with these corner hulls, or None if it is empty.
-
-    Per object, the rows and columns whose pixel centers lie in its hull,
-    clamped to the image as :func:`_rasterize_into` clamps each triangle; a
-    triangle's vertices are corners, so its window lies in its object's. The
-    clamping comes first, so an infinite or NaN hull gives an empty or full
-    span rather than an error.
+    may draw for objects with these corner hulls, or None if it is empty: the
+    union of the hulls' pixel windows. A triangle's vertices are corners, so
+    its window lies in its object's.
     """
-    spans = []
-    for left, top, right, bottom in hulls:
-        x0 = math.ceil(min(width, max(0.0, left - 0.5)))
-        x1 = math.floor(max(-1.0, min(width - 1.0, right - 0.5))) + 1
-        y0 = math.ceil(min(height, max(0.0, top - 0.5)))
-        y1 = math.floor(max(-1.0, min(height - 1.0, bottom - 0.5))) + 1
-        if x0 < x1 and y0 < y1:
-            spans.append((y0, y1, x0, x1))
-    if not spans:
+    windows = [w for w in (pixel_window(hull, width, height) for hull in hulls) if w is not None]
+    if not windows:
         return None
-    y0s, y1s, x0s, x1s = zip(*spans)
+    x0s, y0s, x1s, y1s = zip(*windows)
     return slice(min(y0s), max(y1s)), slice(min(x0s), max(x1s))
 
 
@@ -960,7 +972,12 @@ def manifest_text(config: ScenarioConfig) -> str:
 
 
 def read_manifest(path: str | Path) -> ScenarioConfig:
-    pairs = _parse_kv_lines(read_text(path, FormatError), origin="manifest")
+    return replace(_parse_manifest(read_text(path, FormatError), path))  # a copy of the cached config
+
+
+@functools.lru_cache(maxsize=1)  # every frame read checks its rasters against the manifest
+def _parse_manifest(text: str, path: str | Path) -> ScenarioConfig:
+    pairs = _parse_kv_lines(text, origin="manifest")
     version = pairs.pop("format_version", None)
     if version != str(FORMAT_VERSION):
         raise FormatError(f"manifest {path}: unsupported format_version {version!r}")
@@ -1093,29 +1110,42 @@ def write_scenario_frame(config: ScenarioConfig, frame_idx: int, dataset_dir: st
 def read_frame_buffers(
     dataset_dir: str | Path, frame_idx: int, *, with_instance: bool = False
 ) -> tuple[Optional[Raster], Raster, list[EngineRecord], Optional[Raster]]:
-    """Load (depth, stencil, records, instance) for one frame.
+    """Load (depth, stencil, records, instance) for one frame. This is the one
+    check of a frame, so the stages check nothing of it again: a raster whose
+    size is not the manifest's raises :class:`ValidationError` (exit 4); F32
+    depth outside [0, 1], a stencil class code (low nibble) that is not 0 or
+    an :class:`ObjectClass` value, a wrong sample kind or a bad meta record
+    raise :class:`FormatError` (exit 2). Both name the file.
 
     The annotation path never sets ``with_instance`` and gets no instance
     raster, which is reserved for tests and oracle labels. With it, depth is
     neither read nor returned, since oracle labels do not use it.
     """
+    manifest = Path(dataset_dir) / MANIFEST_NAME
+    config = _parse_manifest(read_text(manifest, FormatError), manifest)
+    size = config.width, config.height
     paths = frame_paths(dataset_dir, frame_idx)
-    depth = None if with_instance else _read_raster_of_kind(paths["depth"], "F32")
-    stencil = _read_raster_of_kind(paths["stencil"], "U8")
+    depth = None if with_instance else _read_raster_of_kind(paths["depth"], "F32", size)
+    stencil = _read_raster_of_kind(paths["stencil"], "U8", size)
+    # a byte bounds its low nibble, so only flag bits need the mask
+    if stencil.data.max() > _MAX_CLASS_CODE and (stencil.data & 0x0F).max() > _MAX_CLASS_CODE:
+        raise FormatError(f"{paths['stencil']}: class codes must be 0..{_MAX_CLASS_CODE}")
     text = read_text(paths["meta"], FormatError)
     try:
         records = parse_meta_text(text)
     except FormatError as exc:
         raise FormatError(f"{paths['meta']}: {exc}") from None
-    instance = _read_raster_of_kind(paths["instance"], "U16") if with_instance else None
+    instance = _read_raster_of_kind(paths["instance"], "U16", size) if with_instance else None
     return depth, stencil, records, instance
 
 
-def _read_raster_of_kind(path: Path, kind: str) -> Raster:
+def _read_raster_of_kind(path: Path, kind: str, size: tuple[int, int]) -> Raster:
     try:
         raster = read_raster(path)
     except FormatError as exc:
         raise type(exc)(f"{path}: {exc}") from None
     if raster.sample_kind != kind:
         raise FormatError(f"{path}: expected {kind} samples, got {raster.sample_kind}")
+    if (raster.width, raster.height) != size:
+        raise ValidationError(f"{path}: {raster.width}x{raster.height} raster, manifest says {size[0]}x{size[1]}")
     return raster

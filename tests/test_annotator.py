@@ -5,7 +5,7 @@ from conftest import make_ground, make_vehicle, oracle_hulls
 
 from matrixgt import annotator as an
 from matrixgt import scene_sim as ss
-from matrixgt.errors import ConfigError, FormatError
+from matrixgt.errors import ConfigError
 from matrixgt.evaluator import iou
 from matrixgt.kitti_labels import format_label, from_annotation
 from matrixgt.oracle_labels import oracle_frame_labels
@@ -332,12 +332,6 @@ class TestAnnotateFrame:
         hulls = oracle_hulls(bundle.instance_oracle)
         for annotation in annotations:
             assert iou(annotation.tight_box, hulls[annotation.source_id]) >= 0.98
-
-    def test_dimension_mismatch(self, codec):
-        stencil = Raster(np.zeros((10, 10), dtype=np.uint8))
-        depth = Raster(np.ones((10, 12), dtype=np.float32))
-        with pytest.raises(FormatError):
-            an.annotate_frame(stencil, depth, [])
 
     def test_coverage_partition(self, occlusion_scene):
         camera, scene = occlusion_scene

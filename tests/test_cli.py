@@ -1,11 +1,16 @@
 import hashlib
 import os
+import shutil
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_ground, make_vehicle, oracle_hulls
 
@@ -472,14 +477,47 @@ def _nan_depth_sample(paths):
 
 
 def _recast(key, dtype):
+    """Rewrite a frame raster with another sample kind. Integer samples cast
+    to F32 are scaled into [0, 1], the only F32 domain, so that only the
+    sample kind is wrong."""
+
     def corrupt(paths):
-        data = read_raster(paths[key]).data.astype(dtype)
-        write_raster(Raster(data), paths[key])
+        data = read_raster(paths[key]).data
+        if np.dtype(dtype).kind == "f" and data.dtype.kind == "u":
+            data = data / np.iinfo(data.dtype).max
+        write_raster(Raster(data.astype(dtype)), paths[key])
+
+    return corrupt
+
+
+_MRB_DTYPES = {0: "<u1", 1: "<u2", 2: "<f4"}  # by the sample-kind byte of the header
+
+
+def _fill_raster(key, value):
+    """Set every sample of a frame raster to ``value``. The payload is written
+    directly, so values that no Raster holds reach the reader."""
+
+    def corrupt(paths):
+        blob = paths[key].read_bytes()
+        samples = np.frombuffer(blob, dtype=_MRB_DTYPES[blob[5]], offset=14)
+        paths[key].write_bytes(blob[:14] + np.full_like(samples, value).tobytes())
+
+    return corrupt
+
+
+def _crop(*keys):
+    """Cut frame rasters down to their top-left 4x4 pixels."""
+
+    def corrupt(paths):
+        for key in keys:
+            write_raster(Raster(read_raster(paths[key]).data[:4, :4]), paths[key])
 
     return corrupt
 
 
 def _meta_field(index, value):
+    """Set field ``index`` (or a slice of fields) of the first meta record."""
+
     def corrupt(paths):
         first, *rest = paths["meta"].read_text().splitlines(keepends=True)
         parts = first.split()
@@ -638,6 +676,28 @@ BAD_INPUTS = {
     "oracle-manifest-nan-camera-height": (
         {}, _corrupted_dataset_argv("oracle-labels", _manifest_key("camera_height_m", "nan")), 2
     ),
+    # a frame's rasters are checked on read, once, against the manifest and the
+    # domain generate writes: a size that differs exits 4, a value outside it 2
+    "annotate-stencil-and-depth-4x4": ({}, _corrupted_dataset_argv("annotate", _crop("stencil", "depth")), 4),
+    "annotate-stencil-4x4": ({}, _corrupted_dataset_argv("annotate", _crop("stencil")), 4),
+    "oracle-stencil-4x4": ({}, _corrupted_dataset_argv("oracle-labels", _crop("stencil")), 4),
+    "annotate-depth-minus-5": ({}, _corrupted_dataset_argv("annotate", _fill_raster("depth", -5.0)), 2),
+    "annotate-depth-3e38": ({}, _corrupted_dataset_argv("annotate", _fill_raster("depth", 3e38)), 2),
+    "annotate-stencil-0xff": ({}, _corrupted_dataset_argv("annotate", _fill_raster("stencil", 0xFF)), 2),
+    "oracle-stencil-0xff": ({}, _corrupted_dataset_argv("oracle-labels", _fill_raster("stencil", 0xFF)), 2),
+    # fields 7-9 are the height, width and length
+    "annotate-meta-size-0": ({}, _corrupted_dataset_argv("annotate", _meta_field(slice(7, 10), ["0"] * 3)), 2),
+    "oracle-meta-size-0": ({}, _corrupted_dataset_argv("oracle-labels", _meta_field(slice(7, 10), ["0"] * 3)), 2),
+    # a focal length this large projects the ground slab and every object to
+    # infinite boxes, which no meta file may hold
+    "generate-fx-1e308": ({}, _scenario_key_argv("fx", "1e308"), 2),
+    "generate-fx-1e308-ground-only": (
+        {},
+        lambda root: _generate_argv(root, _with_key(_with_key(_with_key(_with_key(
+            TINY_SCENARIO, "fx", "1e308"), "vehicle_count_min", "0"), "vehicle_count_max", "0"),
+            "distractor_count_max", "0")),
+        2,
+    ),
 }
 
 
@@ -648,3 +708,125 @@ def test_bad_input_exits_without_traceback(case, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(key, value)
     assert cli.main(make_argv(tmp_path)) == code
     assert capsys.readouterr().err.startswith("matrixgt: error:")
+
+
+# --- whole stages over one mutated file ----------------------------------------
+
+_FUZZ_FRAMES = 2
+_FUZZ_FILES = ("depth", "stencil", "instance", "meta", "manifest")
+_FUZZ_TOKENS = ["0", "-0", "-1", "1", "2.5", "65535", "65536", "1e308", "-1e308", "1e-300", "nan", "inf", "3.1416",
+                "3.1417", "Vehicle", "Ground", "Distractor", "x", ""]
+_FUZZ_SAMPLES = {
+    "depth": [0.0, -0.0, 1.0, 0.5, -5.0, 1.0000001, 3e38, float("nan"), float("inf")],
+    "stencil": [0, 1, 2, 3, 4, 15, 0x12, 0xF3, 0xFF],
+    "instance": [0, 1, 2, 3, 7, 65535],
+}
+
+
+@st.composite
+def _mutations(draw):
+    """One change to one file of a valid dataset, as a plain tuple:
+    ``(kind, frame, file, *arguments)``."""
+    kind = draw(st.sampled_from(["flip", "truncate", "meta-field", "sample", "resize"]))
+    frame = draw(st.integers(0, _FUZZ_FRAMES - 1))
+    if kind in ("flip", "truncate"):
+        return kind, frame, draw(st.sampled_from(_FUZZ_FILES)), draw(st.integers(0, 2**31)), draw(st.integers(0, 7))
+    if kind == "meta-field":
+        return kind, frame, "meta", draw(st.integers(0, 9)), draw(st.integers(0, 13)), draw(st.sampled_from(_FUZZ_TOKENS))
+    key = draw(st.sampled_from(sorted(_FUZZ_SAMPLES)))
+    if kind == "sample":
+        return kind, frame, key, draw(st.integers(0, 2**31)), draw(st.sampled_from(_FUZZ_SAMPLES[key]))
+    return kind, frame, key, draw(st.integers(1, 120)), draw(st.integers(1, 90))
+
+
+def _mutate(dataset, mutation):
+    kind, frame, key, *args = mutation
+    path = dataset / ss.MANIFEST_NAME if key == "manifest" else ss.frame_paths(dataset, frame)[key]
+    blob = bytearray(path.read_bytes())
+    if kind == "flip":
+        position, bit = args
+        blob[position % len(blob)] ^= 1 << bit
+    elif kind == "truncate":
+        del blob[args[0] % len(blob):]
+    elif kind == "meta-field":
+        line, field, token = args
+        lines = blob.decode().splitlines()
+        parts = lines[line % len(lines)].split()
+        parts[field] = token
+        lines[line % len(lines)] = " ".join(parts)
+        blob = bytearray("\n".join(lines).encode() + b"\n")
+    else:
+        samples = np.frombuffer(bytes(blob), dtype=_MRB_DTYPES[blob[5]], offset=14).copy()
+        if kind == "sample":
+            position, value = args
+            samples[position % samples.size] = value
+            blob[14:] = samples.tobytes()
+        else:  # tile or cut the raster to width x height
+            width, height = args
+            rows = samples.reshape(struct.unpack("<I", blob[10:14])[0], -1)
+            resized = np.tile(rows, (height // rows.shape[0] + 1, width // rows.shape[1] + 1))[:height, :width]
+            blob = blob[:6] + struct.pack("<II", width, height) + resized.tobytes()
+    path.write_bytes(bytes(blob))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    scenario = root / "s.txt"
+    scenario.write_text(TINY_SCENARIO.replace("frames=4", f"frames={_FUZZ_FRAMES}"))
+    assert cli.main(["generate", "--scenario", str(scenario), "--out", str(root / "ds")]) == 0
+    return root / "ds"
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mutations())
+def test_stages_on_a_mutated_dataset_keep_the_exit_code_contract(fuzz_dataset, tmp_path_factory, mutation):
+    """annotate, oracle-labels, evaluate and stats on a dataset with one file
+    changed: every exit code is in the contract (an exception fails the
+    test), a file that both label stages read gives both one exit code, and
+    a stage that succeeds writes the same bytes when run again."""
+    root = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    dataset = root / "ds"
+    shutil.copytree(fuzz_dataset, dataset)
+    _mutate(dataset, mutation)
+    stages = {
+        "annotate": lambda out: ["annotate", "--in", str(dataset), "--out", str(out)],
+        "oracle-labels": lambda out: ["oracle-labels", "--in", str(dataset), "--out", str(out)],
+        "evaluate": lambda out: ["evaluate", "--det", str(root / "annotate"), "--gt", str(root / "oracle-labels"),
+                                 "--out", str(out)],
+        "stats": lambda out: ["stats", "--labels", str(root / "annotate"), "--out", str(out), "--image", "96x72"],
+    }
+    codes = {}
+    for stage, argv in stages.items():
+        codes[stage] = cli.main(argv(root / stage))
+        assert codes[stage] in (0, 2, 3, 4), (stage, codes[stage])
+        if codes[stage] == 0:
+            assert cli.main(argv(root / f"{stage}-again")) == 0, stage
+            assert dir_digest(root / stage) == dir_digest(root / f"{stage}-again"), stage
+    if mutation[2] in ("stencil", "meta", "manifest"):
+        assert codes["annotate"] == codes["oracle-labels"], codes
+    shutil.rmtree(root)
+
+
+def test_benchmark_replay_writes_what_the_cli_writes(tmp_path, monkeypatch):
+    """``perfbench/replay.py`` runs the stages in process for ``--trace 1`` and
+    requires the CLI's bytes. This guard keeps a change to the package from
+    breaking that unseen, until the replay is retired."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import replay
+
+    scenario = tmp_path / "s.txt"
+    scenario.write_text(TINY_SCENARIO)
+    want, got = tmp_path / "cli", tmp_path / "replay"
+    d = {name: want / name for name in ("dataset", "det", "gt", "report", "stats")}
+    for argv in (
+        ["generate", "--scenario", str(scenario), "--out", str(d["dataset"])],
+        ["annotate", "--in", str(d["dataset"]), "--out", str(d["det"])],
+        ["oracle-labels", "--in", str(d["dataset"]), "--out", str(d["gt"])],
+        ["evaluate", "--det", str(d["det"]), "--gt", str(d["gt"]), "--ap", "11pt", "--out", str(d["report"])],
+        ["stats", "--labels", str(d["det"]), "--out", str(d["stats"]), "--image", "96x72"],
+    ):
+        assert cli.main(argv) == 0, argv[0]
+    replay.replay(scenario, {name: got / name for name in d}, 1, "11pt")
+    for name in d:
+        assert dir_digest(got / name) == dir_digest(want / name), name

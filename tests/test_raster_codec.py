@@ -110,6 +110,25 @@ class TestRasterType:
         with pytest.raises(ValueError):
             Raster(np.array([[np.inf]], dtype=np.float32))
 
+    def test_f32_samples_lie_in_the_unit_interval(self):
+        """F32 rasters hold encoded depth: +0.0 .. 1.0 and nothing else."""
+        tiny = np.float32(1e-45)  # the smallest subnormal
+        for value in (0.0, tiny, 0.5, np.nextafter(np.float32(1.0), np.float32(0.0)), 1.0):
+            Raster(np.array([[0.25, value]], dtype=np.float32))
+        for value in (-0.0, -tiny, -1.0, np.nextafter(np.float32(1.0), np.float32(2.0)), 3e38, np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                Raster(np.array([[0.25, value]], dtype=np.float32))
+        # every sign, exponent and a spread of mantissas, against plain float logic
+        bits = np.random.default_rng(5).integers(0, 2**32, size=4096, dtype=np.uint64).astype(np.uint32)
+        for value in bits.view(np.float32):
+            inside = bool(0.0 <= value <= 1.0) and not np.signbit(value)
+            try:
+                Raster(np.array([[value]], dtype=np.float32))
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == inside, value
+
     def test_immutable(self):
         raster = Raster(np.zeros((2, 3), dtype=np.uint8))
         with pytest.raises(ValueError):
@@ -164,7 +183,7 @@ class TestMRB:
         assert blob[14:] == bytes([0x00, 0x00, 0x80, 0x3F])
 
     def test_round_trip_via_stream_and_path(self, tmp_path):
-        raster = Raster(np.arange(12, dtype=np.float32).reshape(3, 4))
+        raster = Raster(np.linspace(0.0, 1.0, 12, dtype=np.float32).reshape(3, 4))
         path = tmp_path / "r.mrb"
         write_raster(raster, path)
         assert read_raster(path) == raster
@@ -195,7 +214,7 @@ class TestMRB:
         assert read_raster(path) == raster
 
     def test_read_data_is_read_only_and_detached_from_a_mutable_blob(self, tmp_path):
-        raster = Raster(np.arange(12, dtype=np.float32).reshape(3, 4))
+        raster = Raster(np.linspace(0.0, 1.0, 12, dtype=np.float32).reshape(3, 4))
         blob = bytearray(_written(raster, tmp_path / "r.mrb"))
         loaded = raster_from_bytes(blob)
         assert not loaded.data.flags.writeable

@@ -20,8 +20,8 @@ from oracles import brute_force_buffers, brute_force_depth, cuboid_corners, ray_
 
 from matrixgt import cli
 from matrixgt import scene_sim as ss
-from matrixgt.errors import BehindCameraError, ConfigError, FormatError, MatrixGTError
-from matrixgt.raster_codec import Raster, encode_log_depth, linearize_depth
+from matrixgt.errors import BehindCameraError, ConfigError, FormatError, MatrixGTError, ValidationError
+from matrixgt.raster_codec import Raster, encode_log_depth, linearize_depth, read_raster, write_raster
 
 
 class TestCoarseBox:
@@ -209,6 +209,30 @@ class TestScalarCorners:
         ]
         assert digests[0] == digests[1] != ""
 
+    def test_a_zero_factor_needs_no_rational_arithmetic(self, tmp_path):
+        # a zero factor makes the product exact, signed zeros included
+        for m, y in ((0.0, 3.0), (-0.0, 3.0), (2.5, 0.0), (2.5, -0.0), (0.0, -0.0), (5e-324, 0.0), (0.0, 1e308)):
+            for a in (0.0, -0.0, 1.25, -7.5, 5e-324, sys.float_info.max):
+                want = [_fraction_fma(sm * m, y, sa * a) for sa in (-1.0, 1.0) for sm in (-1.0, 1.0)]
+                assert _bits(ss._fma_signs(m, y, a)) == _bits(want), (m, y, a)
+                assert _bits(ss._fma_signs(y, m, a)) == _bits(want), (y, m, a)
+        # the ground slab has yaw 0, so a sine of 0: a generating process must
+        # not fall back to Fraction for it, which imports decimal
+        scenario = tmp_path / "acceptance.txt"
+        scenario.write_text(ACCEPTANCE_SCENARIO)
+        script = (
+            "import sys\n"
+            "from matrixgt import scene_sim as ss\n"
+            f"config = ss.load_scenario({str(scenario)!r})\n"
+            "for frame in range(3):\n"
+            f"    ss.write_scenario_frame(config, frame, {str(tmp_path)!r})\n"
+            "print('fractions' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ss.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+        assert result.stdout.split() == ["False"]
+        assert ss.frame_paths(tmp_path, 2)["meta"].exists()
+
 
 class TestSceneGeneration:
     def _config(self, **overrides):
@@ -265,6 +289,20 @@ class TestSceneGeneration:
                     overlap = (min(a[2], b[2]) > max(a[0], b[0])) and (min(a[3], b[3]) > max(a[1], b[1]))
                     if overlap:
                         assert abs(objs[i].center[2] - objs[j].center[2]) >= 5.0
+
+    def test_ground_slab_must_project_to_a_finite_box(self):
+        # every frame records the ground slab, so its box must fit a meta file
+        for key in ("fx", "fy"):
+            with pytest.raises(ConfigError, match="ground slab"):
+                self._config(**{key: 1e308}).validate()
+        # a slab behind the near plane is skipped on every frame, as before
+        config = self._config(near_m=1.5, vehicle_count_min=0, vehicle_count_max=0)
+        config.validate()
+        assert [r.cls for r in render_scenario_frame(config, 0).records] == []
+        # no coarse box may have an infinite area, so none reaches a meta file
+        assert not ss._proper_box((-math.inf, 0.0, 1.0, 1.0))
+        assert not ss._proper_box((-1e308, -1e308, 1e308, 1e308))
+        assert ss._proper_box((-1e150, -1e150, 1e150, 1e150))
 
     def test_degenerate_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -480,6 +518,40 @@ def _front_facing(tri):
     the orientation the renderer keeps."""
     (x0, y0, _), (x1, y1, _), (x2, y2, _) = tri
     return _mirrored(tri) if (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) > 0.0 else tri
+
+
+def _boxes(rng, count):
+    """(left, top, right, bottom) boxes around a 9x7 image: tiny, huge, on
+    half-pixel and whole-pixel boundaries, inverted, and infinite ones."""
+    specials = [-math.inf, math.inf, -1e308, 1e308, -0.5, 0.5, 8.5, 9.5, 6.5, 7.5, -0.0, 0.0, 3.0, 3.5]
+    for _ in range(count):
+        coords = [rng.choice(specials) if rng.random() < 0.25 else rng.uniform(-3.0, 12.0) for _ in range(4)]
+        if rng.random() < 0.5:
+            coords = [round(c * 2) / 2 if abs(c) < 1e300 else c for c in coords]
+        yield tuple(coords)
+
+
+class TestPixelWindow:
+    """``pixel_window`` is the one rule for "pixels whose centers lie in a
+    box": the rasterizer's triangle windows, the frame's draw window, the
+    annotator's candidate windows and the oracle's search windows."""
+
+    def test_equals_a_per_pixel_scan(self):
+        rng = random.Random(13)
+        width, height = 9, 7
+        for box in _boxes(rng, 6000):
+            margin = rng.choice((0, 0, 2, 0.5))
+            got = ss.pixel_window(box, width, height, margin)
+            left, top, right, bottom = box
+            xs = [ix for ix in range(width) if left - margin - 0.5 <= ix <= right + margin - 0.5]
+            ys = [iy for iy in range(height) if top - margin - 0.5 <= iy <= bottom + margin - 0.5]
+            want = (xs[0], ys[0], xs[-1] + 1, ys[-1] + 1) if xs and ys else None
+            assert got == want, (box, margin)
+
+    def test_nan_bounds_give_a_window_inside_the_image(self):
+        for box in ((math.nan, 0.0, 5.0, 5.0), (0.0, 0.0, math.nan, 5.0), (math.nan,) * 4):
+            window = ss.pixel_window(box, 9, 7)
+            assert window is None or (0 <= window[0] < window[2] <= 9 and 0 <= window[1] < window[3] <= 7)
 
 
 def _blank_buffers():
@@ -925,7 +997,8 @@ class TestMetaText:
     @pytest.mark.parametrize(
         "field, value",
         [(2, "nan"), (4, "inf"), (6, "-1"), (6, "0"), (7, "inf"), (13, "-inf"), (2, "9"), (3, "1e999"),
-         (0, "0"), (0, "-5"), (0, "70000"), (0, "7"), (13, "3.1417"), (13, "-3.1417"), (13, "1e308")],
+         (0, "0"), (0, "-5"), (0, "70000"), (0, "7"), (13, "3.1417"), (13, "-3.1417"), (13, "1e308"),
+         (7, "0"), (8, "-1.8"), (9, "0"), (9, "-0")],
     )
     def test_bad_number_or_record_names_the_line(self, field, value):
         # line 2 repeats line 1 under another id; ids must be 1..65535 and unique
@@ -973,3 +1046,41 @@ class TestDatasetFiles:
         assert all(r.object_id >= 1 for r in records)
         _, _, _, instance = ss.read_frame_buffers(out, 0, with_instance=True)
         assert instance is not None and instance.sample_kind == "U16"
+
+    def _generated(self, tmp_path):
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(ss.scenario_to_text(self._tiny_config(frames=1)))
+        out = tmp_path / "ds"
+        assert cli.main(["generate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        return out, ss.frame_paths(out, 0)
+
+    def test_reader_checks_raster_sizes_against_the_manifest(self, tmp_path):
+        out, paths = self._generated(tmp_path)
+        for key in ("depth", "stencil", "instance"):
+            original = paths[key].read_bytes()
+            data = read_raster(paths[key]).data
+            for resized in (data[:, :-1], data[:-1], data[:4, :4], np.hstack([data, data[:, :1]])):
+                write_raster(Raster(resized), paths[key])
+                with pytest.raises(ValidationError, match=f"{paths[key].name}: .* raster, manifest says 48x36"):
+                    ss.read_frame_buffers(out, 0, with_instance=key == "instance")
+            paths[key].write_bytes(original)
+        ss.read_frame_buffers(out, 0, with_instance=True)
+        # rasters that agree with each other still disagree with the manifest
+        manifest = out / ss.MANIFEST_NAME
+        manifest.write_text(manifest.read_text().replace("width=48\n", "width=47\n"))
+        for with_instance in (False, True):
+            with pytest.raises(ValidationError, match="48x36 raster, manifest says 47x36"):
+                ss.read_frame_buffers(out, 0, with_instance=with_instance)
+
+    def test_reader_checks_stencil_class_codes(self, tmp_path):
+        out, paths = self._generated(tmp_path)
+        data = read_raster(paths["stencil"]).data
+        for byte in range(256):
+            stencil = data.copy()
+            stencil[-1, -1] = byte  # flag bits in the high nibble are allowed
+            write_raster(Raster(stencil), paths["stencil"])
+            if byte & 0x0F <= max(ss.ObjectClass):
+                ss.read_frame_buffers(out, 0, with_instance=True)
+            else:
+                with pytest.raises(FormatError, match="stencil.mrb: class codes"):
+                    ss.read_frame_buffers(out, 0, with_instance=True)
