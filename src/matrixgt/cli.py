@@ -23,11 +23,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-# Each command imports the stage module it runs, inside the command or its
-# task, so a stage starts up with only what it needs. evaluator is imported
-# here because the parser reads its default IoU threshold, and it loads
-# kitti_labels anyway.
-from . import evaluator, kitti_labels
+# Each command imports the stage modules it runs, inside the command or its
+# task, so a stage starts up with only what it needs.
 from .errors import ConfigError, FormatError, ValidationError
 
 EXIT_OK = 0
@@ -103,7 +100,7 @@ def cmd_generate(args) -> int:
 
 
 def _annotate_task(task) -> None:
-    from . import annotator, scene_sim
+    from . import annotator, kitti_labels, scene_sim
 
     dataset_dir, labels_dir, frame_idx, params, depth_params = task
     depth, stencil, records, _ = scene_sim.read_frame_buffers(dataset_dir, frame_idx)
@@ -138,7 +135,7 @@ def cmd_annotate(args) -> int:
 
 
 def _oracle_task(task) -> None:
-    from . import scene_sim
+    from . import kitti_labels, scene_sim
     from .oracle_labels import oracle_frame_labels
 
     dataset_dir, labels_dir, frame_idx, image_size = task
@@ -167,7 +164,10 @@ def cmd_oracle_labels(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    report = evaluator.evaluate(args.det, args.gt, iou_thr=args.iou, method=args.ap)
+    from . import evaluator
+
+    iou_thr = evaluator.DEFAULT_IOU_THRESHOLD if args.iou is None else args.iou
+    report = evaluator.evaluate(args.det, args.gt, iou_thr=iou_thr, method=args.ap)
     text = evaluator.report_text(report)
     sys.stdout.write(text)
     out = Path(args.out)
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="difficulty-binned AP of detections vs ground truth")
     p.add_argument("--det", required=True, help="detection labels directory")
     p.add_argument("--gt", required=True, help="ground-truth labels directory")
-    p.add_argument("--iou", type=float, default=evaluator.DEFAULT_IOU_THRESHOLD)
+    p.add_argument("--iou", type=float, default=None)
     p.add_argument("--ap", choices=("11pt", "all"), default="11pt")
     p.add_argument("--out", default=".", help="directory for report.txt / report.csv")
     p.set_defaults(func=cmd_evaluate)

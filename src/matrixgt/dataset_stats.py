@@ -5,15 +5,16 @@ keyed by frame as :func:`kitti_labels.read_label_dir` returns them.
 Counts are the testable artifact here, so the heatmap is plain rows of counts
 (``counts[row][col]``), shipped as raw CSV counts alongside a max-normalized
 8-bit PGM render; both obey the conservation law that cell counts sum to the
-number of binned boxes. The stage is pure Python.
+number of binned boxes. The stage is pure Python, and its summary is a
+named tuple, so it starts up without numpy or ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .kitti_labels import CAR_TYPE, Difficulty, KittiLabel, checked_bbox, classify_difficulty, read_label_dir
@@ -22,8 +23,7 @@ DEFAULT_GRID = (48, 27)  # (cols, rows), 16:9-friendly
 MAX_GRID_CELLS = 2**20  # a larger grid is rejected before its rows are allocated
 
 
-@dataclass
-class DatasetSummary:
+class DatasetSummary(NamedTuple):
     frames: int
     car_boxes: int
     difficulty_counts: dict[Difficulty, int]

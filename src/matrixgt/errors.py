@@ -36,8 +36,11 @@ class BehindCameraError(MatrixGTError):
 def read_text(path: str | Path, error: type[MatrixGTError]) -> str:
     """The UTF-8 text of ``path``; raises ``error`` naming the path when the
     file is not UTF-8. Every text input (scenario, manifest, meta, labels)
-    is read through here."""
+    is read through here, and every one is split with ``str.splitlines``, so
+    line ends are left as they are."""
+    with open(path, "rb") as file:
+        data = file.read()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

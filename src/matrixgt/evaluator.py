@@ -16,15 +16,18 @@ distinguishing "nothing to find" from "found nothing".
 
 Every ordering is total (score ties break on box left coordinate, then top),
 so results are identical across platforms and worker counts.
+
+Detections, ground truth and results are named tuples: a crowded run builds
+thousands of them, and the stage starts up without the ``dataclasses``
+machinery.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, ValidationError
 from .kitti_labels import CAR_TYPE, DONTCARE_TYPE, Difficulty, checked_bbox, classify_difficulty, read_label_dir
@@ -41,14 +44,12 @@ class Outcome(enum.Enum):
     IGNORED = "Ignored"
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     box: Box
     score: float
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     box: Box
     difficulty: Difficulty
     dontcare: bool = False
@@ -57,8 +58,7 @@ class GroundTruth:
         return not self.dontcare and self.difficulty <= level
 
 
-@dataclass
-class LevelResult:
+class LevelResult(NamedTuple):
     ap: Optional[float]
     tp: int
     fp: int
@@ -67,8 +67,7 @@ class LevelResult:
     pr_points: list[tuple[float, float]]  # (recall, precision) per counted detection
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     iou_threshold: float
     method: str
     levels: dict[Difficulty, LevelResult]

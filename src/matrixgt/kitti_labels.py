@@ -7,16 +7,21 @@ One label per line::
 Floats carry exactly 2 decimals (score: 4), fields are space-separated, and
 parse/write round-trip byte-exactly on conforming files. Boxes without 3D
 information use the conventional sentinels: alpha and rotation_y -10,
-dimensions -1, location -1000.
+dimensions -1, location -1000. A Car's truncation lies in [0, 1] and its
+occlusion level is 0, 1, 2 or 3; other types may carry KITTI's -1 sentinels.
+
+A label directory holds one ``<frame>.txt`` per frame. :func:`read_label_dir`
+lists it once and opens each file once; labels are named tuples, built
+positionally in one pass over a file's lines.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import FormatError, ValidationError, read_text
 
@@ -53,8 +58,7 @@ DIFFICULTY_GATES = (
 )
 
 
-@dataclass
-class KittiLabel:
+class KittiLabel(NamedTuple):
     type: str
     truncated: float
     occluded: int
@@ -160,13 +164,18 @@ def labels_to_text(labels: Sequence[KittiLabel]) -> str:
 
 
 def parse_labels_text(text: str, origin: str = "labels") -> list[KittiLabel]:
+    """Labels of a file's text; ``origin`` names the file in errors. A line
+    with the wrong field count, a number that does not parse or is not
+    finite, or a Car truncation or occlusion outside its domain raises
+    :class:`FormatError` naming the line."""
     labels = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
-        if not parts:
-            continue
-        if len(parts) not in (15, 16):
-            raise FormatError(f"{origin} line {lineno}: expected 15 or 16 fields, got {len(parts)}")
+        count = len(parts)
+        if count != 15 and count != 16:
+            if not parts:
+                continue
+            raise FormatError(f"{origin} line {lineno}: expected 15 or 16 fields, got {count}")
         try:
             truncated = float(parts[1])
             occluded = int(parts[2])
@@ -175,17 +184,23 @@ def parse_labels_text(text: str, origin: str = "labels") -> list[KittiLabel]:
             raise FormatError(f"{origin} line {lineno}: {exc}") from None
         if not (math.isfinite(truncated) and all(map(math.isfinite, nums))):
             raise FormatError(f"{origin} line {lineno}: non-finite number")
+        kind = parts[0]
+        if kind == CAR_TYPE:
+            if not 0.0 <= truncated <= 1.0:
+                raise FormatError(f"{origin} line {lineno}: Car truncation {parts[1]} is outside [0, 1]")
+            if not 0 <= occluded <= 3:
+                raise FormatError(f"{origin} line {lineno}: Car occlusion {parts[2]} is not 0, 1, 2 or 3")
         labels.append(
             KittiLabel(
-                type=parts[0],
-                truncated=truncated,
-                occluded=occluded,
-                alpha=nums[0],
-                bbox=(nums[1], nums[2], nums[3], nums[4]),
-                dimensions=(nums[5], nums[6], nums[7]),
-                location=(nums[8], nums[9], nums[10]),
-                rotation_y=nums[11],
-                score=nums[12] if len(parts) == 16 else None,
+                kind,
+                truncated,
+                occluded,
+                nums[0],
+                (nums[1], nums[2], nums[3], nums[4]),
+                (nums[5], nums[6], nums[7]),
+                (nums[8], nums[9], nums[10]),
+                nums[11],
+                nums[12] if count == 16 else None,
             )
         )
     return labels
@@ -195,22 +210,24 @@ def write_labels(labels: Sequence[KittiLabel], destination: str | Path) -> None:
     Path(destination).write_text(labels_to_text(labels))
 
 
-def parse_labels(source: str | Path) -> list[KittiLabel]:
-    path = Path(source)
-    return parse_labels_text(read_text(path, FormatError), origin=path.name)
-
-
 def label_path(labels_dir: str | Path, frame_idx: int) -> Path:
     return Path(labels_dir) / f"{frame_idx:06d}.txt"
 
 
 def read_label_dir(labels_dir: str | Path) -> dict[str, list[KittiLabel]]:
-    """All label files of a directory keyed by frame stem, sorted; a path
-    that is not a directory is an error, not an empty label set."""
+    """The labels of every ``*.txt`` entry of a directory (hidden names
+    included, case-sensitive), keyed by frame (the name without ``.txt``,
+    as ``Path.stem`` gives it) in name order. A path that is not a
+    directory is an error, not an empty label set, and so is an entry that
+    cannot be read as a file."""
     directory = Path(labels_dir)
     if not directory.is_dir():
         raise NotADirectoryError(f"no label directory at {directory}")
+    base = str(directory)
+    # file names in errors read as Path joins them: "x.txt" in ".", "d/x.txt" in "d"
+    prefix = "" if base == "." else os.path.join(base, "")
     out: dict[str, list[KittiLabel]] = {}
-    for path in sorted(directory.glob("*.txt")):
-        out[path.stem] = parse_labels(path)
+    for name in sorted(name for name in os.listdir(base) if name.endswith(".txt")):
+        # ".txt" alone has no suffix, so its stem is the whole name
+        out[name[:-4] if len(name) > 4 else name] = parse_labels_text(read_text(prefix + name, FormatError), name)
     return out

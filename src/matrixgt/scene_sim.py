@@ -998,8 +998,9 @@ _FRAME_FILES = {
 }
 
 
-def frame_paths(dataset_dir: str | Path, frame_idx: int) -> dict[str, Path]:
-    return {key: Path(dataset_dir) / f"{frame_idx:06d}_{name}" for key, name in _FRAME_FILES.items()}
+def frame_paths(dataset_dir: str | Path, frame_idx: int, keys: Sequence[str] = tuple(_FRAME_FILES)) -> dict[str, Path]:
+    directory = Path(dataset_dir)
+    return {key: directory / f"{frame_idx:06d}_{_FRAME_FILES[key]}" for key in keys}
 
 
 def list_frame_indices(dataset_dir: str | Path) -> list[int]:
@@ -1124,7 +1125,8 @@ def read_frame_buffers(
     manifest = Path(dataset_dir) / MANIFEST_NAME
     config = _parse_manifest(read_text(manifest, FormatError), manifest)
     size = config.width, config.height
-    paths = frame_paths(dataset_dir, frame_idx)
+    # only the three files this read opens are named
+    paths = frame_paths(dataset_dir, frame_idx, ("instance" if with_instance else "depth", "stencil", "meta"))
     depth = None if with_instance else _read_raster_of_kind(paths["depth"], "F32", size)
     stencil = _read_raster_of_kind(paths["stencil"], "U8", size)
     # a byte bounds its low nibble, so only flag bits need the mask

@@ -7,6 +7,8 @@ arithmetic path and exercises only the z-buffer bookkeeping.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 
@@ -179,3 +181,67 @@ def brute_ap_11pt(counted, gt_count):
                 best = precision
         total += best
     return total / 11.0
+
+
+# every line boundary str.splitlines knows; "\r\n" is one boundary
+_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+class ReferenceLabelError(ValueError):
+    """A label text the reference rejects, with the 1-based line it rejects
+    and, when read from a directory, the file's name."""
+
+    def __init__(self, lineno, name=None):
+        super().__init__(f"{name} line {lineno}")
+        self.lineno = lineno
+        self.name = name
+
+
+def reference_parse_labels(text):
+    """The labels of a KITTI label text as dicts keyed by field name, split
+    with regular expressions instead of ``str.splitlines``/``str.split``.
+    The first line with a field count other than 15 or 16, a field that is
+    not a number, a NaN or infinity, or a Car truncation outside [0, 1] or
+    occlusion outside 0..3 raises :class:`ReferenceLabelError`."""
+    labels = []
+    for index, line in enumerate(_LINE_BREAK.split(text)):
+        fields = re.findall(r"\S+", line)
+        if not fields:
+            continue
+        try:
+            if len(fields) not in (15, 16):
+                raise ValueError
+            truncated = float(fields[1])
+            occluded = int(fields[2])
+            numbers = [float(field) for field in fields[3:]]
+        except ValueError:
+            raise ReferenceLabelError(index + 1) from None
+        for value in [truncated] + numbers:
+            if value != value or value in (math.inf, -math.inf):
+                raise ReferenceLabelError(index + 1)
+        if fields[0] == "Car" and not (0.0 <= truncated <= 1.0 and occluded in (0, 1, 2, 3)):
+            raise ReferenceLabelError(index + 1)
+        labels.append({
+            "type": fields[0],
+            "truncated": truncated,
+            "occluded": occluded,
+            "alpha": numbers[0],
+            "bbox": tuple(numbers[1:5]),
+            "dimensions": tuple(numbers[5:8]),
+            "location": tuple(numbers[8:11]),
+            "rotation_y": numbers[11],
+            "score": numbers[12] if len(numbers) == 13 else None,
+        })
+    return labels
+
+
+def reference_read_label_dir(directory):
+    """Labels of a directory as ``pathlib`` globs and sorts its ``*.txt``
+    entries, keyed by ``Path.stem``."""
+    labels = {}
+    for path in sorted(Path(directory).glob("*.txt")):
+        try:
+            labels[path.stem] = reference_parse_labels(path.read_text(encoding="utf-8"))
+        except ReferenceLabelError as exc:
+            raise ReferenceLabelError(exc.lineno, path.name) from None
+    return labels

@@ -148,7 +148,7 @@ class TestOracleLabels:
         (dataset / "manifest.txt").write_text(ss.manifest_text(config))
         labels_dir = tmp_path / "gt"
         assert cli.main(["oracle-labels", "--in", str(dataset), "--out", str(labels_dir)]) == 0
-        labels = kl.parse_labels(labels_dir / "000000.txt")
+        (labels,) = kl.read_label_dir(labels_dir).values()
         assert len(labels) == 1
         assert labels[0].bbox == oracle_hulls(bundle.instance_oracle)[2]
         assert labels[0].type == "Car"
@@ -168,18 +168,18 @@ class TestOracleLabels:
         (dataset / "manifest.txt").write_text(ss.manifest_text(config))
         labels_dir = tmp_path / "gt"
         assert cli.main(["oracle-labels", "--in", str(dataset), "--out", str(labels_dir)]) == 0
-        labels = kl.parse_labels(labels_dir / "000000.txt")
+        (labels,) = kl.read_label_dir(labels_dir).values()
         assert len(labels) == 1  # only the visible near vehicle
 
     def test_label_count_equals_visible_vehicles(self, tiny_dataset, tmp_path):
         labels_dir = tmp_path / "gt"
         assert cli.main(["oracle-labels", "--in", str(tiny_dataset), "--out", str(labels_dir)]) == 0
+        labels_by_frame = kl.read_label_dir(labels_dir)
         for frame in range(4):
             _, stencil, records, instance = ss.read_frame_buffers(tiny_dataset, frame, with_instance=True)
             vehicle_ids = {r.object_id for r in records if r.cls is ss.ObjectClass.VEHICLE}
             visible = {int(v) for v in np.unique(instance.data) if v != 0 and int(v) in vehicle_ids}
-            labels = kl.parse_labels(kl.label_path(labels_dir, frame))
-            assert len(labels) == len(visible)
+            assert len(labels_by_frame[f"{frame:06d}"]) == len(visible)
 
     def test_depth_is_not_read(self, tiny_dataset, tmp_path):
         before = tmp_path / "before"
@@ -243,6 +243,23 @@ class TestEvaluate:
         assert "nope" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_unlistable_label_dir_exits_3(self, tmp_path, monkeypatch, capsys):
+        """A label directory that cannot be listed is an I/O error, not an
+        empty label set. Listing is refused here by a stand-in for
+        ``os.listdir``, since permission bits do not stop every user."""
+        argv = _evaluate_argv(tmp_path)
+        listdir = os.listdir
+
+        def refuse_det(path="."):
+            if Path(path) == tmp_path / "det":
+                raise PermissionError(13, "Permission denied", str(path))
+            return listdir(path)
+
+        monkeypatch.setattr(os, "listdir", refuse_det)
+        assert cli.main(argv) == 3
+        assert "Permission denied" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_ap_method_flag(self, tiny_dataset, tmp_path, capsys):
         labels = tmp_path / "labels"
         cli.main(["annotate", "--in", str(tiny_dataset), "--out", str(labels)])
@@ -261,7 +278,7 @@ class TestStats:
         hist = (out / "detections_hist.csv").read_text().strip().splitlines()[1:]
         assert sum(int(line.split(",")[1]) for line in hist) == 4
         total_cars = sum(
-            1 for f in range(4) for lab in kl.parse_labels(kl.label_path(labels, f)) if lab.type == "Car"
+            1 for frame in kl.read_label_dir(labels).values() for lab in frame if lab.type == "Car"
         )
         heatmap_total = sum(
             int(line.split(",")[2])
@@ -313,12 +330,14 @@ class TestEntryPoint:
         assert "generate" in result.stdout
 
     @pytest.mark.parametrize("stage, module, unused", [
-        ("evaluate", "matrixgt.evaluator", ["matrixgt.dataset_stats"]),
-        ("stats", "matrixgt.dataset_stats", []),
+        ("evaluate", "matrixgt.evaluator", ["matrixgt.dataset_stats", "dataclasses", "inspect"]),
+        ("stats", "matrixgt.dataset_stats", ["dataclasses", "inspect"]),
     ], ids=["evaluate", "stats"])
     def test_pure_python_stage_leaves_numpy_unloaded(self, stage, module, unused, tmp_path):
         """evaluate and stats import only the pure-Python stage module they
-        run; -X importtime lists every module the child process imports."""
+        run, and neither numpy nor dataclasses (nor the inspect module that
+        dataclasses loads); -X importtime lists every module the child
+        process imports."""
         argv = {"evaluate": _evaluate_argv, "stats": _stats_argv}[stage](tmp_path)
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         result = subprocess.run(
@@ -331,6 +350,17 @@ class TestEntryPoint:
         assert module in imported
         assert not [name for name in unused if name in imported]
         assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+    def test_import_loads_no_stage_module(self):
+        """``import matrixgt.cli``, which every stage starts with, compiles no
+        stage module, and loads neither numpy nor dataclasses."""
+        code = "import sys\nimport matrixgt.cli\nprint(' '.join(sys.modules))\n"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        loaded = {name for module in result.stdout.split() for name in (module, module.split(".")[0])}
+        unwanted = {"matrixgt.evaluator", "matrixgt.scene_sim", "numpy", "dataclasses"}
+        assert not loaded & unwanted, sorted(loaded & unwanted)
 
     def test_oracle_frame_labels_resolves_through_cli(self):
         from matrixgt import oracle_labels
@@ -573,6 +603,44 @@ def _stats_argv_label_not_utf8(root):
     return argv
 
 
+def _evaluate_argv_gt_label_not_utf8(root):
+    argv = _evaluate_argv(root)
+    _not_utf8(root / "gt" / "000000.txt")
+    return argv
+
+
+# a Car with a negative truncation and an occlusion level below -1
+OUT_OF_RANGE_CAR_LINE = CAR_LINE.replace("Car 0.00 0", "Car -0.50 -7")
+
+
+def _with_label_entry(make_argv, labels, make_entry):
+    """``make_argv``, with ``make_entry(path)`` making ``000001.txt`` in the
+    ``labels`` directory."""
+
+    def argv(root):
+        result = make_argv(root)
+        make_entry(root / labels / "000001.txt")
+        return result
+
+    return argv
+
+
+def _dangling_symlink(path):
+    path.symlink_to(path.parent / "no-such-file")
+
+
+def _with_labels_path_a_file(make_argv, labels):
+    """``make_argv``, with the ``labels`` directory replaced by a regular file."""
+
+    def argv(root):
+        result = make_argv(root)
+        shutil.rmtree(root / labels)
+        (root / labels).write_text(CAR_LINE)
+        return result
+
+    return argv
+
+
 BAD_INPUTS = {
     # (environment, argv builder, expected exit code)
     "workers-env-not-integer": ({"MATRIXGT_WORKERS": "abc"}, _generate_argv, 2),
@@ -639,6 +707,22 @@ BAD_INPUTS = {
     "oracle-manifest-not-utf8": ({}, _corrupted_dataset_argv("oracle-labels", _manifest_not_utf8), 2),
     "evaluate-label-not-utf8": ({}, _evaluate_argv_label_not_utf8, 2),
     "stats-label-not-utf8": ({}, _stats_argv_label_not_utf8, 2),
+    "evaluate-gt-label-not-utf8": ({}, _evaluate_argv_gt_label_not_utf8, 2),
+    # a Car's truncation lies in [0, 1] and its occlusion level is 0..3
+    "evaluate-det-car-out-of-range": ({}, lambda root: _evaluate_argv(root, det_line=OUT_OF_RANGE_CAR_LINE), 2),
+    "evaluate-gt-car-out-of-range": ({}, lambda root: _evaluate_argv(root, gt_line=OUT_OF_RANGE_CAR_LINE), 2),
+    "stats-car-out-of-range": ({}, lambda root: _stats_argv(root, line=OUT_OF_RANGE_CAR_LINE), 2),
+    "evaluate-gt-car-truncation-above-1": (
+        {}, lambda root: _evaluate_argv(root, gt_line=CAR_LINE.replace("Car 0.00 0", "Car 1.50 0")), 2
+    ),
+    "stats-car-occlusion-4": ({}, lambda root: _stats_argv(root, line=CAR_LINE.replace("Car 0.00 0", "Car 0.00 4")), 2),
+    # a *.txt entry that is not a readable file, and a label path that is a file
+    "evaluate-label-entry-is-a-directory": ({}, _with_label_entry(_evaluate_argv, "det", Path.mkdir), 3),
+    "stats-label-entry-is-a-directory": ({}, _with_label_entry(_stats_argv, "l", Path.mkdir), 3),
+    "evaluate-label-entry-is-a-dangling-symlink": ({}, _with_label_entry(_evaluate_argv, "gt", _dangling_symlink), 3),
+    "stats-label-entry-is-a-dangling-symlink": ({}, _with_label_entry(_stats_argv, "l", _dangling_symlink), 3),
+    "evaluate-det-path-is-a-file": ({}, _with_labels_path_a_file(_evaluate_argv, "det"), 3),
+    "stats-labels-path-is-a-file": ({}, _with_labels_path_a_file(_stats_argv, "l"), 3),
     # meta object ids: 1..65535 (U16 instance ids, 0 is no object), each once per file
     "annotate-meta-id-0": ({}, _corrupted_dataset_argv("annotate", _meta_field(0, "0")), 2),
     "oracle-meta-id-0": ({}, _corrupted_dataset_argv("oracle-labels", _meta_field(0, "0")), 2),
@@ -707,7 +791,8 @@ def test_bad_input_exits_without_traceback(case, tmp_path, monkeypatch, capsys):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     assert cli.main(make_argv(tmp_path)) == code
-    assert capsys.readouterr().err.startswith("matrixgt: error:")
+    prefix = "matrixgt: i/o error:" if code == cli.EXIT_IO else "matrixgt: error:"
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 # --- whole stages over one mutated file ----------------------------------------

@@ -60,7 +60,7 @@ class TestHeatmap:
 
     def test_huge_finite_centroid_clamps_to_border_cell(self, tmp_path):
         # the centroid is finite, but centroid * cols overflows a float
-        huge = kl.KittiLabel(**{**vars(car_at(0.0, 240.0)), "bbox": (7e307, 200.0, 9e307, 201.0)})
+        huge = car_at(0.0, 240.0)._replace(bbox=(7e307, 200.0, 9e307, 201.0))
         write_frames(tmp_path, {0: [huge]})
         counts = stats.centroid_heatmap(kl.read_label_dir(tmp_path), (640, 480), grid=(4, 2))
         assert counts == [[0, 0, 0, 1], [0, 0, 0, 0]]

@@ -1,8 +1,12 @@
 import math
+import os
+import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ReferenceLabelError, reference_parse_labels, reference_read_label_dir
 
 from matrixgt import kitti_labels as kl
 from matrixgt.annotator import TightAnnotation
@@ -173,12 +177,23 @@ class TestTextFormat:
         with pytest.raises(FormatError, match="line 1"):
             kl.parse_labels_text(bad)
 
+    @pytest.mark.parametrize("fields", ["Car -0.50 -7", "Car -0.01 0", "Car 1.01 0", "Car 0.00 4", "Car 0.00 -1"])
+    def test_car_truncation_and_occlusion_outside_their_domain_name_the_line(self, fields):
+        bad = fields + self.GOLDEN[len("Car 0.00 0"):]
+        with pytest.raises(FormatError, match="000007.txt line 2: Car"):
+            kl.parse_labels_text(self.GOLDEN + "\n" + bad + "\n", origin="000007.txt")
+
+    def test_sentinels_of_other_types_parse(self):
+        line = "DontCare -1.00 -1 -10.00 5.00 5.00 9.00 9.00 -1.00 -1.00 -1.00 -1000.00 -1000.00 -1000.00 -10.00"
+        (label,) = kl.parse_labels_text(line)
+        assert (label.type, label.truncated, label.occluded) == ("DontCare", -1.0, -1)
+
     def test_file_io(self, tmp_path):
         labels = [car(), car(bbox=(5, 5, 50, 45))]
         path = kl.label_path(tmp_path, 3)
         kl.write_labels(labels, path)
         assert path.name == "000003.txt"
-        assert kl.labels_to_text(kl.parse_labels(path)) == kl.labels_to_text(labels)
+        assert kl.labels_to_text(kl.read_label_dir(tmp_path)["000003"]) == kl.labels_to_text(labels)
 
     def test_read_label_dir_sorted(self, tmp_path):
         kl.write_labels([car()], kl.label_path(tmp_path, 2))
@@ -216,3 +231,97 @@ def test_fuzzed_label_text_raises_only_matrixgt_errors(text):
         return
     written = kl.labels_to_text(labels)
     assert kl.labels_to_text(kl.parse_labels_text(written)) == written
+
+
+# what the reader must treat alike: every line boundary str.splitlines knows,
+# and field separators that str.split() knows
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_SEPARATORS = [" ", " ", "  ", "\t", "\x1f", "\xa0"]
+_TRUNCATIONS = ["0.00", "0.15", "1.00", "-0.00", "1.01", "-0.50", "-1.00", "nan", "inf"]
+_OCCLUSIONS = ["0", "1", "2", "3", "4", "-1", "-7", "1.5", "x"]
+
+
+@st.composite
+def _reader_lines(draw):
+    """A label line, a blank one, or one with a wrong count, a non-number,
+    NaN or infinity in some field."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(["", " ", "\t "]))
+    number = st.sampled_from(["1.00", "-10.00", "0", "314.74", "1e3", "-1000.00"]) | st.floats(
+        allow_nan=False, allow_infinity=False).map(repr)
+    fields = [
+        draw(st.sampled_from([kl.CAR_TYPE, kl.CAR_TYPE, kl.DONTCARE_TYPE, "Van"])),
+        draw(st.sampled_from(_TRUNCATIONS)),
+        draw(st.sampled_from(_OCCLUSIONS)),
+    ]
+    fields += draw(st.lists(number, min_size=12, max_size=13))
+    if draw(st.integers(0, 4)) == 0:
+        fields[draw(st.integers(3, len(fields) - 1))] = draw(st.sampled_from(["nan", "-inf", "1e999", "x", "1_0", ""]))
+    if draw(st.integers(0, 9)) == 0:
+        fields = fields[: draw(st.sampled_from([1, 14, 17]))] + ["0"] * 3
+    line = fields[0]
+    for field in fields[1:]:
+        line += draw(st.sampled_from(_SEPARATORS)) + field
+    return line
+
+
+@st.composite
+def _label_texts(draw):
+    lines = draw(st.lists(_reader_lines(), max_size=6))
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(_LINE_BREAKS))
+    if lines and draw(st.booleans()):
+        text = text[: -1]  # the last line without its break (or a lone "\r" of "\r\n")
+    return text
+
+
+def _reader_outcome(parse, error, text):
+    """('labels', dicts) or ('line', the rejected line number)."""
+    try:
+        labels = parse(text)
+    except error as exc:
+        return "line", exc.lineno if isinstance(exc, ReferenceLabelError) else int(
+            re.search(r" line (\d+):", str(exc)).group(1))
+    return "labels", [label if isinstance(label, dict) else label._asdict() for label in labels]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_label_texts())
+def test_parser_agrees_with_the_reference_parser(text):
+    assert _reader_outcome(kl.parse_labels_text, FormatError, text) == _reader_outcome(
+        reference_parse_labels, ReferenceLabelError, text)
+
+
+_NAME_STEMS = ["000000", "000001", "a.b", ".h", "", "A", "x y", "\u00e9"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_NAME_STEMS) | st.text("ab.AT", min_size=1, max_size=4),
+                  st.sampled_from([".txt", ".txt", ".TXT", ".txt.bak", ".txt.txt", ""])),
+        min_size=1, max_size=6),
+    st.lists(_label_texts(), min_size=6, max_size=6),
+)
+def test_directory_reader_agrees_with_the_reference_reader(names, texts):
+    """Keys are ``Path.stem`` in ``Path`` order, hidden names included
+    (``.txt`` keys as ``.txt``, ``.h.txt`` as ``.h``), and ``A.TXT`` is not
+    read; each file's labels, or its first rejected line, agree."""
+    with tempfile.TemporaryDirectory() as directory:
+        for (stem, suffix), text in zip(names, texts):
+            name = stem + suffix
+            if name in (".", ".."):
+                continue
+            with open(os.path.join(directory, name), "w", encoding="utf-8", newline="") as file:
+                file.write(text)
+        try:
+            expected = reference_read_label_dir(directory)
+        except ReferenceLabelError as exc:
+            with pytest.raises(FormatError) as raised:
+                kl.read_label_dir(directory)
+            assert str(raised.value).startswith(f"{exc.name} line {exc.lineno}:")
+            return
+        loaded = kl.read_label_dir(directory)
+        assert list(loaded) == list(expected)
+        assert {key: [label._asdict() for label in labels] for key, labels in loaded.items()} == expected
