@@ -311,7 +311,7 @@ def test_directory_reader_agrees_with_the_reference_reader(names, texts):
     with tempfile.TemporaryDirectory() as directory:
         for (stem, suffix), text in zip(names, texts):
             name = stem + suffix
-            if name in (".", ".."):
+            if name in ("", ".", ".."):  # not a file name a directory can hold
                 continue
             with open(os.path.join(directory, name), "w", encoding="utf-8", newline="") as file:
                 file.write(text)
