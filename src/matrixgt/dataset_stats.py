@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigError
-from .kitti_labels import CAR_TYPE, Difficulty, KittiLabel, checked_bbox, classify_difficulty, read_label_dir
+from .kitti_labels import CAR_TYPE, Difficulty, KittiLabel, classify_difficulty, read_label_dir
 
 DEFAULT_GRID = (48, 27)  # (cols, rows), 16:9-friendly
 MAX_GRID_CELLS = 2**20  # a larger grid is rejected before its rows are allocated
@@ -54,11 +54,11 @@ def centroid_heatmap(
     if width < 1 or height < 1:
         raise ConfigError(f"image dimensions must be >= 1, got {width}x{height}")
     counts = [[0] * cols for _ in range(rows)]
-    for frame_id, labels in labels_by_frame.items():
+    for labels in labels_by_frame.values():
         for label in labels:
             if label.type != CAR_TYPE:
                 continue
-            left, top, right, bottom = checked_bbox(frame_id, label)
+            left, top, right, bottom = label.bbox
             cx = (left + right) / 2.0
             cy = (top + bottom) / 2.0
             counts[_cell_index(cy, height, rows)][_cell_index(cx, width, cols)] += 1
@@ -76,11 +76,10 @@ def detections_histogram(labels_by_frame: dict[str, list[KittiLabel]]) -> dict[i
 def dataset_summary(labels_by_frame: dict[str, list[KittiLabel]]) -> DatasetSummary:
     difficulty_counts = {level: 0 for level in Difficulty}
     car_boxes = 0
-    for frame_id, labels in labels_by_frame.items():
+    for labels in labels_by_frame.values():
         for label in labels:
             if label.type != CAR_TYPE:
                 continue
-            checked_bbox(frame_id, label)
             car_boxes += 1
             difficulty_counts[classify_difficulty(label)] += 1
     frames = len(labels_by_frame)
@@ -131,8 +130,8 @@ def write_stats(
 ) -> None:
     """Write heatmap.pgm, heatmap.csv, detections_hist.csv, and summary.txt.
 
-    Everything is computed, and every Car box checked, before the first file
-    is written, so a rejected label directory leaves no partial output.
+    Every label is checked as its directory is read, before anything is
+    computed, so a rejected label directory leaves no partial output.
     """
     labels_by_frame = read_label_dir(labels_dir)
     heatmap = centroid_heatmap(labels_by_frame, image_size, grid)

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, ValidationError
-from .kitti_labels import CAR_TYPE, DONTCARE_TYPE, Difficulty, checked_bbox, classify_difficulty, read_label_dir
+from .kitti_labels import CAR_TYPE, DONTCARE_TYPE, Difficulty, classify_difficulty, read_label_dir
 
 DEFAULT_IOU_THRESHOLD = 0.7
 LEVELS = (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD)
@@ -207,12 +207,11 @@ def _load_ground_truth(labels_by_frame) -> dict[str, list[GroundTruth]]:
         for label in labels:
             if label.type not in (CAR_TYPE, DONTCARE_TYPE):
                 continue
-            box = checked_bbox(frame_id, label)
             if label.type == CAR_TYPE:
                 difficulty = classify_difficulty(label)
             else:
                 difficulty = Difficulty.UNKNOWN
-            rows.append(GroundTruth(box, difficulty, dontcare=label.type == DONTCARE_TYPE))
+            rows.append(GroundTruth(label.bbox, difficulty, dontcare=label.type == DONTCARE_TYPE))
         gts[frame_id] = rows
     return gts
 
@@ -221,7 +220,7 @@ def _load_detections(labels_by_frame) -> dict[str, list[Detection]]:
     dets: dict[str, list[Detection]] = {}
     for frame_id, labels in labels_by_frame.items():
         dets[frame_id] = [
-            Detection(checked_bbox(frame_id, label), 1.0 if label.score is None else label.score)
+            Detection(label.bbox, 1.0 if label.score is None else label.score)
             for label in labels
             if label.type == CAR_TYPE
         ]

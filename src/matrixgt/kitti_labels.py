@@ -9,6 +9,8 @@ parse/write round-trip byte-exactly on conforming files. Boxes without 3D
 information use the conventional sentinels: alpha and rotation_y -10,
 dimensions -1, location -1000. A Car's truncation lies in [0, 1] and its
 occlusion level is 0, 1, 2 or 3; other types may carry KITTI's -1 sentinels.
+KITTI has no box sentinel, so every box, whatever its type, must enclose an
+area. Labels are checked once, as they are parsed, and by no stage after.
 
 A label directory holds one ``<frame>.txt`` per frame. :func:`read_label_dir`
 lists it once and opens each file once; labels are named tuples, built
@@ -68,19 +70,6 @@ class KittiLabel(NamedTuple):
     location: tuple[float, float, float]  # (x, y, z), camera meters
     rotation_y: float
     score: Optional[float] = None
-
-
-def checked_bbox(frame_id: str, label: KittiLabel) -> tuple[float, float, float, float]:
-    """A label's box, rejected when it encloses no area (IoU and difficulty
-    are undefined for it) or when its centroid, or twice its area (an IoU's
-    union adds two areas), overflows a float."""
-    left, top, right, bottom = label.bbox
-    area = (right - left) * (bottom - top)
-    if not (left < right and top < bottom and area > 0.0):
-        raise ValidationError(f"frame {frame_id}: {label.type} box {label.bbox} has no area")
-    if not (math.isfinite(left + right) and math.isfinite(top + bottom) and math.isfinite(2.0 * area)):
-        raise ValidationError(f"frame {frame_id}: {label.type} box {label.bbox} overflows its area or centroid")
-    return label.bbox
 
 
 def classify_difficulty(label: KittiLabel) -> Difficulty:
@@ -167,7 +156,9 @@ def parse_labels_text(text: str, origin: str = "labels") -> list[KittiLabel]:
     """Labels of a file's text; ``origin`` names the file in errors. A line
     with the wrong field count, a number that does not parse or is not
     finite, or a Car truncation or occlusion outside its domain raises
-    :class:`FormatError` naming the line."""
+    :class:`FormatError`. A box with no area (IoU and difficulty are undefined
+    for it), or whose centroid or doubled area (an IoU's union adds two areas)
+    overflows a float, raises :class:`ValidationError`. Both name the line."""
     labels = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -190,13 +181,19 @@ def parse_labels_text(text: str, origin: str = "labels") -> list[KittiLabel]:
                 raise FormatError(f"{origin} line {lineno}: Car truncation {parts[1]} is outside [0, 1]")
             if not 0 <= occluded <= 3:
                 raise FormatError(f"{origin} line {lineno}: Car occlusion {parts[2]} is not 0, 1, 2 or 3")
+        left, top, right, bottom = bbox = nums[1], nums[2], nums[3], nums[4]
+        area = (right - left) * (bottom - top)
+        if not (left < right and top < bottom and area > 0.0):
+            raise ValidationError(f"{origin} line {lineno}: {kind} box {bbox} has no area")
+        if not (math.isfinite(left + right) and math.isfinite(top + bottom) and math.isfinite(2.0 * area)):
+            raise ValidationError(f"{origin} line {lineno}: {kind} box {bbox} overflows its area or centroid")
         labels.append(
             KittiLabel(
                 kind,
                 truncated,
                 occluded,
                 nums[0],
-                (nums[1], nums[2], nums[3], nums[4]),
+                bbox,
                 (nums[5], nums[6], nums[7]),
                 (nums[8], nums[9], nums[10]),
                 nums[11],
@@ -219,7 +216,7 @@ def read_label_dir(labels_dir: str | Path) -> dict[str, list[KittiLabel]]:
     included, case-sensitive), keyed by frame (the name without ``.txt``,
     as ``Path.stem`` gives it) in name order. A path that is not a
     directory is an error, not an empty label set, and so is an entry that
-    cannot be read as a file."""
+    cannot be read as a file. Errors name a file as ``<labels_dir>/<name>``."""
     directory = Path(labels_dir)
     if not directory.is_dir():
         raise NotADirectoryError(f"no label directory at {directory}")
@@ -229,5 +226,6 @@ def read_label_dir(labels_dir: str | Path) -> dict[str, list[KittiLabel]]:
     out: dict[str, list[KittiLabel]] = {}
     for name in sorted(name for name in os.listdir(base) if name.endswith(".txt")):
         # ".txt" alone has no suffix, so its stem is the whole name
-        out[name[:-4] if len(name) > 4 else name] = parse_labels_text(read_text(prefix + name, FormatError), name)
+        path = prefix + name
+        out[name[:-4] if len(name) > 4 else name] = parse_labels_text(read_text(path, FormatError), path)
     return out

@@ -45,7 +45,7 @@ import enum
 import functools
 import logging
 import math
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -171,9 +171,11 @@ class FrameBundle:
     records: list[EngineRecord]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything a dataset generation run depends on; serialized key=value."""
+    """Everything a dataset generation run depends on; serialized key=value.
+    Frozen and valid by construction: building one (``replace`` too) raises
+    :class:`ConfigError` for an invalid field; unpickling checks nothing."""
 
     seed: int
     frames: int
@@ -209,7 +211,7 @@ class ScenarioConfig:
     record_max_range_m: float = 0.0  # 0 = unlimited; beyond it objects render but get no record
     emit_color: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for field in dataclass_fields(self):
             value = getattr(self, field.name)
             # NaN passes every range comparison below, so it is caught first
@@ -221,6 +223,9 @@ class ScenarioConfig:
             lo, hi = getattr(self, name + "_min"), getattr(self, name + "_max")
             if lo < 0 or hi < lo:
                 raise ConfigError(f"empty or negative {name} range [{lo}, {hi}]")
+        # object ids are U16 instance values, and 0 marks pixels of no object
+        if GROUND_OBJECT_ID + self.vehicle_count_max + self.distractor_count_max > 0xFFFF:
+            raise ConfigError(f"vehicle_count_max + distractor_count_max exceeds {0xFFFF - GROUND_OBJECT_ID}")
         for name in ("vehicle_length", "vehicle_width", "vehicle_height", "distractor_size"):
             lo, hi = getattr(self, name + "_min"), getattr(self, name + "_max")
             if lo <= 0 or hi < lo:
@@ -880,7 +885,6 @@ def _place(
 def generate_scene(config: ScenarioConfig, frame_idx: int) -> list[SceneObject]:
     """Deterministic scene for (config.seed, frame_idx): ground slab plus
     sampled vehicles and distractors inside the placement region."""
-    config.validate()
     if not (0 <= frame_idx < config.frames):
         raise ValueError(f"frame_idx {frame_idx} outside [0, {config.frames})")
     rng = Xorshift64Star.for_frame(config.seed, frame_idx)
@@ -944,9 +948,7 @@ def scenario_from_mapping(pairs: dict[str, str]) -> ScenarioConfig:
     for required in ("seed", "frames"):
         if required not in kwargs:
             raise ConfigError(f"scenario missing required key {required!r}")
-    config = ScenarioConfig(**kwargs)
-    config.validate()
-    return config
+    return ScenarioConfig(**kwargs)
 
 
 def parse_scenario_text(text: str) -> ScenarioConfig:
@@ -972,7 +974,7 @@ def manifest_text(config: ScenarioConfig) -> str:
 
 
 def read_manifest(path: str | Path) -> ScenarioConfig:
-    return replace(_parse_manifest(read_text(path, FormatError), path))  # a copy of the cached config
+    return _parse_manifest(read_text(path, FormatError), path)
 
 
 @functools.lru_cache(maxsize=1)  # every frame read checks its rasters against the manifest
@@ -1122,8 +1124,7 @@ def read_frame_buffers(
     raster, which is reserved for tests and oracle labels. With it, depth is
     neither read nor returned, since oracle labels do not use it.
     """
-    manifest = Path(dataset_dir) / MANIFEST_NAME
-    config = _parse_manifest(read_text(manifest, FormatError), manifest)
+    config = read_manifest(Path(dataset_dir) / MANIFEST_NAME)
     size = config.width, config.height
     # only the three files this read opens are named
     paths = frame_paths(dataset_dir, frame_idx, ("instance" if with_instance else "depth", "stencil", "meta"))

@@ -189,7 +189,7 @@ _LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 class ReferenceLabelError(ValueError):
     """A label text the reference rejects, with the 1-based line it rejects
-    and, when read from a directory, the file's name."""
+    and, when read from a directory, the file's path."""
 
     def __init__(self, lineno, name=None):
         super().__init__(f"{name} line {lineno}")
@@ -197,12 +197,34 @@ class ReferenceLabelError(ValueError):
         self.name = name
 
 
+class ReferenceBoxError(ReferenceLabelError):
+    """A well-formed label line whose box the reference rejects."""
+
+
+def _box_rejected(box):
+    """Whether a box of finite floats encloses no area, or whose centroid or
+    doubled area overflows: width and height must be positive, their product
+    must not underflow to zero, and ``math.fsum``, which raises where a sum
+    of finite floats overflows, must add both coordinate pairs and the area
+    to itself."""
+    left, top, right, bottom = box
+    width = right - left
+    height = bottom - top
+    if width <= 0 or height <= 0 or width * height == 0:
+        return True
+    try:
+        return any(math.isinf(math.fsum(pair)) for pair in ((left, right), (top, bottom), (width * height,) * 2))
+    except OverflowError:
+        return True
+
+
 def reference_parse_labels(text):
     """The labels of a KITTI label text as dicts keyed by field name, split
     with regular expressions instead of ``str.splitlines``/``str.split``.
     The first line with a field count other than 15 or 16, a field that is
     not a number, a NaN or infinity, or a Car truncation outside [0, 1] or
-    occlusion outside 0..3 raises :class:`ReferenceLabelError`."""
+    occlusion outside 0..3 raises :class:`ReferenceLabelError`; then a box
+    that :func:`_box_rejected` raises :class:`ReferenceBoxError`."""
     labels = []
     for index, line in enumerate(_LINE_BREAK.split(text)):
         fields = re.findall(r"\S+", line)
@@ -221,6 +243,8 @@ def reference_parse_labels(text):
                 raise ReferenceLabelError(index + 1)
         if fields[0] == "Car" and not (0.0 <= truncated <= 1.0 and occluded in (0, 1, 2, 3)):
             raise ReferenceLabelError(index + 1)
+        if _box_rejected(numbers[1:5]):
+            raise ReferenceBoxError(index + 1)
         labels.append({
             "type": fields[0],
             "truncated": truncated,
@@ -237,11 +261,11 @@ def reference_parse_labels(text):
 
 def reference_read_label_dir(directory):
     """Labels of a directory as ``pathlib`` globs and sorts its ``*.txt``
-    entries, keyed by ``Path.stem``."""
+    entries, keyed by ``Path.stem``; an error names the file by its path."""
     labels = {}
     for path in sorted(Path(directory).glob("*.txt")):
         try:
             labels[path.stem] = reference_parse_labels(path.read_text(encoding="utf-8"))
         except ReferenceLabelError as exc:
-            raise ReferenceLabelError(exc.lineno, path.name) from None
+            raise type(exc)(exc.lineno, str(path)) from None
     return labels

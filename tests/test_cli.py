@@ -775,6 +775,8 @@ BAD_INPUTS = {
     # a focal length this large projects the ground slab and every object to
     # infinite boxes, which no meta file may hold
     "generate-fx-1e308": ({}, _scenario_key_argv("fx", "1e308"), 2),
+    # object ids are U16 instance values, so a frame holds at most 65535 objects
+    "generate-vehicle-count-above-u16-ids": ({}, _scenario_key_argv("vehicle_count_max", "70000"), 2),
     "generate-fx-1e308-ground-only": (
         {},
         lambda root: _generate_argv(root, _with_key(_with_key(_with_key(_with_key(
@@ -793,6 +795,40 @@ def test_bad_input_exits_without_traceback(case, tmp_path, monkeypatch, capsys):
     assert cli.main(make_argv(tmp_path)) == code
     prefix = "matrixgt: i/o error:" if code == cli.EXIT_IO else "matrixgt: error:"
     assert capsys.readouterr().err.startswith(prefix)
+
+
+# KITTI has no box sentinel, so a box with no area, or whose centroid or area
+# overflows, is rejected whatever the label's type
+DEFECTIVE_BOX_LINES = {
+    "zero-area-car": ZERO_AREA_CAR_LINE,
+    "inverted-dontcare": "DontCare -1 -1 -10 50 60 10 10 -1 -1 -1 -1000 -1000 -1000 -10\n",
+    "dontcare-centroid-overflows": "DontCare -1 -1 -10 1e308 10 1.7e308 60 -1 -1 -1 -1000 -1000 -1000 -10\n",
+    "car-area-underflows": UNDERFLOW_CAR_LINE,
+    "inverted-van": CAR_LINE.replace("Car", "Van").replace("10.00 10.00 50.00 60.00", "50.00 10.00 10.00 60.00"),
+}
+LABEL_READERS = {
+    # (argv builder for a label line, directory that holds it)
+    "evaluate-det": (lambda root, line: _evaluate_argv(root, det_line=line), "det"),
+    "evaluate-gt": (lambda root, line: _evaluate_argv(root, gt_line=line), "gt"),
+    "stats": (lambda root, line: _stats_argv(root, line=line), "l"),
+}
+
+
+@pytest.mark.parametrize("line", sorted(DEFECTIVE_BOX_LINES))
+@pytest.mark.parametrize("reader", sorted(LABEL_READERS))
+def test_one_label_one_verdict(reader, line, tmp_path, capsys):
+    """Every stage that reads labels gives a defective box one exit code, 4,
+    and a message naming the file as opened and the line."""
+    make_argv, directory = LABEL_READERS[reader]
+    assert cli.main(make_argv(tmp_path, DEFECTIVE_BOX_LINES[line])) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"matrixgt: error: {tmp_path / directory / '000000.txt'} line 1: ")
+
+
+@pytest.mark.parametrize("side", ["det", "gt"])
+def test_evaluate_label_parse_errors_name_the_directory(side, tmp_path, capsys):
+    argv = _evaluate_argv(tmp_path, **{f"{side}_line": CAR_LINE.replace("Car 0.00", "Car nan")})
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"matrixgt: error: {tmp_path / side / '000000.txt'} line 1: ")
 
 
 # --- whole stages over one mutated file ----------------------------------------

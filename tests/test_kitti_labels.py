@@ -4,13 +4,13 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import ReferenceLabelError, reference_parse_labels, reference_read_label_dir
+from oracles import ReferenceBoxError, ReferenceLabelError, reference_parse_labels, reference_read_label_dir
 
 from matrixgt import kitti_labels as kl
 from matrixgt.annotator import TightAnnotation
-from matrixgt.errors import FormatError, MatrixGTError
+from matrixgt.errors import FormatError, MatrixGTError, ValidationError
 
 
 def car(bbox=(100.0, 100.0, 150.0, 140.0), truncated=0.0, occluded=0, **kw):
@@ -222,14 +222,25 @@ def _label_lines(draw):
     return " ".join([kind, *fields])
 
 
+def _collapses_at_two_decimals(label):
+    left, top, right, bottom = (float(f"{value:.2f}") for value in label.bbox)
+    return left == right or top == bottom
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=80) | st.lists(_label_lines() | st.just(""), max_size=4).map("\n".join))
+@example("Van 0.00 0 -10.00 0.00 0.001 5.00 0.00390625 -1.00 -1.00 -1.00 -1000.00 -1000.00 -1000.00 -10.00")
 def test_fuzzed_label_text_raises_only_matrixgt_errors(text):
     try:
         labels = kl.parse_labels_text(text)
     except MatrixGTError:
         return
     written = kl.labels_to_text(labels)
+    if any(map(_collapses_at_two_decimals, labels)):
+        # a box less than 0.01 wide or high is written with no area
+        with pytest.raises(ValidationError):
+            kl.parse_labels_text(written)
+        return
     assert kl.labels_to_text(kl.parse_labels_text(written)) == written
 
 
@@ -239,12 +250,18 @@ _LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x8
 _SEPARATORS = [" ", " ", "  ", "\t", "\x1f", "\xa0"]
 _TRUNCATIONS = ["0.00", "0.15", "1.00", "-0.00", "1.01", "-0.50", "-1.00", "nan", "inf"]
 _OCCLUSIONS = ["0", "1", "2", "3", "4", "-1", "-7", "1.5", "x"]
+# (left, top, right, bottom): boxes the reader accepts (one under 0.01 wide),
+# then inverted, zero-width, area-underflowing, and centroid-, area- and
+# doubled-area-overflowing ones
+_BOXES = ["10.00 20.00 50.00 60.00", "0.001 0.002 0.004 0.009", "0 0 1e-150 1e-150", "-1e300 -5 1e300 5",
+          "50.00 20.00 10.00 60.00", "10.00 60.00 50.00 20.00", "10.00 20.00 10.00 60.00", "0 0 1e-200 1e-200",
+          "1e308 10.00 1.7e308 60.00", "-1e308 0 1.7e308 1", "0 0 1e154 1e154"]
 
 
 @st.composite
 def _reader_lines(draw):
     """A label line, a blank one, or one with a wrong count, a non-number,
-    NaN or infinity in some field."""
+    NaN or infinity in some field; two in three carry a box of ``_BOXES``."""
     if draw(st.integers(0, 5)) == 0:
         return draw(st.sampled_from(["", " ", "\t "]))
     number = st.sampled_from(["1.00", "-10.00", "0", "314.74", "1e3", "-1000.00"]) | st.floats(
@@ -255,6 +272,8 @@ def _reader_lines(draw):
         draw(st.sampled_from(_OCCLUSIONS)),
     ]
     fields += draw(st.lists(number, min_size=12, max_size=13))
+    if draw(st.integers(0, 2)):
+        fields[4:8] = draw(st.sampled_from(_BOXES)).split()
     if draw(st.integers(0, 4)) == 0:
         fields[draw(st.integers(3, len(fields) - 1))] = draw(st.sampled_from(["nan", "-inf", "1e999", "x", "1_0", ""]))
     if draw(st.integers(0, 9)) == 0:
@@ -276,12 +295,15 @@ def _label_texts(draw):
     return text
 
 
-def _reader_outcome(parse, error, text):
-    """('labels', dicts) or ('line', the rejected line number)."""
+def _reader_outcome(parse, text):
+    """('labels', dicts), or (kind, number) of the first rejected line: kind
+    'box' for a box with no area or that overflows, 'format' otherwise."""
     try:
         labels = parse(text)
-    except error as exc:
-        return "line", exc.lineno if isinstance(exc, ReferenceLabelError) else int(
+    except ReferenceLabelError as exc:
+        return "box" if isinstance(exc, ReferenceBoxError) else "format", exc.lineno
+    except (FormatError, ValidationError) as exc:
+        return "box" if isinstance(exc, ValidationError) else "format", int(
             re.search(r" line (\d+):", str(exc)).group(1))
     return "labels", [label if isinstance(label, dict) else label._asdict() for label in labels]
 
@@ -289,8 +311,7 @@ def _reader_outcome(parse, error, text):
 @settings(max_examples=150, deadline=None)
 @given(_label_texts())
 def test_parser_agrees_with_the_reference_parser(text):
-    assert _reader_outcome(kl.parse_labels_text, FormatError, text) == _reader_outcome(
-        reference_parse_labels, ReferenceLabelError, text)
+    assert _reader_outcome(kl.parse_labels_text, text) == _reader_outcome(reference_parse_labels, text)
 
 
 _NAME_STEMS = ["000000", "000001", "a.b", ".h", "", "A", "x y", "\u00e9"]
@@ -307,7 +328,8 @@ _NAME_STEMS = ["000000", "000001", "a.b", ".h", "", "A", "x y", "\u00e9"]
 def test_directory_reader_agrees_with_the_reference_reader(names, texts):
     """Keys are ``Path.stem`` in ``Path`` order, hidden names included
     (``.txt`` keys as ``.txt``, ``.h.txt`` as ``.h``), and ``A.TXT`` is not
-    read; each file's labels, or its first rejected line, agree."""
+    read; each file's labels, or its first rejected line, its path and the
+    kind of error, agree."""
     with tempfile.TemporaryDirectory() as directory:
         for (stem, suffix), text in zip(names, texts):
             name = stem + suffix
@@ -318,7 +340,7 @@ def test_directory_reader_agrees_with_the_reference_reader(names, texts):
         try:
             expected = reference_read_label_dir(directory)
         except ReferenceLabelError as exc:
-            with pytest.raises(FormatError) as raised:
+            with pytest.raises(ValidationError if isinstance(exc, ReferenceBoxError) else FormatError) as raised:
                 kl.read_label_dir(directory)
             assert str(raised.value).startswith(f"{exc.name} line {exc.lineno}:")
             return

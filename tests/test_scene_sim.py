@@ -294,10 +294,9 @@ class TestSceneGeneration:
         # every frame records the ground slab, so its box must fit a meta file
         for key in ("fx", "fy"):
             with pytest.raises(ConfigError, match="ground slab"):
-                self._config(**{key: 1e308}).validate()
+                self._config(**{key: 1e308})
         # a slab behind the near plane is skipped on every frame, as before
         config = self._config(near_m=1.5, vehicle_count_min=0, vehicle_count_max=0)
-        config.validate()
         assert [r.cls for r in render_scenario_frame(config, 0).records] == []
         # no coarse box may have an infinite area, so none reaches a meta file
         assert not ss._proper_box((-math.inf, 0.0, 1.0, 1.0))
@@ -306,13 +305,31 @@ class TestSceneGeneration:
 
     def test_degenerate_config_rejected(self):
         with pytest.raises(ConfigError):
-            self._config(vehicle_count_min=5, vehicle_count_max=3).validate()
+            self._config(vehicle_count_min=5, vehicle_count_max=3)
         with pytest.raises(ConfigError):
-            self._config(region_x_min=3.0, region_x_max=-3.0).validate()
+            self._config(region_x_min=3.0, region_x_max=-3.0)
         with pytest.raises(ConfigError):
-            self._config(frames=0).validate()
+            self._config(frames=0)
         with pytest.raises(ConfigError):
-            self._config(vehicle_length_min=0.0).validate()
+            self._config(vehicle_length_min=0.0)
+
+    def test_config_cannot_be_made_invalid_or_changed(self):
+        config = self._config()
+        with pytest.raises(ConfigError, match="frames"):
+            dataclasses.replace(config, frames=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.frames = 0
+        assert config.frames == 4
+
+    def test_object_ids_fit_the_u16_instance_raster(self):
+        # ids run from the ground's 1 up; 0 marks pixels of no object
+        text = "seed=1\nframes=1\nvehicle_count_min=0\ndistractor_count_min=0\n"
+        config = ss.parse_scenario_text(text + "vehicle_count_max=65000\ndistractor_count_max=534\n")
+        assert ss.GROUND_OBJECT_ID + config.vehicle_count_max + config.distractor_count_max == 0xFFFF
+        with pytest.raises(ConfigError, match="distractor_count_max"):
+            ss.parse_scenario_text(text + "vehicle_count_max=65000\ndistractor_count_max=535\n")
+        with pytest.raises(ConfigError, match="distractor_count_max"):
+            ss.parse_scenario_text(text + "vehicle_count_max=70000\n")
 
 
 class TestRenderFrame:
@@ -904,6 +921,8 @@ class TestScenarioText:
         path = tmp_path / "manifest.txt"
         path.write_text(ss.manifest_text(config))
         assert ss.read_manifest(path) == config
+        # configs cannot change, so every read of one file shares one
+        assert ss.read_manifest(path) is ss.read_manifest(path)
 
     def test_frames_capped_at_a_million(self, tmp_path):
         # frame files carry a six-digit index
