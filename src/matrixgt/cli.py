@@ -69,7 +69,9 @@ def _run_tasks(task_fn, tasks: list, workers: int) -> None:
     # imported only here, so one-worker stages never load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    chunksize = max(1, len(tasks) // (workers * 4))
+    # ~16 chunks per worker: with fewer, frames of uneven cost leave a worker
+    # idle while the last chunks run
+    chunksize = max(1, len(tasks) // (workers * 16))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for _ in pool.map(task_fn, tasks, chunksize=chunksize):
             pass

@@ -97,13 +97,17 @@ def match_frame(
     dets: Sequence[Detection],
     gts: Sequence[GroundTruth],
     iou_thr: float,
+    required: Optional[dict[Difficulty, list[bool]]] = None,
 ) -> dict[Difficulty, list[tuple[Detection, Outcome]]]:
     """Greedy single-match assignment for one frame at every level: each
-    detection with its outcome, in descending-score order.
+    detection with its outcome, in descending-score order. ``required`` is
+    :func:`_required_by_level` of ``gts`` where the caller has it already.
 
     The overlaps are computed once and shared by the levels. A pair whose
     boxes are disjoint on either axis has IoU 0.0, which no threshold in
     (0, 1] accepts, so :func:`iou` runs only for pairs that overlap on both."""
+    if required is None:
+        required = _required_by_level(gts)
     ordered = sorted(dets, key=_score_order)
     boxes = [g.box for g in gts]
     candidates = []  # per detection: (gt index, IoU) at or above the threshold, index ascending
@@ -117,9 +121,12 @@ def match_frame(
                 if overlap >= iou_thr:
                     row.append((j, overlap))
         candidates.append(row)
-    return {
-        level: _greedy_outcomes(ordered, candidates, [g.required(level) for g in gts]) for level in LEVELS
-    }
+    return {level: _greedy_outcomes(ordered, candidates, required[level]) for level in LEVELS}
+
+
+def _required_by_level(gts: Sequence[GroundTruth]) -> dict[Difficulty, list[bool]]:
+    """Per level, whether each ground-truth box is required at it."""
+    return {level: [g.required(level) for g in gts] for level in LEVELS}
 
 
 def _greedy_outcomes(
@@ -251,9 +258,10 @@ def evaluate(
     gt_counts = dict.fromkeys(LEVELS, 0)
     for frame_id in sorted(ground_truth):
         gts = ground_truth[frame_id]
-        for level, outcomes in match_frame(detections[frame_id], gts, iou_thr).items():
+        required = _required_by_level(gts)  # decided once per box and level, for matching and counts
+        for level, outcomes in match_frame(detections[frame_id], gts, iou_thr, required).items():
             pooled[level].extend(outcomes)
-            gt_counts[level] += sum(1 for g in gts if g.required(level))
+            gt_counts[level] += sum(required[level])
 
     levels = {}
     for level, outcomes in pooled.items():

@@ -19,6 +19,9 @@ Conventions, fixed for the whole pipeline:
 * Depth is interpolated as 1/z barycentrically in screen space (exact for
   planar faces), z-buffered with strict less-than, then log-encoded into an
   F32 raster. Uncovered pixels encode exactly 1.0 (the far plane).
+* A frame's front faces are drawn by one flat numpy pass over every
+  triangle's own pixel window, in batches of bounded size, and z-tested
+  object by object in draw order (see :func:`_draw_triangles`).
 * All sampling flows from ``ScenarioConfig.seed`` through the pinned
   xorshift64* stream for (seed, frame_idx); nothing reads platform RNGs.
 
@@ -41,6 +44,7 @@ multiply-add and no BLAS, so their bits do not depend on the host's CPU.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import logging
@@ -284,7 +288,7 @@ _Y_INDEX = tuple(int(sy > 0) for _, sy, _ in _CORNER_SIGNS)
 # Quads in perimeter order, wound so that (b - a) x (c - a) points out of the
 # cuboid. Every triangle below inherits that outward winding, which lets the
 # renderer cull back faces from the sign of the projected area alone (see
-# _rasterize_into); scene_screen_triangles still yields all 12 triangles.
+# _draw_triangles); scene_screen_triangles still yields all 12 triangles.
 _FACE_QUADS = (
     (0, 1, 3, 2),  # -x
     (4, 6, 7, 5),  # +x
@@ -457,60 +461,6 @@ Vertex = tuple[float, float, float]  # projected (x, y, 1/z): screen position, i
 Triangle = tuple[Vertex, Vertex, Vertex]
 
 
-def _edge_accepts(w: np.ndarray, ax: float, ay: float, bx: float, by: float) -> np.ndarray:
-    """Half-plane test with the top-left tie rule for edge a->b of a
-    positively oriented triangle (y-down): w > 0 inside, w == 0 counts only on
-    top edges (dy == 0, dx > 0) and left edges (dy < 0)."""
-    dy = by - ay
-    if dy < 0.0 or (dy == 0.0 and bx - ax > 0.0):
-        return w >= 0.0
-    return w > 0.0
-
-
-def triangle_coverage_depth(tri: Triangle, px: np.ndarray, py: np.ndarray):
-    """Coverage and camera-space depth of one projected triangle at pixel centers.
-
-    ``tri`` is three ``(x, y, 1/z)`` vertices: screen coordinates and the
-    inverse camera depth. ``px``/``py`` are broadcastable float64 arrays of
-    pixel-center coordinates. Returns ``(covered, z)`` arrays, or None for
-    degenerate (zero-area) triangles. Either winding is accepted: the vertex
-    order is normalized to positive orientation first, so a triangle and its
-    mirror-wound copy give the same values. Depth comes from barycentric
-    interpolation of 1/z, which is exact for planar faces; ``z`` is
-    meaningful only where ``covered``.
-
-    This function is the single arithmetic path for rasterization: the
-    renderer evaluates it per front-facing triangle over the triangle's
-    bounding box clamped to the image, and brute-force checkers may evaluate
-    it for every triangle over the full image and take a minimum; both see
-    bit-identical values per pixel.
-    """
-    (x0, y0, i0), (x1, y1, i1), (x2, y2, i2) = tri
-    area = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-    if area == 0.0:
-        return None
-    if area < 0.0:
-        x1, y1, i1, x2, y2, i2 = x2, y2, i2, x1, y1, i1
-    w0 = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
-    w1 = (x0 - x2) * (py - y2) - (y0 - y2) * (px - x2)
-    w2 = (x1 - x0) * (py - y0) - (y1 - y0) * (px - x0)
-    covered = _edge_accepts(w0, x1, y1, x2, y2)
-    covered &= _edge_accepts(w1, x2, y2, x0, y0)
-    covered &= _edge_accepts(w2, x0, y0, x1, y1)
-    # z = ((w0 + w1) + w2) / (((w0 * i0) + (w1 * i1)) + (w2 * i2)), evaluated
-    # in place in exactly that order, reusing the edge-function buffers.
-    z = w0 + w1
-    z += w2
-    w0 *= i0
-    w1 *= i1
-    w0 += w1
-    w2 *= i2
-    w0 += w2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z /= w0
-    return covered, z
-
-
 def _object_triangles(
     obj: SceneObject, corners: tuple[list[float], list[float], list[float]]
 ) -> list[tuple[Triangle, int, int]]:
@@ -542,48 +492,121 @@ def scene_screen_triangles(
         yield from _object_triangles(obj, corners)
 
 
-def _rasterize_into(
-    zbuf: np.ndarray,
-    stencil: np.ndarray,
-    instance: np.ndarray,
-    tri: Triangle,
-    class_code: int,
-    object_id: int,
+# The flat pass evaluates at most this many pixels at a time. Its arrays grow
+# with the batch: unbounded, they would grow with the largest triangle (each
+# top-face triangle of the ground slab covers ~154k px at 640x480) and raise
+# the process's peak memory, which the heap then keeps. A smaller batch takes
+# more numpy calls per pixel, a larger one holds more memory per frame.
+_BATCH_PIXELS = 1 << 12
+
+
+def _draw_triangles(
+    zbuf: np.ndarray, stencil: np.ndarray, instance: np.ndarray, triangles: Iterable[tuple[Triangle, int, int]]
 ) -> None:
-    """Z-test one triangle into the frame buffers, skipping back faces.
+    """Z-test ``triangles``, ``(triangle, class_code, object_id)`` as
+    :func:`_object_triangles` gives them, into the C-contiguous frame buffers
+    in the given order, one object's triangles together.
 
-    With the outward winding of ``_FACE_TRIANGLES`` a triangle faces the
-    camera exactly when its projected signed area is negative (y-down
-    screen). Rendered cuboids are closed and convex and the camera is always
-    outside them (an object with a corner at or behind the near plane is never
-    rendered), so a back face lies behind a front face of the same cuboid at
-    every pixel it covers and can never win the strict less-than z-test.
+    Back faces are skipped. With the outward winding of ``_FACE_TRIANGLES`` a
+    triangle faces the camera exactly when its projected signed area is
+    negative (y-down screen). Rendered cuboids are closed and convex and the
+    camera is always outside them (an object with a corner at or behind the
+    near plane is never rendered), so a back face lies behind a front face of
+    the same cuboid at every pixel it covers and can never win the z-test.
 
-    Pixels are evaluated over the triangle's :func:`pixel_window`; coverage
-    itself is decided only by ``triangle_coverage_depth``.
+    A pixel center is covered when it passes the three edge functions
+    ``w = (bx-ax)*(py-ay) - (by-ay)*(px-ax)`` of the triangle wound positively
+    (y-down) under the top-left tie rule: ``w > 0`` inside, and ``w == 0``
+    only on top edges (dy == 0, dx > 0) and left edges (dy < 0), so adjacent
+    triangles never double-cover or leave gaps. Its depth interpolates 1/z
+    barycentrically, ``z = ((w0+w1)+w2) / ((w0*i0 + w1*i1) + w2*i2)``.
+
+    All front faces are evaluated in one flat pass, each over exactly its own
+    :func:`pixel_window`: their window rows are laid end to end in draw
+    order, an edge function is a per-row term minus a per-column term, and
+    each pixel gathers the two of its row and column. The pass runs in
+    batches of at most ``_BATCH_PIXELS`` positions and z-tests object by
+    object in draw order: a pixel takes an object's least ``z`` over its
+    triangles where that is strictly less than the zbuf's. So a NaN never
+    hits, an earlier object keeps a tie, and an object split across two
+    batches gives what a triangle-by-triangle loop gives.
     """
-    (ax, ay, _), (bx, by, _), (cx, cy, _) = tri
-    if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) >= 0.0:
-        return
     height, width = zbuf.shape
-    window = pixel_window((min(ax, bx, cx), min(ay, by, cy), max(ax, bx, cx), max(ay, by, cy)), width, height)
-    if window is None:
+    faces, runs = [], []  # a front face's vertices and window; (first face, class, id) per object
+    for tri, class_code, object_id in triangles:
+        (x0, y0, i0), (x1, y1, i1), (x2, y2, i2) = tri
+        area = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+        if area >= 0.0:  # a back face, or no area
+            continue
+        window = pixel_window((min(x0, x1, x2), min(y0, y1, y2), max(x0, x1, x2), max(y0, y1, y2)), width, height)
+        if window is None:
+            continue
+        if area < 0.0:  # wound positively, unless the area is NaN
+            x1, y1, i1, x2, y2, i2 = x2, y2, i2, x1, y1, i1
+        if not runs or runs[-1][2] != object_id:
+            runs.append((len(faces), class_code, object_id))
+        faces.append((x0, x1, x2, y0, y1, y2, i0, i1, i2, *window))
+    if not faces:
         return
-    x0, y0, x1, y1 = window
-    px = np.arange(x0, x1, dtype=np.float64) + 0.5
-    py = (np.arange(y0, y1, dtype=np.float64) + 0.5)[:, None]
-    result = triangle_coverage_depth(tri, px, py)
-    if result is None:
-        return
-    covered, z = result
-    zwin = zbuf[y0:y1, x0:x1]
-    hit = z < zwin
-    hit &= covered
-    if not hit.any():
-        return
-    np.copyto(zwin, z, where=hit)
-    np.copyto(stencil[y0:y1, x0:x1], class_code, where=hit)
-    np.copyto(instance[y0:y1, x0:x1], object_id, where=hit)
+
+    table = np.array(faces).T
+    x, y, inverse = table[:9].reshape(3, 3, -1)
+    wx0, wy0, wx1, wy1 = table[9:].astype(np.intp)
+    # edge k runs from vertex k+1, (ax, ay), to vertex k+2
+    ax, ay = x[[1, 2, 0]], y[[1, 2, 0]]
+    dx, dy = x[[2, 0, 1]] - ax, y[[2, 0, 1]] - ay
+    heights, widths = wy1 - wy0, wx1 - wx0
+    first_column = np.cumsum(widths) - widths
+    ys = np.repeat(wy0 - (np.cumsum(heights) - heights), heights) + np.arange(heights.sum())
+    xs = np.repeat(wx0 - first_column, widths) + np.arange(widths.sum())
+    per_row = np.repeat(np.concatenate((dx, ay, inverse, (dy < 0.0) | ((dy == 0.0) & (dx > 0.0)))), heights, axis=1)
+    row_terms, row_inverse, row_top_left = per_row[:3] * ((ys + 0.5) - per_row[3:6]), per_row[6:9], per_row[9:] != 0.0
+    per_column = np.repeat(np.concatenate((dy, ax)), widths, axis=1)
+    column_terms = per_column[:3] * ((xs + 0.5) - per_column[3:])
+    # position q in row r is column column_offset[r] + q of the column terms
+    # and pixel pixel_offset[r] + q of the flattened image
+    row_length = np.repeat(widths, heights)
+    row_start = np.cumsum(row_length) - row_length
+    column_offset = np.repeat(first_column, heights) - row_start
+    pixel_offset = ys * width + np.repeat(wx0, heights) - row_start
+    row_end = (row_start + row_length).tolist()
+    run_start = (np.cumsum(heights * widths) - heights * widths)[[first for first, _, _ in runs]].tolist()
+
+    zflat, stencil_flat, instance_flat = zbuf.reshape(-1), stencil.reshape(-1), instance.reshape(-1)
+    for start in range(0, row_end[-1], _BATCH_PIXELS):
+        stop = min(start + _BATCH_PIXELS, row_end[-1])
+        # rows first .. last - 1 have this many positions each in the batch
+        first, last = bisect.bisect_right(row_end, start), bisect.bisect_left(row_end, stop) + 1
+        lengths = row_length[first:last].copy()
+        lengths[0] = row_end[first] - start
+        lengths[-1] -= row_end[last - 1] - stop
+        columns = np.repeat(column_offset[first:last], lengths) + np.arange(start, stop)
+        w = np.repeat(row_terms[:, first:last], lengths, axis=1)
+        w -= np.take(column_terms, columns, axis=1)
+        covered = (w >= 0.0).all(axis=0)
+        ties = w == 0.0
+        if ties.any():  # w == 0 passes only top and left edges
+            covered &= ~(ties & ~np.repeat(row_top_left[:, first:last], lengths, axis=1)).any(axis=0)
+        at = np.flatnonzero(covered)
+        row_at = np.repeat(np.arange(first, last), lengths)[at]
+        w = np.take(w, at, axis=1)
+        z = w[0] + w[1] + w[2]
+        w *= np.take(row_inverse, row_at, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z /= w[0] + w[1] + w[2]
+        pixels = pixel_offset[row_at] + at + start
+
+        # the objects with positions in the batch, and where in it each begins
+        lo, hi = bisect.bisect_right(run_start, start), bisect.bisect_left(run_start, stop)
+        cuts = [0, *(bisect.bisect_left(at, s - start) for s in run_start[lo:hi]), at.size]
+        for (_, class_code, object_id), a, b in zip(runs[lo - 1 : hi], cuts, cuts[1:]):
+            zz, pp = z[a:b], pixels[a:b]
+            hit = zz < zflat[pp]
+            pp = pp[hit]
+            if pp.size:
+                np.minimum.at(zflat, pp, zz[hit])
+                stencil_flat[pp] = class_code
+                instance_flat[pp] = object_id
 
 
 _SKY_RGB = (96, 144, 200)
@@ -624,8 +647,7 @@ def _first_object_layer(
         triangles = _object_triangles(obj, _project_corners(camera, obj))
     except BehindCameraError:
         triangles = []
-    for triangle in triangles:
-        _rasterize_into(zbuf, stencil, instance, *triangle)
+    _draw_triangles(zbuf, stencil, instance, triangles)
     covered = np.isfinite(zbuf)
     encoded[covered] = encode_log_depth(zbuf[covered], camera.depth_params)
     for arr in layer:
@@ -669,7 +691,7 @@ _frame_buffers = functools.lru_cache(maxsize=1)(_FrameBuffers)
 
 
 def _draw_window(hulls: Iterable[tuple[float, float, float, float]], width: int, height: int) -> Optional[Window]:
-    """The smallest window holding every pixel that :func:`_rasterize_into`
+    """The smallest window holding every pixel that :func:`_draw_triangles`
     may draw for objects with these corner hulls, or None if it is empty: the
     union of the hulls' pixel windows. A triangle's vertices are corners, so
     its window lies in its object's.
@@ -727,9 +749,7 @@ def _render_into(
             np.copyto(dst[restore], src[restore])
     buffers.layer, buffers.window = layer, window
     zbuf, stencil, instance, encoded = buffers.arrays
-    for obj, corners, _ in later:
-        for triangle in _object_triangles(obj, corners):
-            _rasterize_into(zbuf, stencil, instance, *triangle)
+    _draw_triangles(zbuf, stencil, instance, (t for obj, corners, _ in later for t in _object_triangles(obj, corners)))
 
     records = []
     for obj, _, hull in projected:

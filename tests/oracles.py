@@ -2,8 +2,10 @@
 
 Everything here is deliberately written in a different style from the package
 (plain loops, dicts, ray casting) so the two sides can only agree by being
-correct, except `brute_force_depth`, which by design shares the per-triangle
-arithmetic path and exercises only the z-buffer bookkeeping.
+correct. `triangle_coverage_depth` is the exception in style: it spells out
+the renderer's per-pixel arithmetic one triangle at a time over whole arrays,
+so that `brute_force_buffers` must agree with the renderer bit for bit while
+sharing none of its code.
 """
 
 import math
@@ -25,11 +27,56 @@ def cuboid_corners(obj):
     return half @ rot.T + np.asarray(obj.center, dtype=np.float64)
 
 
+def _edge_accepts(w, ax, ay, bx, by):
+    """Half-plane test with the top-left tie rule for edge a->b of a
+    positively oriented triangle (y-down): w > 0 inside, w == 0 counts only on
+    top edges (dy == 0, dx > 0) and left edges (dy < 0)."""
+    dy = by - ay
+    if dy < 0.0 or (dy == 0.0 and bx - ax > 0.0):
+        return w >= 0.0
+    return w > 0.0
+
+
+def triangle_coverage_depth(tri, px, py):
+    """Coverage and camera-space depth of one projected triangle at pixel centers.
+
+    ``tri`` is three ``(x, y, 1/z)`` vertices: screen coordinates and the
+    inverse camera depth. ``px``/``py`` are broadcastable float64 arrays of
+    pixel-center coordinates. Returns ``(covered, z)`` arrays, or None for
+    degenerate (zero-area) triangles. Either winding is accepted: the vertex
+    order is normalized to positive orientation first, so a triangle and its
+    mirror-wound copy give the same values. Depth comes from barycentric
+    interpolation of 1/z, which is exact for planar faces; ``z`` is
+    meaningful only where ``covered``.
+
+    Each edge function is ``(x2-x1)*(py-y1) - (y2-y1)*(px-x1)``, a per-row
+    term minus a per-column term, and ``z`` is
+    ``((w0+w1)+w2) / ((w0*i0 + w1*i1) + w2*i2)``: the operations and their
+    order that the renderer's flat pass performs per pixel, so both give
+    bit-identical values wherever both evaluate a pixel.
+    """
+    (x0, y0, i0), (x1, y1, i1), (x2, y2, i2) = tri
+    area = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    if area == 0.0:
+        return None
+    if area < 0.0:
+        x1, y1, i1, x2, y2, i2 = x2, y2, i2, x1, y1, i1
+    w0 = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
+    w1 = (x0 - x2) * (py - y2) - (y0 - y2) * (px - x2)
+    w2 = (x1 - x0) * (py - y0) - (y1 - y0) * (px - x0)
+    covered = _edge_accepts(w0, x1, y1, x2, y2)
+    covered &= _edge_accepts(w1, x2, y2, x0, y0)
+    covered &= _edge_accepts(w2, x0, y0, x1, y1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = ((w0 + w1) + w2) / ((w0 * i0 + w1 * i1) + w2 * i2)
+    return covered, z
+
+
 def brute_force_buffers(camera, scene):
     """Nearest-surface depth, class code and object id per pixel via
     full-image evaluation of every triangle, back faces included, and an
-    explicit strict-less minimum in draw order; shares the
-    projection/coverage arithmetic with the renderer, so agreement must be
+    explicit strict-less minimum in draw order; the per-pixel arithmetic of
+    :func:`triangle_coverage_depth` is the renderer's, so agreement must be
     bit-exact."""
     height, width = camera.height, camera.width
     px = np.arange(width, dtype=np.float64) + 0.5
@@ -38,7 +85,7 @@ def brute_force_buffers(camera, scene):
     codes = np.zeros((height, width), dtype=np.uint8)
     ids = np.zeros((height, width), dtype=np.uint16)
     for tri, code, oid in ss.scene_screen_triangles(camera, scene):
-        result = ss.triangle_coverage_depth(tri, px, py)
+        result = triangle_coverage_depth(tri, px, py)
         if result is None:
             continue
         covered, z = result

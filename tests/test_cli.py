@@ -394,11 +394,13 @@ class TestEntryPoint:
 
     def test_pool_is_capped_at_the_task_count(self, monkeypatch):
         """A forked pool starts every worker it is asked for, so it is asked for
-        no more than there are tasks. The pool here is a stand-in that runs
+        no more than there are tasks, and it hands them out in chunks small
+        enough that each worker gets many: a worker left without a chunk
+        idles while the last ones run. The pool here is a stand-in that runs
         the tasks in this process and starts none."""
         import concurrent.futures
 
-        asked = []
+        asked, chunks = [], []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -411,6 +413,7 @@ class TestEntryPoint:
                 return False
 
             def map(self, fn, tasks, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -420,6 +423,9 @@ class TestEntryPoint:
         cli._run_tasks(done.append, [6], 64)
         assert asked == [3, 2]
         assert done == list(range(7))
+        # the crowd benchmark's 300 frames on 2 workers: 16 chunks or more each
+        cli._run_tasks(done.append, list(range(300)), 2)
+        assert 300 / chunks[-1] >= 2 * 16
 
 
 CAR_LINE = "Car 0.00 0 -10.00 10.00 10.00 50.00 60.00 -1.00 -1.00 -1.00 -1000.00 -1000.00 -1000.00 -10.00\n"

@@ -12,16 +12,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ACCEPTANCE_SCENARIO, make_ground, make_vehicle, render_scenario_frame
-from oracles import brute_force_buffers, brute_force_depth, cuboid_corners, ray_cast_depth
+from oracles import brute_force_buffers, brute_force_depth, cuboid_corners, ray_cast_depth, triangle_coverage_depth
 
 from matrixgt import cli
 from matrixgt import scene_sim as ss
 from matrixgt.errors import BehindCameraError, ConfigError, FormatError, MatrixGTError, ValidationError
-from matrixgt.raster_codec import Raster, encode_log_depth, linearize_depth, read_raster, write_raster
+from matrixgt.raster_codec import DepthCodecParams, Raster, encode_log_depth, linearize_depth, read_raster, write_raster
 
 
 class TestCoarseBox:
@@ -471,8 +471,8 @@ class TestTopLeftRule:
         quad = [(2.0, 2.0, 0.1), (13.0, 2.0, 0.1), (13.0, 13.0, 0.1), (2.0, 13.0, 0.1)]
         tri_a = (quad[0], quad[1], quad[2])
         tri_b = (quad[0], quad[2], quad[3])
-        cov_a, _ = ss.triangle_coverage_depth(tri_a, px, py)
-        cov_b, _ = ss.triangle_coverage_depth(tri_b, px, py)
+        cov_a, _ = triangle_coverage_depth(tri_a, px, py)
+        cov_b, _ = triangle_coverage_depth(tri_b, px, py)
         assert not (cov_a & cov_b).any()
         # pixel centers on the shared diagonal land in exactly one triangle
         diag = np.eye(16, dtype=bool)[4:12, 4:12]
@@ -485,15 +485,15 @@ class TestTopLeftRule:
         upper = ((1.0, 1.0, 0.1), (10.0, 1.0, 0.1), (5.0, 6.5, 0.1))
         lower = ((1.0, 11.0, 0.1), (10.0, 11.0, 0.1), (5.0, 6.5, 0.1))
         # edge y = 6.5 passes exactly through pixel centers of row 6
-        cov_u, _ = ss.triangle_coverage_depth(upper, px, py)
-        cov_l, _ = ss.triangle_coverage_depth(lower, px, py)
+        cov_u, _ = triangle_coverage_depth(upper, px, py)
+        cov_l, _ = triangle_coverage_depth(lower, px, py)
         assert not (cov_u & cov_l).any()
 
     def test_degenerate_triangle_skipped(self):
         px = np.arange(4, dtype=np.float64) + 0.5
         py = (np.arange(4, dtype=np.float64) + 0.5)[:, None]
         tri = ((0.0, 0.0, 0.1), (2.0, 2.0, 0.1), (1.0, 1.0, 0.1))
-        assert ss.triangle_coverage_depth(tri, px, py) is None
+        assert triangle_coverage_depth(tri, px, py) is None
 
 
 _WIN_W, _WIN_H = 64, 48
@@ -581,19 +581,28 @@ def _blank_buffers():
 
 def _rasterized(tri):
     buffers = _blank_buffers()
-    ss._rasterize_into(*buffers, tri, 2, 7)
+    ss._draw_triangles(*buffers, [(tri, 2, 7)])
     return buffers
 
 
-def _full_image_reference(tri):
+def _window_pixels(tri):
+    xs, ys, _ = zip(*tri)
+    window = ss.pixel_window((min(xs), min(ys), max(xs), max(ys)), _WIN_W, _WIN_H)
+    return 0 if window is None else (window[2] - window[0]) * (window[3] - window[1])
+
+
+def _full_image_reference(triangles):
+    """Each of ``(triangle, class_code, object_id)`` in turn over the whole
+    image, z-tested strictly less than what the ones before it drew."""
     zbuf, stencil, instance = _blank_buffers()
     px = np.arange(_WIN_W, dtype=np.float64) + 0.5
     py = (np.arange(_WIN_H, dtype=np.float64) + 0.5)[:, None]
-    result = ss.triangle_coverage_depth(tri, px, py)
-    if result is not None:
-        covered, z = result
-        hit = covered & (z < zbuf)
-        zbuf[hit], stencil[hit], instance[hit] = z[hit], 2, 7
+    for tri, code, object_id in triangles:
+        result = triangle_coverage_depth(tri, px, py)
+        if result is not None:
+            covered, z = result
+            hit = covered & (z < zbuf)
+            zbuf[hit], stencil[hit], instance[hit] = z[hit], code, object_id
     return zbuf, stencil, instance
 
 
@@ -607,17 +616,117 @@ def _assert_equals_cull_free_reference(camera, scene, bundle):
     assert np.array_equal(bundle.instance_oracle.data, ids)
 
 
+# (center z, width) of a grid object: its near and far faces at power-of-two depths
+_GRID_DEPTHS = ((3.0, 2.0), (6.0, 4.0), (12.0, 8.0), (24.0, 16.0))
+_EIGHTHS = st.integers(-96, 96).map(lambda k: k / 8.0)
+_GRID_SIZES = st.integers(1, 96).map(lambda k: k / 8.0)
+
+
+def _flat_pass_camera(width, height, focal, cx, cy):
+    return ss.CameraModel(fx=focal, fy=focal, cx=cx, cy=cy, width=width, height=height,
+                          depth_params=DepthCodecParams(0.15, 600.0))
+
+
+@st.composite
+def _flat_pass_scenes(draw):
+    """A camera and a few cuboids. Grid objects have yaw 0, sizes and centers
+    on a 1/8 grid and faces at power-of-two depths, and the focal length is a
+    power of two: their corners project exactly onto pixel centers or
+    corners, their edges are axis-aligned, and the tie rule decides which
+    pixels they cover. Two grid objects with the same depths tie exactly
+    where they overlap. Free objects take any pose, some far outside the
+    image. A big scene has a 128x96 image and a last object that fills it,
+    so its triangles are larger than a batch."""
+    big = draw(st.booleans())
+    width, height = (128, 96) if big else (draw(st.integers(8, 40)), draw(st.integers(6, 30)))
+    half = st.sampled_from((0.0, 0.5))
+    cx, cy = draw(st.integers(0, width - 1)) + draw(half), draw(st.integers(0, height - 1)) + draw(half)
+    camera = _flat_pass_camera(width, height, draw(st.sampled_from((32.0, 64.0))), cx, cy)
+    scene = []
+    for object_id in range(1, draw(st.integers(1, 4)) + 1):
+        cls = draw(st.sampled_from(list(ss.ObjectClass)))
+        if draw(st.booleans()):
+            center_z, depth = draw(st.sampled_from(_GRID_DEPTHS))
+            center = (draw(_EIGHTHS), draw(_EIGHTHS), center_z)
+            size, yaw = (draw(_GRID_SIZES), depth, draw(_GRID_SIZES)), 0.0
+        else:
+            span = draw(st.sampled_from((6.0, 3000.0)))
+            center = (draw(st.floats(-span, span)), draw(st.floats(-span, span)), draw(st.floats(2.0, 40.0)))
+            size = tuple(draw(st.floats(0.05, 8.0)) for _ in range(3))
+            yaw = draw(st.floats(-math.pi, math.pi))
+        scene.append(ss.SceneObject(object_id, cls, center, size, yaw))
+    if big:
+        scene.append(ss.SceneObject(len(scene) + 1, ss.ObjectClass.VEHICLE, (0.0, 0.0, 3.0), (40.0, 2.0, 40.0), 0.0))
+    return camera, scene
+
+
 class TestRasterizeInto:
+    @settings(max_examples=150, deadline=None)
+    @given(_flat_pass_scenes())
+    @example((_flat_pass_camera(40, 30, 64.0, 20.5, 15.5), [
+        ss.SceneObject(1, ss.ObjectClass.GROUND, (0.0, 0.5, 12.0), (6.0, 8.0, 1.0), 0.0),
+        # two objects whose near faces coincide at z = 8 where they overlap:
+        # the lower id must win there
+        ss.SceneObject(2, ss.ObjectClass.VEHICLE, (-0.25, 0.0, 12.0), (1.5, 8.0, 1.25), 0.0),
+        ss.SceneObject(3, ss.ObjectClass.DISTRACTOR, (0.5, -0.125, 12.0), (1.5, 8.0, 1.0), 0.0),
+        # corners far outside the image
+        ss.SceneObject(4, ss.ObjectClass.VEHICLE, (-900.0, 0.3, 5.0), (1799.0, 1.0, 0.4), 0.2),
+    ]))
+    @example((_flat_pass_camera(128, 96, 32.0, 64.0, 48.0), [
+        ss.SceneObject(1, ss.ObjectClass.GROUND, (0.0, 1.5, 12.0), (30.0, 8.0, 0.5), 0.0),
+        ss.SceneObject(2, ss.ObjectClass.VEHICLE, (0.5, 0.0, 6.0), (2.0, 4.0, 1.0), 0.0),
+        # each of its near face's triangles spans the whole image, more than a batch
+        ss.SceneObject(3, ss.ObjectClass.VEHICLE, (0.0, 0.0, 3.0), (40.0, 2.0, 40.0), 0.0),
+    ]))
+    def test_flat_pass_equals_the_brute_force_oracle(self, case):
+        """The renderer's flat pass against every triangle evaluated over the
+        whole image, bit for bit."""
+        camera, scene = case
+        bundle = ss.render_frame(camera, scene, 0, emit_color=False)
+        _assert_equals_cull_free_reference(camera, scene, bundle)
+
+    def test_the_big_scenes_split_a_triangle_across_batches(self):
+        """The object that fills a big scene's image covers it with its near
+        face alone. Each of that face's two triangles has the face's box, so
+        each is evaluated over every pixel of the image, more than a batch."""
+        camera = _flat_pass_camera(128, 96, 32.0, 64.0, 48.0)
+        filler = ss.SceneObject(1, ss.ObjectClass.VEHICLE, (0.0, 0.0, 3.0), (40.0, 2.0, 40.0), 0.0)
+        bundle = ss.render_frame(camera, [filler], 0, emit_color=False)
+        assert (bundle.instance_oracle.data == 1).all()
+        assert np.allclose(linearize_depth(bundle.depth.data.astype(np.float64), camera.depth_params), 2.0)
+        assert camera.width * camera.height > ss._BATCH_PIXELS
+
     def test_clipped_window_matches_full_image_evaluation(self):
         drawn = 0
         for tri in _random_triangles(seed=11, count=4000):
             tri = _front_facing(tri)
             got = _rasterized(tri)
-            want = _full_image_reference(tri)
+            want = _full_image_reference([(tri, 2, 7)])
             for got_plane, want_plane in zip(got, want):
                 assert got_plane.tobytes() == want_plane.tobytes(), tri
             drawn += bool(want[2].any())
         assert drawn > 1500  # most cases cover pixels
+
+    def test_objects_of_overlapping_triangles_equal_a_sequential_z_test(self):
+        """Objects of one to four front faces that overlap one another and
+        themselves, drawn in one flat pass and one triangle at a time. A
+        frame's windows hold more pixels than a batch, so batches end inside
+        objects and inside windows."""
+        rng = random.Random(21)
+        triangles = [_front_facing(tri) for tri in _random_triangles(seed=21, count=2400)]
+        split = 0
+        while triangles:
+            frame = []
+            for object_id in range(1, rng.randint(2, 6) + 1):
+                count = rng.randint(1, 4)
+                frame += [(tri, object_id % 3 + 1, object_id) for tri in triangles[:count]]
+                del triangles[:count]
+            got = _blank_buffers()
+            ss._draw_triangles(*got, frame)
+            for got_plane, want_plane in zip(got, _full_image_reference(frame)):
+                assert got_plane.tobytes() == want_plane.tobytes(), frame
+            split += sum(_window_pixels(tri) for tri, _, _ in frame) > ss._BATCH_PIXELS
+        assert split > 50
 
     def test_back_faces_draw_nothing(self):
         for tri in _random_triangles(seed=12, count=400):
@@ -806,23 +915,25 @@ class TestReusedFrameBuffers:
                  "c1", "none1", "FAIL a1", "none2", "a2", "ground2", "near2", "b2", "c2", "a1"]
         for name in configs:
             (tmp_path / "in-process" / name).mkdir(parents=True)
-        rasterize, calls = ss._rasterize_into, []
+        draw, calls = ss._draw_triangles, []
 
-        def failing_once_drawn(zbuf, stencil, instance, *triangle):
-            calls.append(None)
-            # the first call after an object past the ground slab drew a pixel
-            if (instance > ss.GROUND_OBJECT_ID).any():
-                raise RuntimeError("rasterizer failed")
-            return rasterize(zbuf, stencil, instance, *triangle)
+        def failing_once_drawn(zbuf, stencil, instance, triangles):
+            triangles = list(triangles)
+            if all(object_id == ss.GROUND_OBJECT_ID for _, _, object_id in triangles):
+                return draw(zbuf, stencil, instance, triangles)  # a first-object layer
+            # fail part-way: after the first half of the frame's triangles drew
+            draw(zbuf, stencil, instance, triangles[: len(triangles) // 2])
+            calls.append((instance > ss.GROUND_OBJECT_ID).any())
+            raise RuntimeError("rasterizer failed")
 
         for step in steps:
             name, frame = step.split()[-1][:-1], int(step[-1])
             if step.startswith("FAIL"):
                 with monkeypatch.context() as patch:
-                    patch.setattr(ss, "_rasterize_into", failing_once_drawn)
+                    patch.setattr(ss, "_draw_triangles", failing_once_drawn)
                     with pytest.raises(RuntimeError, match="rasterizer failed"):
                         ss.write_scenario_frame(configs[name], frame, tmp_path / "in-process" / name)
-                assert len(calls) > 1
+                assert calls == [True]  # it failed with pixels drawn past the ground slab
                 continue
             ss.write_scenario_frame(configs[name], frame, tmp_path / "in-process" / name)
         env = {**os.environ, "PYTHONPATH": str(Path(ss.__file__).parents[1])}
