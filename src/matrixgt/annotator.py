@@ -24,9 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dataset import EngineRecord, ObjectClass, box_area, box_intersection_area, pixel_window
 from .errors import ConfigError
 from .raster_codec import DepthCodecParams, Raster, linearize_depth, stencil_class_ids
-from .scene_sim import EngineRecord, ObjectClass, box_area, box_intersection_area, pixel_window
 
 FULLY_VISIBLE_FRACTION = 0.8
 PARTLY_VISIBLE_FRACTION = 0.5

@@ -12,7 +12,8 @@ Exit codes: 0 success, 2 configuration/parse error, 3 I/O error,
 4 validation error. All subcommands are idempotent and produce byte-identical
 outputs regardless of worker count; ``MATRIXGT_WORKERS`` is the fallback when
 ``--workers`` is absent (oracle-labels has no flag), and 0 means one worker
-per CPU.
+per CPU that the process may run on. A stage never starts more workers than
+that, or than it has frames.
 """
 
 from __future__ import annotations
@@ -53,15 +54,24 @@ def _resolve_workers(requested: Optional[int]) -> int:
     if requested < 0:
         raise ConfigError(f"worker count must be >= 0, got {requested}")
     if requested == 0:
-        return os.cpu_count() or 1
+        return _usable_cpus()
     return requested
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _run_tasks(task_fn, tasks: list, workers: int) -> None:
     """Execute independent per-frame tasks; results land in per-frame files, so
     scheduling order never affects output bytes."""
-    # a forked pool starts all its workers at once, so no more than there are tasks
-    workers = min(workers, len(tasks))
+    # a forked pool starts all its workers at once, so no more than there are
+    # tasks, or CPUs to run them
+    workers = min(workers, len(tasks), _usable_cpus())
     if workers <= 1:
         for task in tasks:
             task_fn(task)
@@ -87,14 +97,17 @@ def _generate_task(task) -> None:
 
 
 def cmd_generate(args) -> int:
+    # scene_sim first, so that it is compiled before numpy loads, which costs
+    # less peak memory (see the note on scene_sim's imports)
     from . import scene_sim
+    from . import dataset
 
-    config = scene_sim.load_scenario(args.scenario)
+    config = dataset.load_scenario(args.scenario)
     workers = _resolve_workers(args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _run_tasks(_generate_task, [(config, i, out) for i in range(config.frames)], workers)
-    (out / scene_sim.MANIFEST_NAME).write_text(scene_sim.manifest_text(config))
+    (out / dataset.MANIFEST_NAME).write_text(dataset.manifest_text(config))
     return EXIT_OK
 
 
@@ -102,20 +115,23 @@ def cmd_generate(args) -> int:
 
 
 def _annotate_task(task) -> None:
-    from . import annotator, kitti_labels, scene_sim
+    from . import annotator, dataset, kitti_labels
 
     dataset_dir, labels_dir, frame_idx, params, depth_params = task
-    depth, stencil, records, _ = scene_sim.read_frame_buffers(dataset_dir, frame_idx)
+    depth, stencil, records, _ = dataset.read_frame_buffers(dataset_dir, frame_idx)
     annotations = annotator.annotate_frame(stencil, depth, records, params, depth_params)
     labels = [kitti_labels.from_annotation(a) for a in annotations]
     kitti_labels.write_labels(labels, kitti_labels.label_path(labels_dir, frame_idx))
 
 
 def cmd_annotate(args) -> int:
-    from . import annotator, scene_sim
+    # dataset first, as scene_sim in cmd_generate: annotator loads numpy
+    # before the package modules it imports
+    from . import dataset
+    from . import annotator
 
     dataset_dir = Path(args.input_dir)
-    config = scene_sim.read_manifest(dataset_dir / scene_sim.MANIFEST_NAME)
+    config = dataset.read_manifest(dataset_dir / dataset.MANIFEST_NAME)
     depth_params = config.camera().depth_params
     params = (
         annotator.RefinementParams(rho=args.rho)
@@ -127,7 +143,7 @@ def cmd_annotate(args) -> int:
     labels_dir.mkdir(parents=True, exist_ok=True)
     tasks = [
         (dataset_dir, labels_dir, i, params, depth_params)
-        for i in scene_sim.list_frame_indices(dataset_dir)
+        for i in dataset.list_frame_indices(dataset_dir)
     ]
     _run_tasks(_annotate_task, tasks, workers)
     return EXIT_OK
@@ -137,26 +153,26 @@ def cmd_annotate(args) -> int:
 
 
 def _oracle_task(task) -> None:
-    from . import kitti_labels, scene_sim
+    from . import dataset, kitti_labels
     from .oracle_labels import oracle_frame_labels
 
     dataset_dir, labels_dir, frame_idx, image_size = task
-    _, stencil, records, instance = scene_sim.read_frame_buffers(dataset_dir, frame_idx, with_instance=True)
+    _, stencil, records, instance = dataset.read_frame_buffers(dataset_dir, frame_idx, with_instance=True)
     labels = oracle_frame_labels(instance, stencil, records, image_size)
     kitti_labels.write_labels(labels, kitti_labels.label_path(labels_dir, frame_idx))
 
 
 def cmd_oracle_labels(args) -> int:
-    from . import scene_sim
+    from . import dataset
 
     dataset_dir = Path(args.input_dir)
-    config = scene_sim.read_manifest(dataset_dir / scene_sim.MANIFEST_NAME)
+    config = dataset.read_manifest(dataset_dir / dataset.MANIFEST_NAME)
     workers = _resolve_workers(None)
     labels_dir = Path(args.out)
     labels_dir.mkdir(parents=True, exist_ok=True)
     tasks = [
         (dataset_dir, labels_dir, i, (config.width, config.height))
-        for i in scene_sim.list_frame_indices(dataset_dir)
+        for i in dataset.list_frame_indices(dataset_dir)
     ]
     _run_tasks(_oracle_task, tasks, workers)
     return EXIT_OK

@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .annotator import orphan_annotation, pixel_hull, record_annotation
+from .dataset import EngineRecord, ObjectClass, pixel_window
 from .kitti_labels import KittiLabel, from_annotation
 from .raster_codec import Raster
-from .scene_sim import EngineRecord, ObjectClass, pixel_window
 
 
 def _new_sort_buffers(pixel_count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from matrixgt import dataset as ds
 from matrixgt import scene_sim as ss
 from matrixgt.raster_codec import DepthCodecParams
 
@@ -13,13 +14,13 @@ def codec():
 @pytest.fixture
 def spec_camera(codec):
     """Camera used by the projection examples: fx=fy=100, 640x480."""
-    return ss.CameraModel(fx=100.0, fy=100.0, cx=320.0, cy=240.0, width=640, height=480, depth_params=codec)
+    return ds.CameraModel(fx=100.0, fy=100.0, cx=320.0, cy=240.0, width=640, height=480, depth_params=codec)
 
 
 def make_ground(ground_y=1.4, x_extent=60.0, z_near=1.0, z_far=60.0):
-    return ss.SceneObject(
-        object_id=ss.GROUND_OBJECT_ID,
-        cls=ss.ObjectClass.GROUND,
+    return ds.SceneObject(
+        object_id=ds.GROUND_OBJECT_ID,
+        cls=ds.ObjectClass.GROUND,
         center=(0.0, ground_y + 0.01, (z_near + z_far) / 2.0),
         size=(x_extent, z_far - z_near, 0.02),
         yaw=0.0,
@@ -27,9 +28,9 @@ def make_ground(ground_y=1.4, x_extent=60.0, z_near=1.0, z_far=60.0):
 
 
 def make_vehicle(object_id, x, z, length=4.2, width=1.8, height=1.5, yaw=0.0, ground_y=1.4):
-    return ss.SceneObject(
+    return ds.SceneObject(
         object_id=object_id,
-        cls=ss.ObjectClass.VEHICLE,
+        cls=ds.ObjectClass.VEHICLE,
         center=(x, ground_y - height / 2.0 - 0.01, z),
         size=(length, width, height),
         yaw=yaw,
@@ -51,7 +52,7 @@ def render_scenario_frame(config, frame_idx):
 
 @pytest.fixture
 def small_camera(codec):
-    return ss.CameraModel(fx=260.0, fy=260.0, cx=160.0, cy=120.0, width=320, height=240, depth_params=codec)
+    return ds.CameraModel(fx=260.0, fy=260.0, cx=160.0, cy=120.0, width=320, height=240, depth_params=codec)
 
 
 @pytest.fixture

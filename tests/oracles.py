@@ -4,8 +4,11 @@ Everything here is deliberately written in a different style from the package
 (plain loops, dicts, ray casting) so the two sides can only agree by being
 correct. `triangle_coverage_depth` is the exception in style: it spells out
 the renderer's per-pixel arithmetic one triangle at a time over whole arrays,
-so that `brute_force_buffers` must agree with the renderer bit for bit while
-sharing none of its code.
+so that `brute_force_buffers` must agree with the renderer bit for bit. That
+oracle takes its triangles from `scene_sim.scene_screen_triangles`, so it
+shares the renderer's corner projection and triangulation; only its per-pixel
+arithmetic is written independently. `ray_cast_depth` computes corners and
+hits on its own, and shares only the corner order and the face tables.
 """
 
 import math
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from matrixgt import dataset as ds
 from matrixgt import scene_sim as ss
 
 
@@ -21,7 +25,7 @@ def cuboid_corners(obj):
     """The 8 corners of an object's oriented cuboid in camera space, shape
     (8, 3), as a matrix product through numpy (and so BLAS)."""
     length, width, height = obj.size
-    half = np.array(ss._CORNER_SIGNS, dtype=np.float64) * np.array([length / 2.0, height / 2.0, width / 2.0])
+    half = np.array(ds._CORNER_SIGNS, dtype=np.float64) * np.array([length / 2.0, height / 2.0, width / 2.0])
     c, s = math.cos(obj.yaw), math.sin(obj.yaw)
     rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
     return half @ rot.T + np.asarray(obj.center, dtype=np.float64)

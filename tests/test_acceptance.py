@@ -17,6 +17,7 @@ from test_cli import dir_digest
 
 from matrixgt import annotator as an
 from matrixgt import cli
+from matrixgt import dataset as ds
 from matrixgt import dataset_stats as stats
 from matrixgt import evaluator as ev
 from matrixgt import kitti_labels as kl
@@ -85,7 +86,7 @@ def test_criterion_1_codec_exactness(codec):
 def test_criterion_2_rasterizer_oracles():
     def body():
         start = time.perf_counter()
-        config = ss.ScenarioConfig(
+        config = ds.ScenarioConfig(
             seed=424242, frames=20, width=64, height=64, fx=70.0, fy=70.0, cx=32.0, cy=32.0,
             vehicle_count_min=2, vehicle_count_max=4, distractor_count_min=0, distractor_count_max=1,
             vehicle_length_min=1.5, vehicle_length_max=3.5, vehicle_width_min=1.2,
@@ -122,7 +123,7 @@ def test_criterion_2_rasterizer_oracles():
 def test_criterion_3_occlusion_disambiguation(occlusion_scene):
     def body():
         camera, scene = occlusion_scene
-        depths = sorted(o.center[2] for o in scene if o.cls is ss.ObjectClass.VEHICLE)
+        depths = sorted(o.center[2] for o in scene if o.cls is ds.ObjectClass.VEHICLE)
         assert depths == [8.0, 16.0]
         bundle = ss.render_frame(camera, scene, 0, inflate_pct=0.10, emit_color=False)
         mask = an.vehicle_mask(bundle.stencil)

@@ -4,6 +4,7 @@ import pytest
 from conftest import make_ground, make_vehicle, oracle_hulls
 
 from matrixgt import annotator as an
+from matrixgt import dataset as ds
 from matrixgt import scene_sim as ss
 from matrixgt.errors import ConfigError
 from matrixgt.evaluator import iou
@@ -203,7 +204,7 @@ class TestRefineTightBox:
             assert iou(annotation.tight_box, hulls[annotation.source_id]) >= 0.9
 
     def test_record_without_vehicle_pixels_rejected(self, small_camera, codec):
-        record = ss.EngineRecord(5, ss.ObjectClass.VEHICLE, (10, 10, 40, 40), 12.0,
+        record = ds.EngineRecord(5, ds.ObjectClass.VEHICLE, (10, 10, 40, 40), 12.0,
                                  (4.0, 1.8, 1.5), 0.0, (0.0, 0.5, 12.0))
         mask = np.zeros((240, 320), dtype=bool)
         depth = encoded_depth_raster(np.full((240, 320), 12.0), codec)
@@ -213,7 +214,7 @@ class TestRefineTightBox:
         mask = np.zeros((20, 20), dtype=bool)
         mask[5:7, 5:7] = True  # 4 px
         depth = encoded_depth_raster(np.full((20, 20), 10.0), codec)
-        record = ss.EngineRecord(1, ss.ObjectClass.VEHICLE, (3, 3, 10, 10), 10.0,
+        record = ds.EngineRecord(1, ds.ObjectClass.VEHICLE, (3, 3, 10, 10), 10.0,
                                  (1.0, 1.0, 1.0), 0.0, (0.0, 0.0, 10.0))
         assert an.refine_tight_box(record, mask, depth) is None  # 4 px < MIN_COMPONENT_PX
         monkeypatch.setattr(an, "MIN_COMPONENT_PX", 4)
@@ -221,7 +222,7 @@ class TestRefineTightBox:
         assert refined is not None and refined[0].visible_px == 4
 
     def test_non_vehicle_record_rejected(self, codec):
-        record = ss.EngineRecord(1, ss.ObjectClass.DISTRACTOR, (0, 0, 5, 5), 8.0,
+        record = ds.EngineRecord(1, ds.ObjectClass.DISTRACTOR, (0, 0, 5, 5), 8.0,
                                  (1.0, 1.0, 1.0), 0.0, (0.0, 0.0, 8.0))
         depth = encoded_depth_raster(np.full((10, 10), 8.0), codec)
         with pytest.raises(ValueError):
@@ -234,7 +235,7 @@ class TestRefineTightBox:
         depths[:, 16:] = 14.0
         mask = np.ones((10, 20), dtype=bool)
         depth = encoded_depth_raster(depths, codec)
-        record = ss.EngineRecord(1, ss.ObjectClass.VEHICLE, (0, 0, 20, 10), 10.0,
+        record = ds.EngineRecord(1, ds.ObjectClass.VEHICLE, (0, 0, 20, 10), 10.0,
                                  (4.0, 1.8, 1.5), 0.0, (0.0, 0.5, 10.0))
         refined = an.refine_tight_box(record, mask, depth, an.RefinementParams(rho=0.10))
         assert refined is not None
@@ -263,7 +264,7 @@ class TestRefineTightBox:
         mask = an.vehicle_mask(bundle.stencil)
         margin = an.COARSE_BOX_MARGIN_PX
         for record in bundle.records:
-            if record.cls is not ss.ObjectClass.VEHICLE:
+            if record.cls is not ds.ObjectClass.VEHICLE:
                 continue
             refined = an.refine_tight_box(record, mask, bundle.depth)
             if refined is None:
@@ -289,7 +290,7 @@ class TestRecoverOrphans:
         # visible and its refinement claims every own pixel
         scene = [make_ground(z_far=60.0), make_vehicle(2, x=0.0, z=10.0), make_vehicle(3, x=8.0, z=25.0)]
         bundle = ss.render_frame(small_camera, scene, 0, record_max_range_m=15.0, emit_color=False)
-        assert [r.object_id for r in bundle.records if r.cls is ss.ObjectClass.VEHICLE] == [2]
+        assert [r.object_id for r in bundle.records if r.cls is ds.ObjectClass.VEHICLE] == [2]
         annotations = an.annotate_frame(bundle.stencil, bundle.depth, bundle.records)
         orphans = [a for a in annotations if a.source_id == 0]
         assert len(orphans) == 1
@@ -321,7 +322,7 @@ class TestAnnotateFrame:
         assert an.annotate_frame(bundle.stencil, bundle.depth, bundle.records) == []
 
     def test_five_nonoverlapping_vehicles(self, codec):
-        camera = ss.CameraModel(fx=420.0, fy=420.0, cx=320.0, cy=240.0, width=640, height=480,
+        camera = ds.CameraModel(fx=420.0, fy=420.0, cx=320.0, cy=240.0, width=640, height=480,
                                 depth_params=codec)
         scene = [make_ground(z_far=80.0)]
         for k, x in enumerate((-12.0, -6.0, 0.0, 6.0, 12.0)):
@@ -342,7 +343,7 @@ class TestAnnotateFrame:
         claimed = np.zeros_like(mask)
         refined = []
         for record in sorted(bundle.records, key=lambda r: r.object_id):
-            if record.cls is not ss.ObjectClass.VEHICLE:
+            if record.cls is not ds.ObjectClass.VEHICLE:
                 continue
             result = an.refine_tight_box(record, mask, bundle.depth, params)
             if result is not None:

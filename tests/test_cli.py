@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import make_ground, make_vehicle, oracle_hulls
 
 from matrixgt import cli
+from matrixgt import dataset as ds
 from matrixgt import kitti_labels as kl
 from matrixgt import scene_sim as ss
 from matrixgt.raster_codec import Raster, read_raster, write_raster
@@ -61,7 +62,7 @@ class TestGenerate:
     def test_writes_all_files(self, tiny_dataset):
         assert (tiny_dataset / "manifest.txt").exists()
         for frame in range(4):
-            for key, path in ss.frame_paths(tiny_dataset, frame).items():
+            for key, path in ds.frame_paths(tiny_dataset, frame).items():
                 assert path.exists(), (frame, key)
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -92,7 +93,7 @@ class TestGenerate:
         assert cli.main(["generate", "--scenario", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")]) == 3
 
     def test_frame_count_matches(self, tiny_dataset):
-        assert ss.list_frame_indices(tiny_dataset) == [0, 1, 2, 3]
+        assert ds.list_frame_indices(tiny_dataset) == [0, 1, 2, 3]
 
 
 class TestAnnotate:
@@ -111,13 +112,13 @@ class TestAnnotate:
         with_instance = tmp_path / "with"
         assert cli.main(["annotate", "--in", str(tiny_dataset), "--out", str(with_instance)]) == 0
         for frame in range(4):
-            ss.frame_paths(tiny_dataset, frame)["instance"].unlink()
+            ds.frame_paths(tiny_dataset, frame)["instance"].unlink()
         without = tmp_path / "without"
         assert cli.main(["annotate", "--in", str(tiny_dataset), "--out", str(without)]) == 0
         assert dir_digest(with_instance) == dir_digest(without)
 
     def test_missing_buffer_exits_3_naming_frame(self, tiny_dataset, tmp_path, capsys):
-        ss.frame_paths(tiny_dataset, 2)["depth"].unlink()
+        ds.frame_paths(tiny_dataset, 2)["depth"].unlink()
         assert cli.main(["annotate", "--in", str(tiny_dataset), "--out", str(tmp_path / "l")]) == 3
         assert "000002" in capsys.readouterr().err
 
@@ -142,10 +143,10 @@ class TestOracleLabels:
         scene = [make_ground(z_far=40.0), make_vehicle(2, x=0.0, z=10.0)]
         bundle = ss.render_frame(small_camera, scene, 0, inflate_pct=0.1, emit_color=False)
         ss.write_frame_files(bundle, dataset)
-        config = ss.ScenarioConfig(seed=1, frames=1, width=320, height=240, fx=260.0, fy=260.0,
+        config = ds.ScenarioConfig(seed=1, frames=1, width=320, height=240, fx=260.0, fy=260.0,
                                    cx=160.0, cy=120.0, region_z_min=5.0, region_z_max=20.0,
                                    emit_color=False)
-        (dataset / "manifest.txt").write_text(ss.manifest_text(config))
+        (dataset / "manifest.txt").write_text(ds.manifest_text(config))
         labels_dir = tmp_path / "gt"
         assert cli.main(["oracle-labels", "--in", str(dataset), "--out", str(labels_dir)]) == 0
         (labels,) = kl.read_label_dir(labels_dir).values()
@@ -162,10 +163,10 @@ class TestOracleLabels:
         ]
         bundle = ss.render_frame(small_camera, scene, 0, emit_color=False)
         ss.write_frame_files(bundle, dataset)
-        config = ss.ScenarioConfig(seed=1, frames=1, width=320, height=240, fx=260.0, fy=260.0,
+        config = ds.ScenarioConfig(seed=1, frames=1, width=320, height=240, fx=260.0, fy=260.0,
                                    cx=160.0, cy=120.0, region_z_min=5.0, region_z_max=35.0,
                                    emit_color=False)
-        (dataset / "manifest.txt").write_text(ss.manifest_text(config))
+        (dataset / "manifest.txt").write_text(ds.manifest_text(config))
         labels_dir = tmp_path / "gt"
         assert cli.main(["oracle-labels", "--in", str(dataset), "--out", str(labels_dir)]) == 0
         (labels,) = kl.read_label_dir(labels_dir).values()
@@ -176,15 +177,15 @@ class TestOracleLabels:
         assert cli.main(["oracle-labels", "--in", str(tiny_dataset), "--out", str(labels_dir)]) == 0
         labels_by_frame = kl.read_label_dir(labels_dir)
         for frame in range(4):
-            _, stencil, records, instance = ss.read_frame_buffers(tiny_dataset, frame, with_instance=True)
-            vehicle_ids = {r.object_id for r in records if r.cls is ss.ObjectClass.VEHICLE}
+            _, stencil, records, instance = ds.read_frame_buffers(tiny_dataset, frame, with_instance=True)
+            vehicle_ids = {r.object_id for r in records if r.cls is ds.ObjectClass.VEHICLE}
             visible = {int(v) for v in np.unique(instance.data) if v != 0 and int(v) in vehicle_ids}
             assert len(labels_by_frame[f"{frame:06d}"]) == len(visible)
 
     def test_depth_is_not_read(self, tiny_dataset, tmp_path):
         before = tmp_path / "before"
         assert cli.main(["oracle-labels", "--in", str(tiny_dataset), "--out", str(before)]) == 0
-        ss.frame_paths(tiny_dataset, 0)["depth"].unlink()
+        ds.frame_paths(tiny_dataset, 0)["depth"].unlink()
         after = tmp_path / "after"
         assert cli.main(["oracle-labels", "--in", str(tiny_dataset), "--out", str(after)]) == 0
         assert dir_digest(after) == dir_digest(before)
@@ -202,7 +203,7 @@ def test_stages_take_frames_from_the_manifest(tiny_dataset, tmp_path, capsys):
         assert cli.main([command, "--in", str(tiny_dataset), "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["000000.txt", "000001.txt"]
     # a listed frame without its meta file is an i/o error, not a skipped frame
-    meta = ss.frame_paths(tiny_dataset, 1)["meta"]
+    meta = ds.frame_paths(tiny_dataset, 1)["meta"]
     meta.unlink()
     for command in ("annotate", "oracle-labels"):
         assert cli.main([command, "--in", str(tiny_dataset), "--out", str(tmp_path / "again")]) == 3
@@ -351,6 +352,23 @@ class TestEntryPoint:
         assert not [name for name in unused if name in imported]
         assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
+    @pytest.mark.parametrize("stage", ["annotate", "oracle-labels"])
+    def test_reading_stage_leaves_the_renderer_unloaded(self, stage, tiny_dataset, tmp_path):
+        """annotate and oracle-labels read a dataset through the dataset
+        module alone: neither loads the renderer, its random streams or the
+        logging it warns through."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "matrixgt", stage,
+             "--in", str(tiny_dataset), "--out", str(tmp_path / "labels")],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "matrixgt.dataset" in imported
+        assert not [name for name in ("matrixgt.scene_sim", "matrixgt.rng", "logging") if name in imported]
+
     def test_import_loads_no_stage_module(self):
         """``import matrixgt.cli``, which every stage starts with, compiles no
         stage module, and loads neither numpy nor dataclasses."""
@@ -359,7 +377,7 @@ class TestEntryPoint:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         loaded = {name for module in result.stdout.split() for name in (module, module.split(".")[0])}
-        unwanted = {"matrixgt.evaluator", "matrixgt.scene_sim", "numpy", "dataclasses"}
+        unwanted = {"matrixgt.dataset", "matrixgt.evaluator", "matrixgt.scene_sim", "numpy", "dataclasses"}
         assert not loaded & unwanted, sorted(loaded & unwanted)
 
     def test_oracle_frame_labels_resolves_through_cli(self):
@@ -394,10 +412,11 @@ class TestEntryPoint:
 
     def test_pool_is_capped_at_the_task_count(self, monkeypatch):
         """A forked pool starts every worker it is asked for, so it is asked for
-        no more than there are tasks, and it hands them out in chunks small
-        enough that each worker gets many: a worker left without a chunk
-        idles while the last ones run. The pool here is a stand-in that runs
-        the tasks in this process and starts none."""
+        no more than there are tasks or CPUs that this process may use, and it
+        hands them out in chunks small enough that each worker gets many: a
+        worker left without a chunk idles while the last ones run. The pool
+        here is a stand-in that runs the tasks in this process and starts
+        none, on two CPUs."""
         import concurrent.futures
 
         asked, chunks = [], []
@@ -417,12 +436,15 @@ class TestEntryPoint:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         done = []
         cli._run_tasks(done.append, [0, 1, 2], 64)
         cli._run_tasks(done.append, [3, 4, 5], 2)
         cli._run_tasks(done.append, [6], 64)
-        assert asked == [3, 2]
-        assert done == list(range(7))
+        cli._run_tasks(done.append, list(range(7, 47)), 99999999999999999999)
+        assert asked == [2, 2, 2]
+        assert done == list(range(47))
+        assert cli._resolve_workers(0) == 2
         # the crowd benchmark's 300 frames on 2 workers: 16 chunks or more each
         cli._run_tasks(done.append, list(range(300)), 2)
         assert 300 / chunks[-1] >= 2 * 16
@@ -474,7 +496,7 @@ def _corrupted_dataset_argv(command, corrupt):
 
     def make_argv(root):
         assert cli.main(_generate_argv(root)) == 0
-        corrupt(ss.frame_paths(root / "ds", 0))
+        corrupt(ds.frame_paths(root / "ds", 0))
         return [command, "--in", str(root / "ds"), "--out", str(root / "out")]
 
     return make_argv
@@ -500,7 +522,7 @@ def _scenario_sizes_argv(value):
 
 def _manifest_key(key, value):
     def corrupt(paths):
-        manifest = paths["meta"].parent / ss.MANIFEST_NAME
+        manifest = paths["meta"].parent / ds.MANIFEST_NAME
         manifest.write_text(_with_key(manifest.read_text(), key, value))
 
     return corrupt
@@ -588,7 +610,7 @@ def _not_utf8(path):
 
 
 def _manifest_not_utf8(paths):
-    _not_utf8(paths["meta"].parent / ss.MANIFEST_NAME)
+    _not_utf8(paths["meta"].parent / ds.MANIFEST_NAME)
 
 
 def _scenario_not_utf8_argv(root):
@@ -868,7 +890,7 @@ def _mutations(draw):
 
 def _mutate(dataset, mutation):
     kind, frame, key, *args = mutation
-    path = dataset / ss.MANIFEST_NAME if key == "manifest" else ss.frame_paths(dataset, frame)[key]
+    path = dataset / ds.MANIFEST_NAME if key == "manifest" else ds.frame_paths(dataset, frame)[key]
     blob = bytearray(path.read_bytes())
     if kind == "flip":
         position, bit = args

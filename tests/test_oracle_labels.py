@@ -17,12 +17,12 @@ import numpy as np
 
 from conftest import ACCEPTANCE_SCENARIO, oracle_hulls, render_scenario_frame
 
+from matrixgt import dataset as ds
 from matrixgt import oracle_labels
-from matrixgt import scene_sim as ss
 from matrixgt.annotator import TightAnnotation, record_annotation
+from matrixgt.dataset import EngineRecord, ObjectClass
 from matrixgt.kitti_labels import from_annotation
 from matrixgt.raster_codec import Raster
-from matrixgt.scene_sim import EngineRecord, ObjectClass
 
 CLASSES = (ObjectClass.GROUND, ObjectClass.VEHICLE, ObjectClass.DISTRACTOR)
 
@@ -230,7 +230,7 @@ def test_recorded_non_vehicle_gets_no_mask():
 def test_generated_vehicles_compared_only_inside_their_windows():
     """A generated coarse box holds all of its object's pixels, so no recorded
     vehicle of a rendered frame is compared over the whole image."""
-    config = ss.parse_scenario_text(ACCEPTANCE_SCENARIO)
+    config = ds.parse_scenario_text(ACCEPTANCE_SCENARIO)
     compared = 0
     for frame_idx in range(4):
         frame = render_scenario_frame(config, frame_idx)
@@ -284,7 +284,7 @@ def test_one_pixel_frame():
 
 def test_frame_sizes_in_turn_match_a_fresh_process():
     """Sort buffers reused across frame sizes give what a fresh process gives."""
-    config = ss.parse_scenario_text(ACCEPTANCE_SCENARIO)
+    config = ds.parse_scenario_text(ACCEPTANCE_SCENARIO)
     inst = np.zeros((6, 8), dtype=np.uint16)
     inst[1:4, 2:6] = 4
     inst[3:6, 5:8] = 6
@@ -305,7 +305,7 @@ def test_frame_sizes_in_turn_match_a_fresh_process():
 def test_repeat_frame_allocates_no_frame_sized_buffer():
     """The second 640x480 frame reuses the first one's sort buffers; no
     full-image mask or copy is built for a recorded vehicle."""
-    config = ss.parse_scenario_text(ACCEPTANCE_SCENARIO)
+    config = ds.parse_scenario_text(ACCEPTANCE_SCENARIO)
     frame = render_scenario_frame(config, 0)
     args = (frame.instance_oracle, frame.stencil, frame.records, (config.width, config.height))
     oracle_labels.oracle_frame_labels(*args)

@@ -19,6 +19,7 @@ from conftest import ACCEPTANCE_SCENARIO, make_ground, make_vehicle, render_scen
 from oracles import brute_force_buffers, brute_force_depth, cuboid_corners, ray_cast_depth, triangle_coverage_depth
 
 from matrixgt import cli
+from matrixgt import dataset as ds
 from matrixgt import scene_sim as ss
 from matrixgt.errors import BehindCameraError, ConfigError, FormatError, MatrixGTError, ValidationError
 from matrixgt.raster_codec import DepthCodecParams, Raster, encode_log_depth, linearize_depth, read_raster, write_raster
@@ -26,8 +27,8 @@ from matrixgt.raster_codec import DepthCodecParams, Raster, encode_log_depth, li
 
 class TestCoarseBox:
     def test_unit_cube_example(self, spec_camera):
-        cube = ss.SceneObject(1, ss.ObjectClass.VEHICLE, (0.0, 0.0, 10.0), (1.0, 1.0, 1.0), 0.0)
-        box = ss.coarse_box(spec_camera, cube)
+        cube = ds.SceneObject(1, ds.ObjectClass.VEHICLE, (0.0, 0.0, 10.0), (1.0, 1.0, 1.0), 0.0)
+        box = ds.coarse_box(spec_camera, cube)
         expected = 100.0 * 0.5 / 9.5
         assert box == pytest.approx((320 - expected, 240 - expected, 320 + expected, 240 + expected))
         # u = fx * x / z + cx for the near corner at (0.5, y, 9.5)
@@ -36,26 +37,26 @@ class TestCoarseBox:
     def test_on_axis_symmetry(self, spec_camera):
         # a cube centred on the optical axis projects symmetrically about (cx, cy)
         for z in (2.0, 25.0, 300.0):
-            cube = ss.SceneObject(1, ss.ObjectClass.VEHICLE, (0.0, 0.0, z), (2.0, 2.0, 2.0), 0.0)
-            left, top, right, bottom = ss.coarse_box(spec_camera, cube)
+            cube = ds.SceneObject(1, ds.ObjectClass.VEHICLE, (0.0, 0.0, z), (2.0, 2.0, 2.0), 0.0)
+            left, top, right, bottom = ds.coarse_box(spec_camera, cube)
             assert (left + right) / 2 == pytest.approx(320.0, abs=1e-9)
             assert (top + bottom) / 2 == pytest.approx(240.0, abs=1e-9)
 
     def test_unclipped_beyond_image(self, spec_camera):
-        cube = ss.SceneObject(1, ss.ObjectClass.VEHICLE, (35.0, 0.0, 10.0), (1.0, 1.0, 1.0), 0.0)
-        box = ss.coarse_box(spec_camera, cube)
+        cube = ds.SceneObject(1, ds.ObjectClass.VEHICLE, (35.0, 0.0, 10.0), (1.0, 1.0, 1.0), 0.0)
+        box = ds.coarse_box(spec_camera, cube)
         assert box[2] > spec_camera.width
 
     def test_corner_behind_near_plane(self, spec_camera):
         # near corner inside the near plane, on the camera plane, behind it,
         # and a cube wholly behind the camera
         for z in (0.6, 0.5, 0.4, -1.0):
-            cube = ss.SceneObject(1, ss.ObjectClass.VEHICLE, (0.0, 0.0, z), (1.0, 1.0, 1.0), 0.0)
+            cube = ds.SceneObject(1, ds.ObjectClass.VEHICLE, (0.0, 0.0, z), (1.0, 1.0, 1.0), 0.0)
             with pytest.raises(BehindCameraError):
-                ss.coarse_box(spec_camera, cube)
+                ds.coarse_box(spec_camera, cube)
 
     def test_inflate_box(self):
-        assert ss.inflate_box((10.0, 20.0, 30.0, 40.0), 0.10) == pytest.approx((9.0, 19.0, 31.0, 41.0))
+        assert ds.inflate_box((10.0, 20.0, 30.0, 40.0), 0.10) == pytest.approx((9.0, 19.0, 31.0, 41.0))
 
 
 def _fraction_fma(x, y, a):
@@ -85,9 +86,9 @@ def _oracle_corners(obj):
         for sz in (-1, 1):
             a, d = sx * (length / 2.0), sz * (width / 2.0)
             xz[sx, sz] = (_fraction_fma(d, s, a * c) + ox, _fraction_fma(d, c, a * -s) + oz)
-    xs = [xz[sx, sz][0] for sx, _, sz in ss._CORNER_SIGNS]
-    ys = [sy * (height / 2.0) + oy for _, sy, _ in ss._CORNER_SIGNS]
-    zs = [xz[sx, sz][1] for sx, _, sz in ss._CORNER_SIGNS]
+    xs = [xz[sx, sz][0] for sx, _, sz in ds._CORNER_SIGNS]
+    ys = [sy * (height / 2.0) + oy for _, sy, _ in ds._CORNER_SIGNS]
+    zs = [xz[sx, sz][1] for sx, _, sz in ds._CORNER_SIGNS]
     return xs, ys, zs
 
 
@@ -108,7 +109,7 @@ def _random_objects(seed, count, size_exponents):
         yaw = rng.uniform(-math.pi, math.pi) if rng.random() < 0.5 else rng.choice(_SPECIAL_YAWS)
         size = tuple(10.0 ** rng.uniform(lo, hi) for _ in range(3))
         center = (rng.uniform(-30.0, 30.0), rng.uniform(-2.0, 2.0), rng.uniform(-10.0, 90.0))
-        yield ss.SceneObject(2, ss.ObjectClass.VEHICLE, center, size, yaw)
+        yield ds.SceneObject(2, ds.ObjectClass.VEHICLE, center, size, yaw)
 
 
 def _random_double(rng):
@@ -123,7 +124,7 @@ def _random_double(rng):
 class TestScalarCorners:
     def test_corners_equal_an_exact_oracle_of_the_fma_formula(self):
         for obj in _random_objects(seed=1, count=20_000, size_exponents=(-300, 300)):
-            got = ss._cuboid_corners(obj)
+            got = ds._cuboid_corners(obj)
             want = _oracle_corners(obj)
             for got_axis, want_axis in zip(got, want):
                 assert _bits(got_axis) == _bits(want_axis), obj
@@ -157,15 +158,15 @@ class TestScalarCorners:
                 m, y, a = (math.ldexp(rng.random(), rng.randrange(-600, -450)) for _ in range(3))
             cases.append((m, y, a))
         for m, y, a in cases:
-            got = ss._fma_signs(m, y, a)
+            got = ds._fma_signs(m, y, a)
             want = [_fraction_fma(sm * m, y, sa * a) for sa in (-1.0, 1.0) for sm in (-1.0, 1.0)]
             assert _bits(got) == _bits(want), (m, y, a)
-        assert ss._fma_signs(max_double, 1.5, 0.0) == (-math.inf, math.inf, -math.inf, math.inf)
+        assert ds._fma_signs(max_double, 1.5, 0.0) == (-math.inf, math.inf, -math.inf, math.inf)
 
     def test_corners_within_one_ulp_of_the_numpy_reference(self):
         for obj in _random_objects(seed=3, count=2000, size_exponents=(-3, 3)):
             want = cuboid_corners(obj)
-            for axis, got in enumerate(ss._cuboid_corners(obj)):
+            for axis, got in enumerate(ds._cuboid_corners(obj)):
                 for g, w in zip(got, want[:, axis].tolist()):
                     assert abs(g - w) <= math.ulp(w), obj
 
@@ -177,7 +178,7 @@ class TestScalarCorners:
             for obj in _random_objects(seed=4, count=2000, size_exponents=exponents):
                 obj = dataclasses.replace(obj, center=(obj.center[0] * 1e306, obj.center[1], obj.center[2] * 1e306))
                 try:
-                    u, v, z = ss._project_corners(spec_camera, obj)
+                    u, v, z = ds._project_corners(spec_camera, obj)
                 except BehindCameraError:
                     continue
                 assert min(z) > spec_camera.depth_params.near_m
@@ -187,16 +188,16 @@ class TestScalarCorners:
     def test_projection_bits_do_not_depend_on_the_blas_kernel(self):
         script = (
             "import hashlib, math, random\n"
-            "from matrixgt import scene_sim as ss\n"
+            "from matrixgt import dataset as ds\n"
             "from matrixgt.raster_codec import DepthCodecParams\n"
-            "camera = ss.CameraModel(700.0, 700.0, 320.0, 240.0, 640, 480, DepthCodecParams(0.15, 600.0))\n"
+            "camera = ds.CameraModel(700.0, 700.0, 320.0, 240.0, 640, 480, DepthCodecParams(0.15, 600.0))\n"
             "rng = random.Random(7)\n"
             "digest = hashlib.sha256()\n"
             "for _ in range(2000):\n"
             "    center = (rng.uniform(-20, 20), rng.uniform(-1, 1.5), rng.uniform(10, 80))\n"
             "    size = (rng.uniform(3.8, 5.0), rng.uniform(1.7, 2.0), rng.uniform(1.4, 2.2))\n"
-            "    obj = ss.SceneObject(2, ss.ObjectClass.VEHICLE, center, size, rng.uniform(-math.pi, math.pi))\n"
-            "    for coords in ss._project_corners(camera, obj):\n"
+            "    obj = ds.SceneObject(2, ds.ObjectClass.VEHICLE, center, size, rng.uniform(-math.pi, math.pi))\n"
+            "    for coords in ds._project_corners(camera, obj):\n"
             "        digest.update(' '.join(float(c).hex() for c in coords).encode())\n"
             "print(digest.hexdigest())\n"
         )
@@ -214,16 +215,17 @@ class TestScalarCorners:
         for m, y in ((0.0, 3.0), (-0.0, 3.0), (2.5, 0.0), (2.5, -0.0), (0.0, -0.0), (5e-324, 0.0), (0.0, 1e308)):
             for a in (0.0, -0.0, 1.25, -7.5, 5e-324, sys.float_info.max):
                 want = [_fraction_fma(sm * m, y, sa * a) for sa in (-1.0, 1.0) for sm in (-1.0, 1.0)]
-                assert _bits(ss._fma_signs(m, y, a)) == _bits(want), (m, y, a)
-                assert _bits(ss._fma_signs(y, m, a)) == _bits(want), (y, m, a)
+                assert _bits(ds._fma_signs(m, y, a)) == _bits(want), (m, y, a)
+                assert _bits(ds._fma_signs(y, m, a)) == _bits(want), (y, m, a)
         # the ground slab has yaw 0, so a sine of 0: a generating process must
         # not fall back to Fraction for it, which imports decimal
         scenario = tmp_path / "acceptance.txt"
         scenario.write_text(ACCEPTANCE_SCENARIO)
         script = (
             "import sys\n"
+            "from matrixgt import dataset as ds\n"
             "from matrixgt import scene_sim as ss\n"
-            f"config = ss.load_scenario({str(scenario)!r})\n"
+            f"config = ds.load_scenario({str(scenario)!r})\n"
             "for frame in range(3):\n"
             f"    ss.write_scenario_frame(config, frame, {str(tmp_path)!r})\n"
             "print('fractions' in sys.modules)\n"
@@ -231,7 +233,7 @@ class TestScalarCorners:
         env = {**os.environ, "PYTHONPATH": str(Path(ss.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
         assert result.stdout.split() == ["False"]
-        assert ss.frame_paths(tmp_path, 2)["meta"].exists()
+        assert ds.frame_paths(tmp_path, 2)["meta"].exists()
 
 
 class TestSceneGeneration:
@@ -241,7 +243,7 @@ class TestSceneGeneration:
                     distractor_count_max=0, region_x_min=-6.0, region_x_max=6.0,
                     region_z_min=10.0, region_z_max=30.0, emit_color=False)
         base.update(overrides)
-        return ss.ScenarioConfig(**base)
+        return ds.ScenarioConfig(**base)
 
     def test_determinism(self):
         config = self._config()
@@ -249,7 +251,7 @@ class TestSceneGeneration:
 
     def test_exact_vehicle_count(self):
         scene = ss.generate_scene(self._config(), 0)
-        vehicles = [o for o in scene if o.cls is ss.ObjectClass.VEHICLE]
+        vehicles = [o for o in scene if o.cls is ds.ObjectClass.VEHICLE]
         assert len(vehicles) == 3
 
     def test_seeds_differ(self):
@@ -263,14 +265,14 @@ class TestSceneGeneration:
 
     def test_ground_always_present(self):
         scene = ss.generate_scene(self._config(), 0)
-        assert scene[0].cls is ss.ObjectClass.GROUND
-        assert scene[0].object_id == ss.GROUND_OBJECT_ID
+        assert scene[0].cls is ds.ObjectClass.GROUND
+        assert scene[0].object_id == ds.GROUND_OBJECT_ID
 
     def test_objects_inside_region(self):
         config = self._config()
         for frame in range(config.frames):
             for obj in ss.generate_scene(config, frame):
-                if obj.cls is ss.ObjectClass.GROUND:
+                if obj.cls is ds.ObjectClass.GROUND:
                     continue
                 assert config.region_x_min <= obj.center[0] <= config.region_x_max
                 assert config.region_z_min <= obj.center[2] <= config.region_z_max
@@ -281,8 +283,8 @@ class TestSceneGeneration:
                               region_x_min=-8.0, region_x_max=8.0, region_z_min=8.0, region_z_max=40.0)
         camera = config.camera()
         for frame in range(config.frames):
-            objs = [o for o in ss.generate_scene(config, frame) if o.cls is not ss.ObjectClass.GROUND]
-            boxes = [ss.inflate_box(ss.coarse_box(camera, o), config.coarse_box_inflate_pct) for o in objs]
+            objs = [o for o in ss.generate_scene(config, frame) if o.cls is not ds.ObjectClass.GROUND]
+            boxes = [ds.inflate_box(ds.coarse_box(camera, o), config.coarse_box_inflate_pct) for o in objs]
             for i in range(len(objs)):
                 for j in range(i + 1, len(objs)):
                     a, b = boxes[i], boxes[j]
@@ -299,9 +301,9 @@ class TestSceneGeneration:
         config = self._config(near_m=1.5, vehicle_count_min=0, vehicle_count_max=0)
         assert [r.cls for r in render_scenario_frame(config, 0).records] == []
         # no coarse box may have an infinite area, so none reaches a meta file
-        assert not ss._proper_box((-math.inf, 0.0, 1.0, 1.0))
-        assert not ss._proper_box((-1e308, -1e308, 1e308, 1e308))
-        assert ss._proper_box((-1e150, -1e150, 1e150, 1e150))
+        assert not ds._proper_box((-math.inf, 0.0, 1.0, 1.0))
+        assert not ds._proper_box((-1e308, -1e308, 1e308, 1e308))
+        assert ds._proper_box((-1e150, -1e150, 1e150, 1e150))
 
     def test_degenerate_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -324,12 +326,12 @@ class TestSceneGeneration:
     def test_object_ids_fit_the_u16_instance_raster(self):
         # ids run from the ground's 1 up; 0 marks pixels of no object
         text = "seed=1\nframes=1\nvehicle_count_min=0\ndistractor_count_min=0\n"
-        config = ss.parse_scenario_text(text + "vehicle_count_max=65000\ndistractor_count_max=534\n")
-        assert ss.GROUND_OBJECT_ID + config.vehicle_count_max + config.distractor_count_max == 0xFFFF
+        config = ds.parse_scenario_text(text + "vehicle_count_max=65000\ndistractor_count_max=534\n")
+        assert ds.GROUND_OBJECT_ID + config.vehicle_count_max + config.distractor_count_max == 0xFFFF
         with pytest.raises(ConfigError, match="distractor_count_max"):
-            ss.parse_scenario_text(text + "vehicle_count_max=65000\ndistractor_count_max=535\n")
+            ds.parse_scenario_text(text + "vehicle_count_max=65000\ndistractor_count_max=535\n")
         with pytest.raises(ConfigError, match="distractor_count_max"):
-            ss.parse_scenario_text(text + "vehicle_count_max=70000\n")
+            ds.parse_scenario_text(text + "vehicle_count_max=70000\n")
 
 
 class TestRenderFrame:
@@ -375,7 +377,7 @@ class TestRenderFrame:
         scene = [
             make_ground(z_far=40.0),
             make_vehicle(2, x=-1.5, z=9.0),
-            ss.SceneObject(3, ss.ObjectClass.DISTRACTOR, (2.0, 1.0, 11.0), (1.0, 1.0, 0.8), 0.3),
+            ds.SceneObject(3, ds.ObjectClass.DISTRACTOR, (2.0, 1.0, 11.0), (1.0, 1.0, 0.8), 0.3),
         ]
         bundle = ss.render_frame(small_camera, scene, 0, emit_color=False)
         inst = bundle.instance_oracle.data
@@ -386,7 +388,7 @@ class TestRenderFrame:
                 assert (classes[covered] == int(obj.cls)).all()
 
     def test_zbuffer_equals_brute_force(self, small_camera, codec):
-        config = ss.ScenarioConfig(seed=77, frames=3, width=64, height=64, fx=70.0, fy=70.0,
+        config = ds.ScenarioConfig(seed=77, frames=3, width=64, height=64, fx=70.0, fy=70.0,
                                    cx=32.0, cy=32.0, vehicle_count_min=2, vehicle_count_max=4,
                                    distractor_count_min=0, distractor_count_max=1,
                                    region_x_min=-6.0, region_x_max=6.0, region_z_min=5.0,
@@ -438,13 +440,13 @@ class TestRenderFrame:
             bundle = ss.render_frame(small_camera, scene, 0, inflate_pct=pct, emit_color=False)
             assert [r.object_id for r in bundle.records] == [1, 2, 3]
             for record, obj in zip(bundle.records, scene):
-                assert record.coarse_box == ss.inflate_box(ss.coarse_box(small_camera, obj), pct)
+                assert record.coarse_box == ds.inflate_box(ds.coarse_box(small_camera, obj), pct)
 
     def test_one_projection_per_object_on_a_warm_frame(self, small_camera, monkeypatch):
         scene = [make_ground(z_far=40.0), make_vehicle(2, x=0.5, z=9.0), make_vehicle(3, x=-1.0, z=14.0),
                  make_vehicle(4, x=0.0, z=0.5, length=2.0)]  # 4 is skipped at the near plane
         ss.render_frame(small_camera, scene, 0, emit_color=False)  # caches the first object's layer
-        project, projected = ss._project_corners, []
+        project, projected = ds._project_corners, []
 
         def counting(camera, obj):
             projected.append(obj.object_id)
@@ -558,7 +560,7 @@ class TestPixelWindow:
         width, height = 9, 7
         for box in _boxes(rng, 6000):
             margin = rng.choice((0, 0, 2, 0.5))
-            got = ss.pixel_window(box, width, height, margin)
+            got = ds.pixel_window(box, width, height, margin)
             left, top, right, bottom = box
             xs = [ix for ix in range(width) if left - margin - 0.5 <= ix <= right + margin - 0.5]
             ys = [iy for iy in range(height) if top - margin - 0.5 <= iy <= bottom + margin - 0.5]
@@ -567,7 +569,7 @@ class TestPixelWindow:
 
     def test_nan_bounds_give_a_window_inside_the_image(self):
         for box in ((math.nan, 0.0, 5.0, 5.0), (0.0, 0.0, math.nan, 5.0), (math.nan,) * 4):
-            window = ss.pixel_window(box, 9, 7)
+            window = ds.pixel_window(box, 9, 7)
             assert window is None or (0 <= window[0] < window[2] <= 9 and 0 <= window[1] < window[3] <= 7)
 
 
@@ -587,7 +589,7 @@ def _rasterized(tri):
 
 def _window_pixels(tri):
     xs, ys, _ = zip(*tri)
-    window = ss.pixel_window((min(xs), min(ys), max(xs), max(ys)), _WIN_W, _WIN_H)
+    window = ds.pixel_window((min(xs), min(ys), max(xs), max(ys)), _WIN_W, _WIN_H)
     return 0 if window is None else (window[2] - window[0]) * (window[3] - window[1])
 
 
@@ -623,7 +625,7 @@ _GRID_SIZES = st.integers(1, 96).map(lambda k: k / 8.0)
 
 
 def _flat_pass_camera(width, height, focal, cx, cy):
-    return ss.CameraModel(fx=focal, fy=focal, cx=cx, cy=cy, width=width, height=height,
+    return ds.CameraModel(fx=focal, fy=focal, cx=cx, cy=cy, width=width, height=height,
                           depth_params=DepthCodecParams(0.15, 600.0))
 
 
@@ -644,7 +646,7 @@ def _flat_pass_scenes(draw):
     camera = _flat_pass_camera(width, height, draw(st.sampled_from((32.0, 64.0))), cx, cy)
     scene = []
     for object_id in range(1, draw(st.integers(1, 4)) + 1):
-        cls = draw(st.sampled_from(list(ss.ObjectClass)))
+        cls = draw(st.sampled_from(list(ds.ObjectClass)))
         if draw(st.booleans()):
             center_z, depth = draw(st.sampled_from(_GRID_DEPTHS))
             center = (draw(_EIGHTHS), draw(_EIGHTHS), center_z)
@@ -654,9 +656,9 @@ def _flat_pass_scenes(draw):
             center = (draw(st.floats(-span, span)), draw(st.floats(-span, span)), draw(st.floats(2.0, 40.0)))
             size = tuple(draw(st.floats(0.05, 8.0)) for _ in range(3))
             yaw = draw(st.floats(-math.pi, math.pi))
-        scene.append(ss.SceneObject(object_id, cls, center, size, yaw))
+        scene.append(ds.SceneObject(object_id, cls, center, size, yaw))
     if big:
-        scene.append(ss.SceneObject(len(scene) + 1, ss.ObjectClass.VEHICLE, (0.0, 0.0, 3.0), (40.0, 2.0, 40.0), 0.0))
+        scene.append(ds.SceneObject(len(scene) + 1, ds.ObjectClass.VEHICLE, (0.0, 0.0, 3.0), (40.0, 2.0, 40.0), 0.0))
     return camera, scene
 
 
@@ -664,19 +666,19 @@ class TestRasterizeInto:
     @settings(max_examples=150, deadline=None)
     @given(_flat_pass_scenes())
     @example((_flat_pass_camera(40, 30, 64.0, 20.5, 15.5), [
-        ss.SceneObject(1, ss.ObjectClass.GROUND, (0.0, 0.5, 12.0), (6.0, 8.0, 1.0), 0.0),
+        ds.SceneObject(1, ds.ObjectClass.GROUND, (0.0, 0.5, 12.0), (6.0, 8.0, 1.0), 0.0),
         # two objects whose near faces coincide at z = 8 where they overlap:
         # the lower id must win there
-        ss.SceneObject(2, ss.ObjectClass.VEHICLE, (-0.25, 0.0, 12.0), (1.5, 8.0, 1.25), 0.0),
-        ss.SceneObject(3, ss.ObjectClass.DISTRACTOR, (0.5, -0.125, 12.0), (1.5, 8.0, 1.0), 0.0),
+        ds.SceneObject(2, ds.ObjectClass.VEHICLE, (-0.25, 0.0, 12.0), (1.5, 8.0, 1.25), 0.0),
+        ds.SceneObject(3, ds.ObjectClass.DISTRACTOR, (0.5, -0.125, 12.0), (1.5, 8.0, 1.0), 0.0),
         # corners far outside the image
-        ss.SceneObject(4, ss.ObjectClass.VEHICLE, (-900.0, 0.3, 5.0), (1799.0, 1.0, 0.4), 0.2),
+        ds.SceneObject(4, ds.ObjectClass.VEHICLE, (-900.0, 0.3, 5.0), (1799.0, 1.0, 0.4), 0.2),
     ]))
     @example((_flat_pass_camera(128, 96, 32.0, 64.0, 48.0), [
-        ss.SceneObject(1, ss.ObjectClass.GROUND, (0.0, 1.5, 12.0), (30.0, 8.0, 0.5), 0.0),
-        ss.SceneObject(2, ss.ObjectClass.VEHICLE, (0.5, 0.0, 6.0), (2.0, 4.0, 1.0), 0.0),
+        ds.SceneObject(1, ds.ObjectClass.GROUND, (0.0, 1.5, 12.0), (30.0, 8.0, 0.5), 0.0),
+        ds.SceneObject(2, ds.ObjectClass.VEHICLE, (0.5, 0.0, 6.0), (2.0, 4.0, 1.0), 0.0),
         # each of its near face's triangles spans the whole image, more than a batch
-        ss.SceneObject(3, ss.ObjectClass.VEHICLE, (0.0, 0.0, 3.0), (40.0, 2.0, 40.0), 0.0),
+        ds.SceneObject(3, ds.ObjectClass.VEHICLE, (0.0, 0.0, 3.0), (40.0, 2.0, 40.0), 0.0),
     ]))
     def test_flat_pass_equals_the_brute_force_oracle(self, case):
         """The renderer's flat pass against every triangle evaluated over the
@@ -690,7 +692,7 @@ class TestRasterizeInto:
         face alone. Each of that face's two triangles has the face's box, so
         each is evaluated over every pixel of the image, more than a batch."""
         camera = _flat_pass_camera(128, 96, 32.0, 64.0, 48.0)
-        filler = ss.SceneObject(1, ss.ObjectClass.VEHICLE, (0.0, 0.0, 3.0), (40.0, 2.0, 40.0), 0.0)
+        filler = ds.SceneObject(1, ds.ObjectClass.VEHICLE, (0.0, 0.0, 3.0), (40.0, 2.0, 40.0), 0.0)
         bundle = ss.render_frame(camera, [filler], 0, emit_color=False)
         assert (bundle.instance_oracle.data == 1).all()
         assert np.allclose(linearize_depth(bundle.depth.data.astype(np.float64), camera.depth_params), 2.0)
@@ -737,13 +739,13 @@ class TestRasterizeInto:
     def test_interpenetrating_yawed_cuboids_match_cull_free_reference(self, small_camera):
         scene = [
             make_ground(z_far=40.0),
-            ss.SceneObject(2, ss.ObjectClass.VEHICLE, (0.0, 0.6, 8.0), (4.0, 1.8, 1.5), 0.0),
+            ds.SceneObject(2, ds.ObjectClass.VEHICLE, (0.0, 0.6, 8.0), (4.0, 1.8, 1.5), 0.0),
             # crosses vehicle 2 at another yaw
-            ss.SceneObject(3, ss.ObjectClass.VEHICLE, (0.3, 0.5, 8.2), (4.0, 1.8, 1.5), 1.1),
+            ds.SceneObject(3, ds.ObjectClass.VEHICLE, (0.3, 0.5, 8.2), (4.0, 1.8, 1.5), 1.1),
             # pokes out of vehicle 2's near corner
-            ss.SceneObject(4, ss.ObjectClass.DISTRACTOR, (1.6, 0.7, 7.3), (1.2, 1.0, 1.2), 0.7),
+            ds.SceneObject(4, ds.ObjectClass.DISTRACTOR, (1.6, 0.7, 7.3), (1.2, 1.0, 1.2), 0.7),
             # close, running off the left and bottom image edges
-            ss.SceneObject(5, ss.ObjectClass.VEHICLE, (-2.6, 0.55, 3.0), (3.0, 2.0, 1.6), 0.3),
+            ds.SceneObject(5, ds.ObjectClass.VEHICLE, (-2.6, 0.55, 3.0), (3.0, 2.0, 1.6), 0.3),
         ]
         bundle = ss.render_frame(small_camera, scene, 0, emit_color=False)
         assert set(np.unique(bundle.instance_oracle.data)) == {0, 1, 2, 3, 4, 5}
@@ -752,7 +754,7 @@ class TestRasterizeInto:
     def test_generated_overlapping_scenes_match_cull_free_reference(self):
         # no overlap or depth-gap constraint, any yaw, a crowded region close
         # to the camera: objects interpenetrate and run off the image edges
-        config = ss.ScenarioConfig(seed=5, frames=6, width=96, height=72, fx=80.0, fy=80.0,
+        config = ds.ScenarioConfig(seed=5, frames=6, width=96, height=72, fx=80.0, fy=80.0,
                                    cx=48.0, cy=36.0, vehicle_count_min=5, vehicle_count_max=8,
                                    distractor_count_min=1, distractor_count_max=3,
                                    region_x_min=-5.0, region_x_max=5.0, region_z_min=4.0,
@@ -777,7 +779,7 @@ class TestFirstObjectCache:
     by (camera, object) and starts every frame from copies of its buffers."""
 
     def test_one_computation_per_scenario(self):
-        config = ss.ScenarioConfig(seed=9, frames=5, width=96, height=72, fx=80.0, fy=80.0, cx=48.0,
+        config = ds.ScenarioConfig(seed=9, frames=5, width=96, height=72, fx=80.0, fy=80.0, cx=48.0,
                                    cy=36.0, region_x_min=-5.0, region_x_max=5.0, region_z_min=8.0,
                                    region_z_max=20.0, emit_color=False)
         ss._first_object_layer.cache_clear()
@@ -787,13 +789,13 @@ class TestFirstObjectCache:
         assert (info.misses, info.hits) == (1, config.frames - 1)
 
     def test_alternating_cameras_and_first_objects_match_references(self, small_camera, codec):
-        other_camera = ss.CameraModel(fx=200.0, fy=210.0, cx=150.0, cy=100.0, width=300, height=200,
+        other_camera = ds.CameraModel(fx=200.0, fy=210.0, cx=150.0, cy=100.0, width=300, height=200,
                                       depth_params=codec)
         ground_first = [make_ground(z_far=40.0), make_vehicle(2, x=0.5, z=9.0, yaw=0.3),
                         make_vehicle(3, x=-1.0, z=14.0)]
         # the same slab as make_ground's, drawn after two vehicles
         vehicle_first = [make_vehicle(2, x=0.0, z=8.0, yaw=0.4), make_vehicle(3, x=0.8, z=11.0),
-                         ss.SceneObject(4, ss.ObjectClass.GROUND, (0.0, 1.41, 20.5), (60.0, 39.0, 0.02), 0.0)]
+                         ds.SceneObject(4, ds.ObjectClass.GROUND, (0.0, 1.41, 20.5), (60.0, 39.0, 0.02), 0.0)]
         moved_first = [make_vehicle(2, x=-0.6, z=8.0, yaw=0.4), *vehicle_first[1:]]
         cases = [(camera, scene) for scene in (ground_first, vehicle_first, moved_first, ground_first)
                  for camera in (small_camera, other_camera)]
@@ -846,7 +848,7 @@ class TestFirstObjectCache:
 
 
 def _acceptance_config(**overrides):
-    config = ss.parse_scenario_text(ACCEPTANCE_SCENARIO)
+    config = ds.parse_scenario_text(ACCEPTANCE_SCENARIO)
     return dataclasses.replace(config, **{"frames": 3, **overrides})
 
 
@@ -862,7 +864,7 @@ _NEAR_PLANE_KEYS = dict(width=160, height=120, fx=120.0, fy=120.0, cx=80.0, cy=6
 
 
 def _frame_files(directory, frame):
-    return {key: path.read_bytes() for key, path in ss.frame_paths(directory, frame).items() if path.exists()}
+    return {key: path.read_bytes() for key, path in ds.frame_paths(directory, frame).items() if path.exists()}
 
 
 class TestReusedFrameBuffers:
@@ -887,8 +889,8 @@ class TestReusedFrameBuffers:
         config = _acceptance_config(**_NEAR_PLANE_KEYS)
         with caplog.at_level(logging.WARNING, logger=ss.log.name):
             bundle = render_scenario_frame(config, 0)
-        assert any(m.startswith(f"object {ss.GROUND_OBJECT_ID} has a corner") for m in caplog.messages)
-        assert ss.GROUND_OBJECT_ID not in bundle.instance_oracle.data
+        assert any(m.startswith(f"object {ds.GROUND_OBJECT_ID} has a corner") for m in caplog.messages)
+        assert ds.GROUND_OBJECT_ID not in bundle.instance_oracle.data
 
     def test_alternating_image_sizes_match_a_fresh_process(self, tmp_path, monkeypatch):
         """Frames of several scenarios share this process's buffers in turn.
@@ -919,11 +921,11 @@ class TestReusedFrameBuffers:
 
         def failing_once_drawn(zbuf, stencil, instance, triangles):
             triangles = list(triangles)
-            if all(object_id == ss.GROUND_OBJECT_ID for _, _, object_id in triangles):
+            if all(object_id == ds.GROUND_OBJECT_ID for _, _, object_id in triangles):
                 return draw(zbuf, stencil, instance, triangles)  # a first-object layer
             # fail part-way: after the first half of the frame's triangles drew
             draw(zbuf, stencil, instance, triangles[: len(triangles) // 2])
-            calls.append((instance > ss.GROUND_OBJECT_ID).any())
+            calls.append((instance > ds.GROUND_OBJECT_ID).any())
             raise RuntimeError("rasterizer failed")
 
         for step in steps:
@@ -939,7 +941,7 @@ class TestReusedFrameBuffers:
         env = {**os.environ, "PYTHONPATH": str(Path(ss.__file__).parents[1])}
         for name, config in configs.items():
             scenario = tmp_path / f"{name}.txt"
-            scenario.write_text(ss.scenario_to_text(config))
+            scenario.write_text(ds.scenario_to_text(config))
             subprocess.run([sys.executable, "-m", "matrixgt", "generate", "--scenario", str(scenario),
                             "--out", str(tmp_path / "fresh" / name)], check=True, env=env, capture_output=True)
             for frame in range(3):
@@ -969,7 +971,7 @@ class TestReusedFrameBuffers:
         monkeypatch.setattr(ss, "encode_log_depth", lambda z, params: np.full_like(z, np.nan))
         with pytest.raises(ValueError, match="non-finite"):
             ss.write_scenario_frame(config, 0, tmp_path)
-        assert not ss.frame_paths(tmp_path, 0)["depth"].exists()
+        assert not ds.frame_paths(tmp_path, 0)["depth"].exists()
 
 
 _SCENARIO_BASE = {"seed": "1", "frames": "2", "width": "48", "height": "36", "fx": "50.0", "fy": "50.0",
@@ -983,7 +985,7 @@ def _scenario_texts(draw):
     """A small valid scenario with up to three keys set to junk, non-finite
     or out-of-range values; sometimes a key dropped, unknown or repeated."""
     pairs = dict(_SCENARIO_BASE)
-    keys = [f.name for f in dataclass_fields(ss.ScenarioConfig)]
+    keys = [f.name for f in dataclass_fields(ds.ScenarioConfig)]
     values = st.floats().map(repr) | st.integers(min_value=-3, max_value=700).map(str) | st.sampled_from(_SCENARIO_TOKENS)
     for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
         pairs[key] = draw(values)
@@ -1003,76 +1005,76 @@ def _parsed_or_none(parse, source):
 
 class TestScenarioText:
     def test_round_trip(self):
-        config = ss.ScenarioConfig(seed=123, frames=7, min_depth_gap_m=2.5, emit_color=False)
-        parsed = ss.parse_scenario_text(ss.scenario_to_text(config))
+        config = ds.ScenarioConfig(seed=123, frames=7, min_depth_gap_m=2.5, emit_color=False)
+        parsed = ds.parse_scenario_text(ds.scenario_to_text(config))
         assert parsed == config
 
     def test_missing_seed(self):
         with pytest.raises(ConfigError, match="seed"):
-            ss.parse_scenario_text("frames=3\n")
+            ds.parse_scenario_text("frames=3\n")
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown"):
-            ss.parse_scenario_text("seed=1\nframes=2\nbogus=3\n")
+            ds.parse_scenario_text("seed=1\nframes=2\nbogus=3\n")
 
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="frames"):
-            ss.parse_scenario_text("seed=1\nframes=two\n")
+            ds.parse_scenario_text("seed=1\nframes=two\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            ss.parse_scenario_text("seed=1\nseed=2\nframes=1\n")
+            ds.parse_scenario_text("seed=1\nseed=2\nframes=1\n")
 
     def test_comments_and_blanks(self):
-        config = ss.parse_scenario_text("# hello\n\nseed=4\nframes=2\n")
+        config = ds.parse_scenario_text("# hello\n\nseed=4\nframes=2\n")
         assert config.seed == 4 and config.frames == 2
 
     def test_manifest_round_trip(self, tmp_path):
-        config = ss.ScenarioConfig(seed=5, frames=2)
+        config = ds.ScenarioConfig(seed=5, frames=2)
         path = tmp_path / "manifest.txt"
-        path.write_text(ss.manifest_text(config))
-        assert ss.read_manifest(path) == config
+        path.write_text(ds.manifest_text(config))
+        assert ds.read_manifest(path) == config
         # configs cannot change, so every read of one file shares one
-        assert ss.read_manifest(path) is ss.read_manifest(path)
+        assert ds.read_manifest(path) is ds.read_manifest(path)
 
     def test_frames_capped_at_a_million(self, tmp_path):
         # frame files carry a six-digit index
-        assert ss.parse_scenario_text("seed=1\nframes=1000000\n").frames == 1_000_000
+        assert ds.parse_scenario_text("seed=1\nframes=1000000\n").frames == 1_000_000
         with pytest.raises(ConfigError, match="frames"):
-            ss.parse_scenario_text("seed=1\nframes=1000001\n")
+            ds.parse_scenario_text("seed=1\nframes=1000001\n")
         path = tmp_path / "manifest.txt"
-        path.write_text(f"format_version={ss.FORMAT_VERSION}\nseed=1\nframes=1000001\n")
+        path.write_text(f"format_version={ds.FORMAT_VERSION}\nseed=1\nframes=1000001\n")
         with pytest.raises(ConfigError, match="frames"):
-            ss.read_manifest(path)
+            ds.read_manifest(path)
 
     def test_image_capped_at_2_24_pixels(self, tmp_path):
         # checked before any frame buffer is allocated
         text = "seed=1\nframes=1\ncx=1\ncy=1\n"
-        assert ss.parse_scenario_text(text + "width=4096\nheight=4096\n").width == 4096
+        assert ds.parse_scenario_text(text + "width=4096\nheight=4096\n").width == 4096
         with pytest.raises(ConfigError, match="pixels"):
-            ss.parse_scenario_text(text + "width=4096\nheight=4097\n")
+            ds.parse_scenario_text(text + "width=4096\nheight=4097\n")
         path = tmp_path / "manifest.txt"
-        path.write_text(f"format_version={ss.FORMAT_VERSION}\n" + text + "width=100000\nheight=100000\n")
+        path.write_text(f"format_version={ds.FORMAT_VERSION}\n" + text + "width=100000\nheight=100000\n")
         with pytest.raises(ConfigError, match="pixels"):
-            ss.read_manifest(path)
+            ds.read_manifest(path)
 
     def test_manifest_bad_version(self, tmp_path):
         path = tmp_path / "manifest.txt"
         path.write_text("format_version=99\nseed=1\nframes=1\n")
         with pytest.raises(FormatError, match="format_version"):
-            ss.read_manifest(path)
+            ds.read_manifest(path)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(max_size=200), _scenario_texts()))
     def test_fuzzed_scenario_and_manifest_raise_only_matrixgt_errors(self, tmp_path_factory, text):
         manifest = tmp_path_factory.getbasetemp() / "fuzzed_manifest.txt"
-        manifest.write_text(f"format_version={ss.FORMAT_VERSION}\n" + text)
-        scenario = _parsed_or_none(ss.parse_scenario_text, text)
-        assert _parsed_or_none(ss.read_manifest, manifest) == scenario
+        manifest.write_text(f"format_version={ds.FORMAT_VERSION}\n" + text)
+        scenario = _parsed_or_none(ds.parse_scenario_text, text)
+        assert _parsed_or_none(ds.read_manifest, manifest) == scenario
         if scenario is not None:
-            values = [getattr(scenario, f.name) for f in dataclass_fields(ss.ScenarioConfig)]
+            values = [getattr(scenario, f.name) for f in dataclass_fields(ds.ScenarioConfig)]
             assert all(math.isfinite(v) for v in values if isinstance(v, float))
-            assert ss.parse_scenario_text(ss.scenario_to_text(scenario)) == scenario
+            assert ds.parse_scenario_text(ds.scenario_to_text(scenario)) == scenario
 
 
 _META_TOKENS = ["1", "-1", "65535", "1_0", "\u0661", "2.5", "nan", "inf", "-inf", "1e999", "vehicle", "x", "0x1f", ""]
@@ -1096,7 +1098,7 @@ class TestMetaText:
     def test_round_trip(self, small_camera):
         scene = [make_ground(z_far=40.0), make_vehicle(2, x=1.0, z=9.0, yaw=0.25)]
         bundle = ss.render_frame(small_camera, scene, 0, inflate_pct=0.1, emit_color=False)
-        parsed = ss.parse_meta_text(ss.meta_text(bundle.records))
+        parsed = ds.parse_meta_text(ds.meta_text(bundle.records))
         assert len(parsed) == len(bundle.records)
         for original, loaded in zip(bundle.records, parsed):
             assert loaded.object_id == original.object_id
@@ -1110,19 +1112,19 @@ class TestMetaText:
         scene = [make_ground(z_far=40.0), make_vehicle(2, x=-1.0, z=9.0, yaw=math.pi),
                  make_vehicle(3, x=1.5, z=12.0, yaw=-math.pi)]
         records = ss.render_frame(small_camera, scene, 0, emit_color=False).records
-        text = ss.meta_text(records)
-        parsed = ss.parse_meta_text(text)
+        text = ds.meta_text(records)
+        parsed = ds.parse_meta_text(text)
         assert [r.yaw for r in parsed] == [0.0, 3.1416, -3.1416]
-        assert ss.meta_text(parsed) == text
+        assert ds.meta_text(parsed) == text
 
     def test_field_count_error(self):
         with pytest.raises(FormatError, match="line 1"):
-            ss.parse_meta_text("1 Vehicle 0 0 1 1\n")
+            ds.parse_meta_text("1 Vehicle 0 0 1 1\n")
 
     def test_bad_class_error(self):
         line = "1 Spaceship " + " ".join(["1.0"] * 12)
         with pytest.raises(FormatError, match="line 1"):
-            ss.parse_meta_text(line + "\n")
+            ds.parse_meta_text(line + "\n")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1136,13 +1138,13 @@ class TestMetaText:
         parts[field] = value
         text = "7 Vehicle 1 2 8 9 30 1.5 1.8 4.0 0 1 30 0.1\n" + " ".join(parts) + "\n"
         with pytest.raises(FormatError, match="meta line 2"):
-            ss.parse_meta_text(text)
+            ds.parse_meta_text(text)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(max_size=200), st.lists(_meta_lines(), max_size=4).map("\n".join)))
     def test_fuzzed_text_raises_only_matrixgt_errors(self, text):
         try:
-            records = ss.parse_meta_text(text)
+            records = ds.parse_meta_text(text)
         except MatrixGTError:
             return
         for record in records:
@@ -1159,7 +1161,7 @@ class TestDatasetFiles:
                     distractor_count_max=0, region_x_min=-3.0, region_x_max=3.0,
                     region_z_min=6.0, region_z_max=15.0, emit_color=True)
         base.update(overrides)
-        return ss.ScenarioConfig(**base)
+        return ds.ScenarioConfig(**base)
 
     def test_ppm_golden(self):
         rgb = np.array([[[1, 2, 3], [4, 5, 6]]], dtype=np.uint8)
@@ -1167,22 +1169,22 @@ class TestDatasetFiles:
 
     def test_frame_buffers_reader(self, tmp_path):
         scenario = tmp_path / "scenario.txt"
-        scenario.write_text(ss.scenario_to_text(self._tiny_config()))
+        scenario.write_text(ds.scenario_to_text(self._tiny_config()))
         out = tmp_path / "ds"
         assert cli.main(["generate", "--scenario", str(scenario), "--out", str(out)]) == 0
-        depth, stencil, records, instance = ss.read_frame_buffers(out, 0)
+        depth, stencil, records, instance = ds.read_frame_buffers(out, 0)
         assert instance is None
         assert depth.sample_kind == "F32" and stencil.sample_kind == "U8"
         assert all(r.object_id >= 1 for r in records)
-        _, _, _, instance = ss.read_frame_buffers(out, 0, with_instance=True)
+        _, _, _, instance = ds.read_frame_buffers(out, 0, with_instance=True)
         assert instance is not None and instance.sample_kind == "U16"
 
     def _generated(self, tmp_path):
         scenario = tmp_path / "scenario.txt"
-        scenario.write_text(ss.scenario_to_text(self._tiny_config(frames=1)))
+        scenario.write_text(ds.scenario_to_text(self._tiny_config(frames=1)))
         out = tmp_path / "ds"
         assert cli.main(["generate", "--scenario", str(scenario), "--out", str(out)]) == 0
-        return out, ss.frame_paths(out, 0)
+        return out, ds.frame_paths(out, 0)
 
     def test_reader_checks_raster_sizes_against_the_manifest(self, tmp_path):
         out, paths = self._generated(tmp_path)
@@ -1192,15 +1194,15 @@ class TestDatasetFiles:
             for resized in (data[:, :-1], data[:-1], data[:4, :4], np.hstack([data, data[:, :1]])):
                 write_raster(Raster(resized), paths[key])
                 with pytest.raises(ValidationError, match=f"{paths[key].name}: .* raster, manifest says 48x36"):
-                    ss.read_frame_buffers(out, 0, with_instance=key == "instance")
+                    ds.read_frame_buffers(out, 0, with_instance=key == "instance")
             paths[key].write_bytes(original)
-        ss.read_frame_buffers(out, 0, with_instance=True)
+        ds.read_frame_buffers(out, 0, with_instance=True)
         # rasters that agree with each other still disagree with the manifest
-        manifest = out / ss.MANIFEST_NAME
+        manifest = out / ds.MANIFEST_NAME
         manifest.write_text(manifest.read_text().replace("width=48\n", "width=47\n"))
         for with_instance in (False, True):
             with pytest.raises(ValidationError, match="48x36 raster, manifest says 47x36"):
-                ss.read_frame_buffers(out, 0, with_instance=with_instance)
+                ds.read_frame_buffers(out, 0, with_instance=with_instance)
 
     def test_reader_checks_stencil_class_codes(self, tmp_path):
         out, paths = self._generated(tmp_path)
@@ -1209,8 +1211,8 @@ class TestDatasetFiles:
             stencil = data.copy()
             stencil[-1, -1] = byte  # flag bits in the high nibble are allowed
             write_raster(Raster(stencil), paths["stencil"])
-            if byte & 0x0F <= max(ss.ObjectClass):
-                ss.read_frame_buffers(out, 0, with_instance=True)
+            if byte & 0x0F <= max(ds.ObjectClass):
+                ds.read_frame_buffers(out, 0, with_instance=True)
             else:
                 with pytest.raises(FormatError, match="stencil.mrb: class codes"):
-                    ss.read_frame_buffers(out, 0, with_instance=True)
+                    ds.read_frame_buffers(out, 0, with_instance=True)
