@@ -13,7 +13,11 @@ Exit codes: 0 success, 2 configuration/parse error, 3 I/O error,
 outputs regardless of worker count; ``MATRIXGT_WORKERS`` is the fallback when
 ``--workers`` is absent (oracle-labels has no flag), and 0 means one worker
 per CPU that the process may run on. A stage never starts more workers than
-that, or than it has frames.
+that, or than it has frames. On more than one worker a stage forks one
+process per worker, and each claims chunks of frames, in frame order, until
+none is left. A failing stage reports the lowest failing frame's error, as
+one worker would; it may stop before later frames run. A worker killed by a
+signal fails the stage with exit 3.
 """
 
 from __future__ import annotations
@@ -69,22 +73,19 @@ def _usable_cpus() -> int:
 def _run_tasks(task_fn, tasks: list, workers: int) -> None:
     """Execute independent per-frame tasks; results land in per-frame files, so
     scheduling order never affects output bytes."""
-    # a forked pool starts all its workers at once, so no more than there are
-    # tasks, or CPUs to run them
+    # every worker is forked at once, so no more than there are tasks, or
+    # CPUs to run them
     workers = min(workers, len(tasks), _usable_cpus())
     if workers <= 1:
         for task in tasks:
             task_fn(task)
         return
-    # imported only here, so one-worker stages never load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    # imported only here, so that one-worker stages do not compile it
+    from . import fork_runner
 
     # ~16 chunks per worker: with fewer, frames of uneven cost leave a worker
     # idle while the last chunks run
-    chunksize = max(1, len(tasks) // (workers * 16))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for _ in pool.map(task_fn, tasks, chunksize=chunksize):
-            pass
+    fork_runner.run(task_fn, tasks, workers, max(1, len(tasks) // (workers * 16)))
 
 
 # --- generate ----------------------------------------------------------------

@@ -16,6 +16,7 @@ from conftest import make_ground, make_vehicle, oracle_hulls
 
 from matrixgt import cli
 from matrixgt import dataset as ds
+from matrixgt import fork_runner
 from matrixgt import kitti_labels as kl
 from matrixgt import scene_sim as ss
 from matrixgt.raster_codec import Raster, read_raster, write_raster
@@ -371,13 +372,15 @@ class TestEntryPoint:
 
     def test_import_loads_no_stage_module(self):
         """``import matrixgt.cli``, which every stage starts with, compiles no
-        stage module, and loads neither numpy nor dataclasses."""
+        stage module nor the fork runner, and loads neither numpy nor
+        dataclasses."""
         code = "import sys\nimport matrixgt.cli\nprint(' '.join(sys.modules))\n"
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         loaded = {name for module in result.stdout.split() for name in (module, module.split(".")[0])}
-        unwanted = {"matrixgt.dataset", "matrixgt.evaluator", "matrixgt.scene_sim", "numpy", "dataclasses"}
+        unwanted = {"matrixgt.dataset", "matrixgt.evaluator", "matrixgt.fork_runner", "matrixgt.scene_sim", "numpy",
+                    "dataclasses"}
         assert not loaded & unwanted, sorted(loaded & unwanted)
 
     def test_oracle_frame_labels_resolves_through_cli(self):
@@ -411,31 +414,21 @@ class TestEntryPoint:
             assert digests[command, "2"] == digests[command, None]
 
     def test_pool_is_capped_at_the_task_count(self, monkeypatch):
-        """A forked pool starts every worker it is asked for, so it is asked for
-        no more than there are tasks or CPUs that this process may use, and it
-        hands them out in chunks small enough that each worker gets many: a
-        worker left without a chunk idles while the last ones run. The pool
-        here is a stand-in that runs the tasks in this process and starts
-        none, on two CPUs."""
-        import concurrent.futures
-
+        """Every worker is forked at once, so no more are asked for than there
+        are tasks or CPUs that this process may use, and tasks go out in
+        chunks small enough that each worker gets many: a worker left without
+        a chunk idles while the last ones run. The forked runner here is a
+        stand-in that runs the tasks in this process and starts none, on two
+        CPUs."""
         asked, chunks = [], []
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+        def serial_runner(task_fn, tasks, workers, chunksize):
+            asked.append(workers)
+            chunks.append(chunksize)
+            for task in tasks:
+                task_fn(task)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                chunks.append(chunksize)
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(fork_runner, "run", serial_runner)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         done = []
         cli._run_tasks(done.append, [0, 1, 2], 64)
@@ -448,6 +441,161 @@ class TestEntryPoint:
         # the crowd benchmark's 300 frames on 2 workers: 16 chunks or more each
         cli._run_tasks(done.append, list(range(300)), 2)
         assert 300 / chunks[-1] >= 2 * 16
+
+    @pytest.mark.parametrize("cpus", [2, 32, 8192])
+    def test_chunk_queue_fits_in_one_pipe_write(self, cpus, monkeypatch):
+        """The forked runner writes the token of every chunk before its first
+        fork, so the whole queue must fit in PIPE_BUF bytes, the least a pipe
+        holds: at the most frames a scenario allows and the most workers the
+        CPU cap allows (Linux counts at most 8192 CPUs). Up to 32 workers the
+        chunks are those that ``_run_tasks`` asks for."""
+        asked = []
+        monkeypatch.setattr(fork_runner, "run", lambda task_fn, tasks, workers, chunksize: asked.append(chunksize))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        frames = 1_000_000
+        cli._run_tasks(None, range(frames), cpus)
+        read_fd, write_fd = os.pipe()
+        room = os.fpathconf(read_fd, "PC_PIPE_BUF")
+        os.close(read_fd)
+        os.close(write_fd)
+        chunksize, queue = fork_runner.chunk_queue(frames, asked[0], room)
+        assert len(queue) <= room
+        size = fork_runner.TOKEN_BYTES
+        starts = [int.from_bytes(queue[i:i + size], "little") for i in range(0, len(queue), size)]
+        assert starts == list(range(0, frames, chunksize))
+        if cpus <= 32:
+            assert chunksize == asked[0]
+
+
+def _assert_every_child_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedRunner:
+    """``cli._run_tasks`` on more than one worker: forked children that claim
+    chunks of tasks from a pipe. Two CPUs are stubbed in where a test needs
+    the pool, so it forks on any host."""
+
+    @pytest.mark.parametrize("stage", ["annotate", "oracle-labels"])
+    def test_broken_frames_fail_alike_on_one_and_two_workers(self, stage, tmp_path, monkeypatch, capsys):
+        """With frames 3 and 7 broken, one worker stops at frame 3. Two
+        workers may meet frame 7 first, and still report frame 3's error."""
+        scenario = tmp_path / "s.txt"
+        scenario.write_text(TINY_SCENARIO.replace("frames=4", "frames=8"))
+        dataset = tmp_path / "ds"
+        assert cli.main(["generate", "--scenario", str(scenario), "--out", str(dataset)]) == 0
+        stencil = ds.frame_paths(dataset, 3)["stencil"]
+        stencil.write_bytes(stencil.read_bytes()[:-100])
+        ds.frame_paths(dataset, 7)["meta"].write_text("not a record\n")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        verdicts = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("MATRIXGT_WORKERS", workers)
+            flags = ["--workers", "1"] if stage == "annotate" and workers == "1" else []
+            code = cli.main([stage, "--in", str(dataset), "--out", str(tmp_path / workers), *flags])
+            verdicts.append((code, capsys.readouterr().err))
+        assert verdicts[0] == verdicts[1]
+        code, err = verdicts[0]
+        assert code == 2
+        assert err.startswith("matrixgt: error: ") and "000003_stencil.mrb" in err, err
+        _assert_every_child_reaped()
+
+    def test_a_worker_killed_by_a_signal_fails_the_run(self, tiny_dataset, tmp_path, monkeypatch, capsys):
+        """The run raises, and a stage fails with exit 3."""
+        import signal
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent = os.getpid()
+
+        def task(frame):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        with pytest.raises(ChildProcessError, match=f"signal {int(signal.SIGKILL)}"):
+            cli._run_tasks(task, list(range(8)), 2)
+        monkeypatch.setattr(cli, "_annotate_task", task)
+        assert cli.main(["annotate", "--in", str(tiny_dataset), "--out", str(tmp_path / "l"), "--workers", "2"]) == 3
+        assert "worker process" in capsys.readouterr().err
+        _assert_every_child_reaped()
+
+    def test_a_child_never_returns_into_the_caller(self, monkeypatch):
+        """A task that raises ``SystemExit`` in a child ends that child, not
+        the run of this test."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent = os.getpid()
+
+        def task(frame):
+            if os.getpid() != parent:
+                raise SystemExit(0)
+
+        with pytest.raises(ChildProcessError, match="exit status 1"):
+            cli._run_tasks(task, list(range(8)), 2)
+        assert os.getpid() == parent
+        _assert_every_child_reaped()
+
+    def test_an_error_that_cannot_be_pickled_still_fails_the_run(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        class Unpicklable(Exception):  # a local class cannot be pickled
+            pass
+
+        class TwoArguments(Exception):  # pickles, but cannot be unpickled
+            def __init__(self, frame, why):
+                super().__init__(f"frame {frame}: {why}")
+
+        def task(frame):
+            if frame == 5:
+                raise Unpicklable("frame 5 is bad")
+            if frame == 6:
+                raise TwoArguments(frame, "bad too")
+
+        with pytest.raises(RuntimeError, match="Unpicklable: frame 5 is bad"):
+            cli._run_tasks(task, list(range(8)), 2)
+        with pytest.raises(RuntimeError, match="TwoArguments: frame 6: bad too"):
+            cli._run_tasks(task, list(range(6, 8)), 2)
+        _assert_every_child_reaped()
+
+    def test_an_interrupt_while_waiting_kills_and_reaps_the_workers(self, monkeypatch):
+        """Ctrl-C (or a SIGTERM handler's ``SystemExit``) in the waiting
+        process ends the run at once, with no worker left running."""
+        import signal
+        import time
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)  # a fork does not inherit the timer
+            with pytest.raises(KeyboardInterrupt):
+                cli._run_tasks(lambda frame: time.sleep(60), list(range(4)), 2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
+        _assert_every_child_reaped()
+
+    @pytest.mark.skipif(cli._usable_cpus() < 2, reason="a pooled stage needs 2 usable CPUs to fork")
+    def test_pooled_stage_loads_no_process_pool(self, tiny_dataset, tmp_path):
+        """annotate on two workers forks them itself: neither multiprocessing
+        nor concurrent.futures is loaded (-X importtime lists every module
+        the stage and its workers import)."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "MATRIXGT_WORKERS": "2"}
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "matrixgt", "annotate",
+             "--in", str(tiny_dataset), "--out", str(tmp_path / "labels")],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "matrixgt.annotator" in imported
+        assert not [name for name in imported if name.split(".")[0] in ("multiprocessing", "concurrent")]
+        assert len(list((tmp_path / "labels").iterdir())) == 4
 
 
 CAR_LINE = "Car 0.00 0 -10.00 10.00 10.00 50.00 60.00 -1.00 -1.00 -1.00 -1000.00 -1000.00 -1000.00 -10.00\n"
