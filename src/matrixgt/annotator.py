@@ -68,30 +68,19 @@ def vehicle_mask(stencil: Raster) -> np.ndarray:
     return stencil_class_ids(stencil) == int(ObjectClass.VEHICLE)
 
 
-class _DisjointSet:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def connected_components(mask: np.ndarray) -> list[np.ndarray]:
     """Partition set pixels into maximal 8-connected components.
 
     Two-scan labeling over row runs (He, Chao & Suzuki 2008): set pixels
-    split into row runs, and runs in adjacent rows union when their column
-    spans touch or overlap diagonally. Each component is an ascending array
-    of row-major pixel indices. The list is ordered by the (top, left) corner
-    of each component's pixel hull, ties in first-pixel order.
+    split into row runs, and runs in adjacent rows merge when their column
+    spans touch or overlap diagonally. A run finds the runs it touches in the
+    row above by two binary searches over keys ``row * (width + 1) + column``
+    of every run's start and end, which ascend across rows: shifted up a
+    row, its span touches the runs from the first whose end key reaches its
+    start key to the last whose start key lies within its end key. Each
+    component is an ascending array of row-major pixel indices. The list is
+    ordered by the (top, left) corner of each component's pixel hull, ties
+    in first-pixel order.
     """
     width = mask.shape[1]
     pixels = np.flatnonzero(mask)
@@ -100,30 +89,27 @@ def connected_components(mask: np.ndarray) -> list[np.ndarray]:
     # a run starts where the pixel index jumps or wraps onto a new row
     starts = np.flatnonzero((np.diff(pixels, prepend=-2) != 1) | (pixels % width == 0))
     lengths = np.diff(starts, append=len(pixels))
-    rows, x0s = (a.tolist() for a in np.divmod(pixels[starts], width))
-    x1s = [x0 + n for x0, n in zip(x0s, lengths.tolist())]
-    dsu = _DisjointSet(len(rows))
-    prev_start = prev_end = i = 0  # runs [prev_start, prev_end) form the previous row
-    while i < len(rows):
-        j = i
-        while j < len(rows) and rows[j] == rows[i]:
-            j += 1
-        if rows[prev_start] == rows[i] - 1:
-            # 8-connectivity: runs [a, b) and [c, d) in adjacent rows touch
-            # when a <= d and c <= b (one-column diagonal tolerance)
-            p = prev_start
-            for k in range(i, j):
-                while p < prev_end and x1s[p] < x0s[k]:
-                    p += 1
-                q = p
-                while q < prev_end and x0s[q] <= x1s[k]:
-                    dsu.union(k, q)
-                    q += 1
-        prev_start, prev_end = i, j
-        i = j
+    rows, x0s = np.divmod(pixels[starts], width)
+    up = width + 1  # one past the last end column, so no two rows share a key
+    start_keys = rows * up + x0s
+    end_keys = start_keys + lengths
+    # 8-connectivity: runs [a, b) and [c, d) in adjacent rows touch when
+    # a <= d and c <= b (one-column diagonal tolerance)
+    firsts = np.searchsorted(end_keys, start_keys - up).tolist()
+    lasts = np.searchsorted(start_keys, end_keys - up, side="right").tolist()
+    parent = list(range(len(starts)))
 
-    # a root is its set's lowest run, so grouping by root keeps first-pixel order
-    labels = np.repeat([dsu.find(k) for k in range(len(rows))], lengths)
+    def root(run: int) -> int:
+        while parent[run] != run:
+            parent[run] = run = parent[parent[run]]  # path halving
+        return run
+
+    for run, (first, last) in enumerate(zip(firsts, lasts)):
+        for above in range(first, last):
+            a, b = root(run), root(above)
+            parent[max(a, b)] = min(a, b)  # a set's root is its lowest run
+    # grouping by root, the lowest run, keeps first-pixel order
+    labels = np.repeat([root(run) for run in range(len(parent))], lengths)
     order = np.argsort(labels, kind="stable")
     components = np.split(pixels[order], np.flatnonzero(np.diff(labels[order])) + 1)
     components.sort(key=lambda c: (int(c[0]) // width, int((c % width).min())))

@@ -14,10 +14,11 @@ outputs regardless of worker count; ``MATRIXGT_WORKERS`` is the fallback when
 ``--workers`` is absent (oracle-labels has no flag), and 0 means one worker
 per CPU that the process may run on. A stage never starts more workers than
 that, or than it has frames. On more than one worker a stage forks one
-process per worker, and each claims chunks of frames, in frame order, until
-none is left. A failing stage reports the lowest failing frame's error, as
-one worker would; it may stop before later frames run. A worker killed by a
-signal fails the stage with exit 3.
+process per worker, and each claims one frame at a time, in frame order,
+until none is left; chunks of frames appear only past 1,024 frames. A
+failing stage reports the lowest failing frame's error, as one worker
+would; it may stop before later frames run. A worker killed by a signal
+fails the stage with exit 3.
 """
 
 from __future__ import annotations
@@ -83,9 +84,7 @@ def _run_tasks(task_fn, tasks: list, workers: int) -> None:
     # imported only here, so that one-worker stages do not compile it
     from . import fork_runner
 
-    # ~16 chunks per worker: with fewer, frames of uneven cost leave a worker
-    # idle while the last chunks run
-    fork_runner.run(task_fn, tasks, workers, max(1, len(tasks) // (workers * 16)))
+    fork_runner.run(task_fn, tasks, workers)
 
 
 # --- generate ----------------------------------------------------------------

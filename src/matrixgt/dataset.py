@@ -623,7 +623,7 @@ def _read_raster_of_kind(path: Path, kind: str, size: tuple[int, int]) -> Raster
     try:
         raster = read_raster(path)
     except FormatError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise FormatError(f"{path}: {exc}") from None
     if raster.sample_kind != kind:
         raise FormatError(f"{path}: expected {kind} samples, got {raster.sample_kind}")
     if (raster.width, raster.height) != size:

@@ -6,6 +6,8 @@ problems exit 2, I/O problems exit 3, cross-input validation problems exit 4.
 
 from __future__ import annotations
 
+import os
+import stat
 from pathlib import Path
 
 
@@ -21,10 +23,6 @@ class FormatError(MatrixGTError):
     """Malformed file content (bad magic, wrong field count, unparseable number)."""
 
 
-class TruncatedFileError(FormatError):
-    """File payload is shorter than its header promises."""
-
-
 class ValidationError(MatrixGTError):
     """Inputs are individually well-formed but mutually inconsistent."""
 
@@ -33,13 +31,24 @@ class BehindCameraError(MatrixGTError):
     """Geometry lies at or behind the camera plane where projection is undefined."""
 
 
+def read_bytes(path: str | Path) -> bytes:
+    """The bytes of the regular file ``path``, which every input file is read
+    through. Anything else (a directory, a FIFO, a device) raises ``OSError``
+    naming the path, so no input can stall a stage: the open does not wait
+    for a FIFO's writer, and no endless device is read."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    with open(fd, "rb") as file:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise OSError(f"{path}: not a regular file")
+        return file.read()
+
+
 def read_text(path: str | Path, error: type[MatrixGTError]) -> str:
     """The UTF-8 text of ``path``; raises ``error`` naming the path when the
     file is not UTF-8. Every text input (scenario, manifest, meta, labels)
     is read through here, and every one is split with ``str.splitlines``, so
     line ends are left as they are."""
-    with open(path, "rb") as file:
-        data = file.read()
+    data = read_bytes(path)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

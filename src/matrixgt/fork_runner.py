@@ -2,12 +2,14 @@
 
 Before any fork, ``run`` writes a token for every chunk of tasks into a
 pipe, in task order, in one write. The queue fits in ``PIPE_BUF`` bytes,
-which a pipe always holds, so that write never blocks: for very many
-workers ``chunk_queue`` grows the chunks, and no more workers start than
-there are chunks. Each child claims chunks from the pipe until it is empty
-and runs their tasks in order. Tasks reach the children through fork, so
-nothing is pickled on the way in. A stage starts no thread before it forks,
-and its tasks make no BLAS call (numpy's BLAS is what may run threads here).
+which a pipe always holds, so that write never blocks: a chunk is one task
+while every task's token fits (1,024 tasks at 4,096 bytes), and past that
+``chunk_queue`` takes the smallest chunk that fits. No more workers start
+than there are chunks. Each child claims chunks from the pipe until it is
+empty and runs their tasks in order. Tasks reach the children through fork,
+so nothing is pickled on the way in. A stage starts no thread before it
+forks, and its tasks make no BLAS call (numpy's BLAS is what may run threads
+here).
 
 A child whose task raises runs no further task: it empties the queue, so
 that no chunk after its own is started, and sends the pickled (task index,
@@ -31,21 +33,20 @@ import sys
 TOKEN_BYTES = 4  # a chunk's first task index, little-endian
 
 
-def chunk_queue(n_tasks: int, chunksize: int, room: int) -> tuple[int, bytes]:
-    """The chunk size and the queue of chunk tokens, in task order. The chunk
-    size grows past ``chunksize`` where that many tokens would not fit in
+def chunk_queue(n_tasks: int, room: int) -> tuple[int, bytes]:
+    """The chunk size and the queue of chunk tokens, in task order: the
+    smallest chunk, and never less than one task, whose tokens fit in
     ``room`` bytes."""
-    chunksize = max(chunksize, -(-n_tasks // (room // TOKEN_BYTES)))
+    chunksize = max(1, -(-n_tasks // (room // TOKEN_BYTES)))
     tokens = b"".join(start.to_bytes(TOKEN_BYTES, "little") for start in range(0, n_tasks, chunksize))
     return chunksize, tokens
 
 
-def run(task_fn, tasks: list, workers: int, chunksize: int) -> None:
-    """Run ``tasks`` on ``workers`` forked children, in chunks of about
-    ``chunksize``."""
+def run(task_fn, tasks: list, workers: int) -> None:
+    """Run ``tasks`` on ``workers`` forked children."""
     queue_r, queue_w = os.pipe()
     try:
-        chunksize, queue = chunk_queue(len(tasks), chunksize, os.fpathconf(queue_r, "PC_PIPE_BUF"))
+        chunksize, queue = chunk_queue(len(tasks), os.fpathconf(queue_r, "PC_PIPE_BUF"))
         os.write(queue_w, queue)
     except BaseException:
         os.close(queue_r)

@@ -216,7 +216,7 @@ def read_label_dir(labels_dir: str | Path) -> dict[str, list[KittiLabel]]:
     included, case-sensitive), keyed by frame (the name without ``.txt``,
     as ``Path.stem`` gives it) in name order. A path that is not a
     directory is an error, not an empty label set, and so is an entry that
-    cannot be read as a file. Errors name a file as ``<labels_dir>/<name>``."""
+    is not a regular file. Errors name a file as ``<labels_dir>/<name>``."""
     directory = Path(labels_dir)
     if not directory.is_dir():
         raise NotADirectoryError(f"no label directory at {directory}")

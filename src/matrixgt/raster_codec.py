@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, TruncatedFileError
+from .errors import ConfigError, FormatError, read_bytes
 
 MRB_MAGIC = b"MRXB"
 MRB_VERSION = 1
@@ -148,7 +148,7 @@ def raster_from_bytes(blob: bytes) -> Raster:
     if len(blob) < 4 or blob[:4] != MRB_MAGIC:
         raise FormatError(f"bad MRB magic: expected {MRB_MAGIC!r}, got {blob[:4]!r}")
     if len(blob) < 14:
-        raise TruncatedFileError(f"MRB header truncated: {len(blob)} bytes")
+        raise FormatError(f"MRB header truncated: {len(blob)} bytes")
     version, kind_code, width, height = struct.unpack("<BBII", blob[4:14])
     if version != MRB_VERSION:
         raise FormatError(f"unsupported MRB version {version}")
@@ -161,7 +161,7 @@ def raster_from_bytes(blob: bytes) -> Raster:
     expected = width * height * dtype.itemsize
     got = len(blob) - 14
     if got < expected:
-        raise TruncatedFileError(
+        raise FormatError(
             f"MRB payload truncated: need {expected} bytes for {width}x{height} {kind}, got {got}"
         )
     if got > expected:
@@ -188,4 +188,4 @@ def write_raster(raster: Raster, destination: str | Path) -> None:
 
 def read_raster(source: str | Path) -> Raster:
     """Read an MRB file."""
-    return raster_from_bytes(Path(source).read_bytes())
+    return raster_from_bytes(read_bytes(source))

@@ -149,6 +149,56 @@ class TestConnectedComponents:
             for g, e in zip(got, expected):
                 assert np.array_equal(g, e), trial
 
+    @pytest.mark.parametrize("shape", ["checkerboard", "comb", "serpentine", "spiral"])
+    def test_structured_masks_match_scipy(self, shape):
+        """Masks the random ones above are too small to hold: single-pixel
+        runs each joined to two runs above, many roots that merge only at
+        the last row, one long chain, and arms nested one inside the other."""
+        ndimage = pytest.importorskip("scipy.ndimage")
+        height, width = 150, 200
+        ys, xs = np.mgrid[:height, :width]
+        if shape == "checkerboard":
+            mask = (ys + xs) % 2 == 0
+        elif shape == "comb":  # teeth meet a bar along the bottom
+            mask = (xs % 3 == 0) | (ys == height - 1)
+        elif shape == "serpentine":  # rows joined at alternate ends
+            mask = ys % 4 == 0
+            mask |= (ys % 8 < 4) & (xs == width - 1) | (ys % 8 >= 4) & (xs == 0)
+            mask &= ys <= height - height % 4 - 4
+        else:
+            mask = _spiral(height, width)
+        labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+        flat = labels.ravel()
+        expected = [np.flatnonzero(flat == k) for k in range(1, count + 1)]
+        expected.sort(key=lambda c: (c[0] // width, (c % width).min()))
+        got = an.connected_components(mask)
+        assert len(got) == count
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e)
+
+
+def _spiral(height, width):
+    """A square spiral walked inward from the top-left corner, its arms one
+    blank pixel apart."""
+    mask = np.zeros((height, width), dtype=bool)
+    y = x = 0
+    directions = [(0, 1), (1, 0), (0, -1), (-1, 0)]
+    for turn in range(height + width):
+        if turn == 0:
+            length = width - 1
+        elif turn % 2:
+            length = height - 1 - 2 * (turn // 2)
+        else:
+            length = width - 1 - 2 * ((turn - 1) // 2)
+        if length < 2:
+            break
+        dy, dx = directions[turn % 4]
+        for _ in range(length):
+            mask[y, x] = True
+            y, x = y + dy, x + dx
+    mask[y, x] = True
+    return mask
+
 
 class TestTruncationOcclusion:
     def test_truncation_examples(self):

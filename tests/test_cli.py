@@ -415,16 +415,13 @@ class TestEntryPoint:
 
     def test_pool_is_capped_at_the_task_count(self, monkeypatch):
         """Every worker is forked at once, so no more are asked for than there
-        are tasks or CPUs that this process may use, and tasks go out in
-        chunks small enough that each worker gets many: a worker left without
-        a chunk idles while the last ones run. The forked runner here is a
-        stand-in that runs the tasks in this process and starts none, on two
-        CPUs."""
-        asked, chunks = [], []
+        are tasks or CPUs that this process may use. The forked runner here
+        is a stand-in that runs the tasks in this process and starts none, on
+        two CPUs."""
+        asked = []
 
-        def serial_runner(task_fn, tasks, workers, chunksize):
+        def serial_runner(task_fn, tasks, workers):
             asked.append(workers)
-            chunks.append(chunksize)
             for task in tasks:
                 task_fn(task)
 
@@ -438,33 +435,23 @@ class TestEntryPoint:
         assert asked == [2, 2, 2]
         assert done == list(range(47))
         assert cli._resolve_workers(0) == 2
-        # the crowd benchmark's 300 frames on 2 workers: 16 chunks or more each
-        cli._run_tasks(done.append, list(range(300)), 2)
-        assert 300 / chunks[-1] >= 2 * 16
 
-    @pytest.mark.parametrize("cpus", [2, 32, 8192])
-    def test_chunk_queue_fits_in_one_pipe_write(self, cpus, monkeypatch):
+    @pytest.mark.parametrize("tasks", [1, 300, 1024, 1025, 1_000_000])
+    def test_chunk_queue_fits_in_one_pipe_write(self, tasks):
         """The forked runner writes the token of every chunk before its first
         fork, so the whole queue must fit in PIPE_BUF bytes, the least a pipe
-        holds: at the most frames a scenario allows and the most workers the
-        CPU cap allows (Linux counts at most 8192 CPUs). Up to 32 workers the
-        chunks are those that ``_run_tasks`` asks for."""
-        asked = []
-        monkeypatch.setattr(fork_runner, "run", lambda task_fn, tasks, workers, chunksize: asked.append(chunksize))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        frames = 1_000_000
-        cli._run_tasks(None, range(frames), cpus)
+        holds, up to the most frames a scenario allows. A chunk is one task
+        while every task's token fits."""
         read_fd, write_fd = os.pipe()
         room = os.fpathconf(read_fd, "PC_PIPE_BUF")
         os.close(read_fd)
         os.close(write_fd)
-        chunksize, queue = fork_runner.chunk_queue(frames, asked[0], room)
+        chunksize, queue = fork_runner.chunk_queue(tasks, room)
         assert len(queue) <= room
         size = fork_runner.TOKEN_BYTES
         starts = [int.from_bytes(queue[i:i + size], "little") for i in range(0, len(queue), size)]
-        assert starts == list(range(0, frames, chunksize))
-        if cpus <= 32:
-            assert chunksize == asked[0]
+        assert starts == list(range(0, tasks, chunksize))
+        assert (chunksize == 1) == (tasks <= room // size)
 
 
 def _assert_every_child_reaped():
@@ -474,8 +461,9 @@ def _assert_every_child_reaped():
 
 class TestForkedRunner:
     """``cli._run_tasks`` on more than one worker: forked children that claim
-    chunks of tasks from a pipe. Two CPUs are stubbed in where a test needs
-    the pool, so it forks on any host."""
+    tasks from a pipe one at a time, in task order; chunks of tasks appear
+    only past 1,024 tasks. Two CPUs are stubbed in where a test needs the
+    pool, so it forks on any host."""
 
     @pytest.mark.parametrize("stage", ["annotate", "oracle-labels"])
     def test_broken_frames_fail_alike_on_one_and_two_workers(self, stage, tmp_path, monkeypatch, capsys):
@@ -971,6 +959,71 @@ def test_bad_input_exits_without_traceback(case, tmp_path, monkeypatch, capsys):
     assert cli.main(make_argv(tmp_path)) == code
     prefix = "matrixgt: i/o error:" if code == cli.EXIT_IO else "matrixgt: error:"
     assert capsys.readouterr().err.startswith(prefix)
+
+
+def _fifo_in_place_of(path):
+    path.unlink(missing_ok=True)
+    os.mkfifo(path)
+    return path
+
+
+def _frame_file_a_fifo(command, kind):
+    """``command`` on the tiny dataset, with frame 1's ``kind`` file a FIFO."""
+
+    def make(root):
+        assert cli.main(_generate_argv(root)) == 0
+        path = _fifo_in_place_of(ds.frame_paths(root / "ds", 1)[kind])
+        return [command, "--in", str(root / "ds"), "--out", str(root / "out")], path
+
+    return make
+
+
+def _evaluate_det_label_a_fifo(root):
+    argv = _evaluate_argv(root)
+    return argv, _fifo_in_place_of(root / "det" / "000000.txt")
+
+
+def _stats_label_a_device(root):
+    argv = _stats_argv(root)
+    path = root / "l" / "000000.txt"
+    path.unlink()
+    path.symlink_to("/dev/zero")
+    return argv, path
+
+
+def _generate_scenario_a_fifo(root):
+    argv = _generate_argv(root)
+    return argv, _fifo_in_place_of(root / "s.txt")
+
+
+# (builder of argv and of the input made a FIFO or a device)
+NON_REGULAR_INPUTS = {
+    "evaluate-det-label-is-a-fifo": _evaluate_det_label_a_fifo,
+    "annotate-meta-is-a-fifo": _frame_file_a_fifo("annotate", "meta"),
+    "stats-label-is-a-symlink-to-a-device": _stats_label_a_device,
+    "oracle-instance-is-a-fifo": _frame_file_a_fifo("oracle-labels", "instance"),
+    "generate-scenario-is-a-fifo": _generate_scenario_a_fifo,
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_REGULAR_INPUTS))
+def test_an_input_that_is_not_a_regular_file_exits_3(case, tmp_path):
+    """Opening a FIFO waits for a writer and a device such as /dev/zero never
+    ends, so a stage reads only regular files and exits 3, naming the path,
+    for anything else. Each stage runs in a child process with a timeout and
+    1 GiB of address space, so a stall or an endless read fails this test
+    instead of stalling the suite or filling the host's memory."""
+    import resource
+
+    argv, path = NON_REGULAR_INPUTS[case](tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "MATRIXGT_WORKERS": "1",
+           "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run(
+        [sys.executable, "-m", "matrixgt", *argv], capture_output=True, text=True, env=env, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert result.returncode == cli.EXIT_IO, result.stderr
+    assert result.stderr.startswith("matrixgt: i/o error:") and str(path) in result.stderr, result.stderr
 
 
 # KITTI has no box sentinel, so a box with no area, or whose centroid or area

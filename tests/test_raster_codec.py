@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matrixgt.errors import ConfigError, FormatError, MatrixGTError, TruncatedFileError
+from matrixgt.errors import ConfigError, FormatError, MatrixGTError
 from matrixgt.raster_codec import (
     MRB_MAGIC,
     DepthCodecParams,
@@ -242,7 +242,7 @@ class TestMRB:
     def test_truncated_payload(self, tmp_path):
         # valid header claiming 4x4 U8 with 10 payload bytes
         good = _written(Raster(np.zeros((4, 4), dtype=np.uint8)), tmp_path / "r.mrb")
-        with pytest.raises(TruncatedFileError, match="truncated"):
+        with pytest.raises(FormatError, match="truncated"):
             raster_from_bytes(good[: 14 + 10])
 
     def test_trailing_bytes_rejected(self, tmp_path):
