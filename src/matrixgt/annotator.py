@@ -126,8 +126,6 @@ def estimate_truncation(
 ) -> float:
     """Fraction of the un-clipped box lying outside the image: 1 - clipped/full."""
     area = box_area(coarse_box)
-    if area <= 0.0:
-        raise ValueError(f"zero-area box {coarse_box}")
     inside = box_intersection_area(coarse_box, (0.0, 0.0, *image_size))
     return min(1.0, max(0.0, 1.0 - inside / area))
 

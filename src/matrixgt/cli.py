@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 # Each command imports the stage modules it runs, inside the command or its
 # task, so a stage starts up with only what it needs.
-from .errors import ConfigError, FormatError, ValidationError
+from .errors import ConfigError, FormatError, ValidationError, write_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -107,7 +107,7 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _run_tasks(_generate_task, [(config, i, out) for i in range(config.frames)], workers)
-    (out / dataset.MANIFEST_NAME).write_text(dataset.manifest_text(config))
+    write_text(out / dataset.MANIFEST_NAME, dataset.manifest_text(config))
     return EXIT_OK
 
 
@@ -190,8 +190,8 @@ def cmd_evaluate(args) -> int:
     sys.stdout.write(text)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(text)
-    (out / "report.csv").write_text(evaluator.report_csv(report))
+    write_text(out / "report.txt", text)
+    write_text(out / "report.csv", evaluator.report_csv(report))
     return EXIT_OK
 
 

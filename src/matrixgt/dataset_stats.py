@@ -16,7 +16,7 @@ from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, write_bytes, write_text
 from .kitti_labels import CAR_TYPE, Difficulty, KittiLabel, classify_difficulty, read_label_dir
 
 DEFAULT_GRID = (48, 27)  # (cols, rows), 16:9-friendly
@@ -139,7 +139,7 @@ def write_stats(
     summary = dataset_summary(labels_by_frame)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "heatmap.pgm").write_bytes(heatmap_pgm(heatmap))
-    (out / "heatmap.csv").write_text(heatmap_csv(heatmap))
-    (out / "detections_hist.csv").write_text(histogram_csv(histogram))
-    (out / "summary.txt").write_text(summary_text(summary))
+    write_bytes(out / "heatmap.pgm", heatmap_pgm(heatmap))
+    write_text(out / "heatmap.csv", heatmap_csv(heatmap))
+    write_text(out / "detections_hist.csv", histogram_csv(histogram))
+    write_text(out / "summary.txt", summary_text(summary))

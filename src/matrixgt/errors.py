@@ -53,3 +53,23 @@ def read_text(path: str | Path, error: type[MatrixGTError]) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def write_bytes(path: str | Path, *chunks) -> None:
+    """Write ``chunks`` (bytes-like, in order) to the regular file ``path``,
+    made or truncated; every output file is written through here. Anything
+    else (a directory, a FIFO, a device) raises ``OSError`` naming the path,
+    so no output can stall a stage: the open does not wait for a FIFO's
+    reader, and nothing is written to a device."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
+    with open(fd, "wb") as file:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise OSError(f"{path}: not a regular file")
+        for chunk in chunks:
+            file.write(chunk)
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 through :func:`write_bytes`, line
+    ends as they are."""
+    write_bytes(path, text.encode("utf-8"))

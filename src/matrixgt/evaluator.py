@@ -74,11 +74,11 @@ class EvalReport(NamedTuple):
 
 
 def iou(a: Box, b: Box) -> float:
-    """Intersection over union with continuous areas; 0 when disjoint."""
+    """Intersection over union with continuous areas; 0 when disjoint. Boxes
+    arrive as :func:`~matrixgt.kitti_labels.parse_labels_text` checked them:
+    well-ordered, with a finite positive area."""
     area_a = (a[2] - a[0]) * (a[3] - a[1])
     area_b = (b[2] - b[0]) * (b[3] - b[1])
-    if area_a <= 0.0 or area_b <= 0.0:
-        raise ValueError(f"zero-area box in IoU: {a}, {b}")
     iw = min(a[2], b[2]) - max(a[0], b[0])
     ih = min(a[3], b[3]) - max(a[1], b[1])
     if iw <= 0.0 or ih <= 0.0:
@@ -207,33 +207,6 @@ def average_precision(points: Sequence[tuple[float, float]], gt_count: int, meth
     raise ValueError(f"unknown AP method {method!r}; use '11pt' or 'all'")
 
 
-def _load_ground_truth(labels_by_frame) -> dict[str, list[GroundTruth]]:
-    gts: dict[str, list[GroundTruth]] = {}
-    for frame_id, labels in labels_by_frame.items():
-        rows = []
-        for label in labels:
-            if label.type not in (CAR_TYPE, DONTCARE_TYPE):
-                continue
-            if label.type == CAR_TYPE:
-                difficulty = classify_difficulty(label)
-            else:
-                difficulty = Difficulty.UNKNOWN
-            rows.append(GroundTruth(label.bbox, difficulty, dontcare=label.type == DONTCARE_TYPE))
-        gts[frame_id] = rows
-    return gts
-
-
-def _load_detections(labels_by_frame) -> dict[str, list[Detection]]:
-    dets: dict[str, list[Detection]] = {}
-    for frame_id, labels in labels_by_frame.items():
-        dets[frame_id] = [
-            Detection(label.bbox, 1.0 if label.score is None else label.score)
-            for label in labels
-            if label.type == CAR_TYPE
-        ]
-    return dets
-
-
 def evaluate(
     det_dir: str | Path,
     gt_dir: str | Path,
@@ -251,15 +224,24 @@ def evaluate(
         raise ValidationError(
             f"frame sets differ: missing in det dir {missing_det}, missing in gt dir {missing_gt}"
         )
-    detections = _load_detections(det_labels)
-    ground_truth = _load_ground_truth(gt_labels)
 
     pooled: dict[Difficulty, list[tuple[Detection, Outcome]]] = {level: [] for level in LEVELS}
     gt_counts = dict.fromkeys(LEVELS, 0)
-    for frame_id in sorted(ground_truth):
-        gts = ground_truth[frame_id]
+    for frame_id in sorted(gt_labels):
+        dets = [
+            Detection(label.bbox, 1.0 if label.score is None else label.score)
+            for label in det_labels[frame_id]
+            if label.type == CAR_TYPE
+        ]
+        gts = [
+            GroundTruth(label.bbox, classify_difficulty(label))
+            if label.type == CAR_TYPE
+            else GroundTruth(label.bbox, Difficulty.UNKNOWN, dontcare=True)
+            for label in gt_labels[frame_id]
+            if label.type in (CAR_TYPE, DONTCARE_TYPE)
+        ]
         required = _required_by_level(gts)  # decided once per box and level, for matching and counts
-        for level, outcomes in match_frame(detections[frame_id], gts, iou_thr, required).items():
+        for level, outcomes in match_frame(dets, gts, iou_thr, required).items():
             pooled[level].extend(outcomes)
             gt_counts[level] += sum(required[level])
 
@@ -267,12 +249,11 @@ def evaluate(
     for level, outcomes in pooled.items():
         gt_count = gt_counts[level]
         tp = sum(1 for _, o in outcomes if o is Outcome.TP)
-        fp = sum(1 for _, o in outcomes if o is Outcome.FP)
-        points = precision_recall_points(outcomes, gt_count)
+        points = precision_recall_points(outcomes, gt_count)  # one point per TP or FP
         levels[level] = LevelResult(
             ap=average_precision(points, gt_count, method),
             tp=tp,
-            fp=fp,
+            fp=len(points) - tp,
             fn=gt_count - tp,
             gt_count=gt_count,
             pr_points=points,

@@ -25,7 +25,7 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .errors import FormatError, ValidationError, read_text
+from .errors import FormatError, ValidationError, read_text, write_text
 
 if TYPE_CHECKING:
     from .annotator import TightAnnotation
@@ -74,10 +74,7 @@ class KittiLabel(NamedTuple):
 
 def classify_difficulty(label: KittiLabel) -> Difficulty:
     """Easiest level whose height/truncation/occlusion gates all pass."""
-    left, top, right, bottom = label.bbox
-    if not (left < right and top < bottom):
-        raise ValueError(f"malformed bbox {label.bbox}")
-    height = bottom - top
+    height = label.bbox[3] - label.bbox[1]
     for level, min_height_px, max_truncation, max_occlusion in DIFFICULTY_GATES:
         if height >= min_height_px and label.truncated <= max_truncation and label.occluded <= max_occlusion:
             return level
@@ -204,7 +201,7 @@ def parse_labels_text(text: str, origin: str = "labels") -> list[KittiLabel]:
 
 
 def write_labels(labels: Sequence[KittiLabel], destination: str | Path) -> None:
-    Path(destination).write_text(labels_to_text(labels))
+    write_text(destination, labels_to_text(labels))
 
 
 def label_path(labels_dir: str | Path, frame_idx: int) -> Path:

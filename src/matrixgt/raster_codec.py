@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, read_bytes
+from .errors import ConfigError, FormatError, read_bytes, write_bytes
 
 MRB_MAGIC = b"MRXB"
 MRB_VERSION = 1
@@ -100,18 +100,6 @@ class Raster:
     def sample_kind(self) -> str:
         return _NATIVE_TO_KIND[self.data.dtype]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Raster):
-            return NotImplemented
-        return (
-            self.sample_kind == other.sample_kind
-            and self.data.shape == other.data.shape
-            and bool(np.array_equal(self.data, other.data))
-        )
-
-    def __repr__(self):
-        return f"Raster({self.width}x{self.height} {self.sample_kind})"
-
 
 def encode_log_depth(z, params: DepthCodecParams):
     """Encode metric depth to the unit-interval log value d = ln(z/near)/ln(far/near).
@@ -179,11 +167,13 @@ def write_raster(raster: Raster, destination: str | Path) -> None:
     The payload goes to the file straight from the raster's buffer, with no
     joined copy of the stream.
     """
-    with open(destination, "wb") as f:
-        kind = raster.sample_kind
-        f.write(MRB_MAGIC + struct.pack("<BBII", MRB_VERSION, _KIND_TO_CODE[kind], raster.width, raster.height))
+    kind = raster.sample_kind
+    write_bytes(
+        destination,
+        MRB_MAGIC + struct.pack("<BBII", MRB_VERSION, _KIND_TO_CODE[kind], raster.width, raster.height),
         # a no-op view on little-endian hosts; the data is C-contiguous already
-        f.write(raster.data.astype(_KIND_TO_DTYPE[kind], copy=False))
+        raster.data.astype(_KIND_TO_DTYPE[kind], copy=False),
+    )
 
 
 def read_raster(source: str | Path) -> Raster:

@@ -49,7 +49,7 @@ from .dataset import (
 # kept for perfbench/replay.py, which reaches them through this module; they
 # go when the replay is retired (ROADMAP item 2)
 from .dataset import MANIFEST_NAME, list_frame_indices, load_scenario, manifest_text, read_frame_buffers, read_manifest
-from .errors import BehindCameraError, ConfigError
+from .errors import BehindCameraError, ConfigError, write_bytes, write_text
 from .raster_codec import Raster, encode_log_depth, write_raster
 from .rng import Xorshift64Star, mix64
 
@@ -107,6 +107,7 @@ _FACE_TRIANGLES = tuple(
 
 Vertex = tuple[float, float, float]  # projected (x, y, 1/z): screen position, inverse camera depth
 Triangle = tuple[Vertex, Vertex, Vertex]
+Window = tuple[slice, slice]  # rows, columns
 
 
 def _object_triangles(
@@ -150,10 +151,12 @@ _BATCH_PIXELS = 1 << 12
 
 def _draw_triangles(
     zbuf: np.ndarray, stencil: np.ndarray, instance: np.ndarray, triangles: Iterable[tuple[Triangle, int, int]]
-) -> None:
+) -> Optional[Window]:
     """Z-test ``triangles``, ``(triangle, class_code, object_id)`` as
     :func:`_object_triangles` gives them, into the C-contiguous frame buffers
-    in the given order, one object's triangles together.
+    in the given order, one object's triangles together. Returns the window
+    that holds every pixel the call may have changed, the union of the front
+    faces' windows, or None if no front face has a pixel.
 
     Back faces are skipped. With the outward winding of ``_FACE_TRIANGLES`` a
     triangle faces the camera exactly when its projected signed area is
@@ -195,11 +198,12 @@ def _draw_triangles(
             runs.append((len(faces), class_code, object_id))
         faces.append((x0, x1, x2, y0, y1, y2, i0, i1, i2, *window))
     if not faces:
-        return
+        return None
 
     table = np.array(faces).T
     x, y, inverse = table[:9].reshape(3, 3, -1)
     wx0, wy0, wx1, wy1 = table[9:].astype(np.intp)
+    window = slice(int(wy0.min()), int(wy1.max())), slice(int(wx0.min()), int(wx1.max()))
     # edge k runs from vertex k+1, (ax, ay), to vertex k+2
     ax, ay = x[[1, 2, 0]], y[[1, 2, 0]]
     dx, dy = x[[2, 0, 1]] - ax, y[[2, 0, 1]] - ay
@@ -255,6 +259,7 @@ def _draw_triangles(
                 np.minimum.at(zflat, pp, zz[hit])
                 stencil_flat[pp] = class_code
                 instance_flat[pp] = object_id
+    return window
 
 
 _SKY_RGB = (96, 144, 200)
@@ -315,9 +320,6 @@ def _new_frame_buffers(height: int, width: int) -> tuple[np.ndarray, np.ndarray,
     )
 
 
-Window = tuple[slice, slice]  # rows, columns
-
-
 class _FrameBuffers:
     """One frame's ``arrays`` (as made by :func:`_new_frame_buffers`) and what
     they hold: the pixels of ``layer``, a :func:`_first_object_layer`,
@@ -338,19 +340,6 @@ class _FrameBuffers:
 _frame_buffers = functools.lru_cache(maxsize=1)(_FrameBuffers)
 
 
-def _draw_window(hulls: Iterable[tuple[float, float, float, float]], width: int, height: int) -> Optional[Window]:
-    """The smallest window holding every pixel that :func:`_draw_triangles`
-    may draw for objects with these corner hulls, or None if it is empty: the
-    union of the hulls' pixel windows. A triangle's vertices are corners, so
-    its window lies in its object's.
-    """
-    windows = [w for w in (pixel_window(hull, width, height) for hull in hulls) if w is not None]
-    if not windows:
-        return None
-    x0s, y0s, x1s, y1s = zip(*windows)
-    return slice(min(y0s), max(y1s)), slice(min(x0s), max(x1s))
-
-
 def _render_into(
     buffers: _FrameBuffers,
     camera: CameraModel,
@@ -368,9 +357,11 @@ def _render_into(
     its record's coarse box. The lowest-id object's pixels come from the
     cached :func:`_first_object_layer`. The buffers are reset to that layer
     only inside the window that their last frame drew into, or everywhere if
-    they last held another layer or none; this frame's window is recorded
-    before anything is drawn, so a frame that fails part-way leaves a correct
-    record for the next.
+    they last held another layer or none. That window is the union of the
+    windows of the front faces :func:`_draw_triangles` drew. The buffers are
+    marked as drawn everywhere before anything is drawn, and take the drawn
+    window only once drawing is done, so a frame that fails part-way leaves
+    the next a full reset.
 
     The bundle's rasters are read-only views of ``buffers``, so they hold what
     this call drew only until the buffers are drawn into again.
@@ -386,21 +377,22 @@ def _render_into(
         except BehindCameraError as exc:
             log.warning("%s, skipped", exc)
             continue
-        projected.append((obj, corners, _hull(corners)))
+        projected.append((obj, corners))
         if i > 0:  # the first object's pixels come from the cached layer
             later.append(projected[-1])
-    window = _draw_window((hull for _, _, hull in later), camera.width, camera.height)
 
-    restore = buffers.window if buffers.layer is layer else (slice(None), slice(None))
+    whole = slice(None), slice(None)
+    restore = buffers.window if buffers.layer is layer else whole
     if restore is not None:
         for dst, src in zip(buffers.arrays, layer):
             np.copyto(dst[restore], src[restore])
-    buffers.layer, buffers.window = layer, window
+    buffers.layer, buffers.window = layer, whole
     zbuf, stencil, instance, encoded = buffers.arrays
-    _draw_triangles(zbuf, stencil, instance, (t for obj, corners, _ in later for t in _object_triangles(obj, corners)))
+    triangles = (t for obj, corners in later for t in _object_triangles(obj, corners))
+    buffers.window = window = _draw_triangles(zbuf, stencil, instance, triangles)
 
     records = []
-    for obj, _, hull in projected:
+    for obj, corners in projected:
         range_m = float(np.linalg.norm(obj.center))
         if record_max_range_m > 0.0 and range_m > record_max_range_m:
             continue
@@ -408,7 +400,7 @@ def _render_into(
             EngineRecord(
                 object_id=obj.object_id,
                 cls=obj.cls,
-                coarse_box=inflate_box(hull, inflate_pct),
+                coarse_box=inflate_box(_hull(corners), inflate_pct),
                 range_m=range_m,
                 size=obj.size,
                 yaw=obj.yaw,
@@ -570,9 +562,9 @@ def write_frame_files(bundle: FrameBundle, dataset_dir: str | Path) -> None:
     write_raster(bundle.depth, paths["depth"])
     write_raster(bundle.stencil, paths["stencil"])
     write_raster(bundle.instance_oracle, paths["instance"])
-    paths["meta"].write_text(meta_text(bundle.records))
+    write_text(paths["meta"], meta_text(bundle.records))
     if bundle.color is not None:
-        paths["color"].write_bytes(ppm_bytes(bundle.color))
+        write_bytes(paths["color"], ppm_bytes(bundle.color))
 
 
 def write_scenario_frame(config: ScenarioConfig, frame_idx: int, dataset_dir: str | Path) -> None:

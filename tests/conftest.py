@@ -112,3 +112,9 @@ max_overlap_frac=0.25
 coarse_box_inflate_pct=0.10
 emit_color=0
 """
+
+# the benchmark's crowd shape, as overrides of ACCEPTANCE_SCENARIO: 320x240,
+# many overlapping objects, a record range
+CROWD_KEYS = dict(width=320, height=240, fx=350.0, fy=350.0, cx=160.0, cy=120.0, vehicle_count_min=14,
+                  vehicle_count_max=22, distractor_count_max=4, region_z_min=12.0, region_z_max=80.0,
+                  min_depth_gap_m=0.0, max_overlap_frac=1.0, record_max_range_m=60.0)

@@ -207,10 +207,6 @@ class TestTruncationOcclusion:
         assert an.estimate_truncation((590, 10, 690, 60), size) == pytest.approx(0.5)
         assert an.estimate_truncation((700, 10, 800, 60), size) == 1.0
 
-    def test_truncation_zero_area_rejected(self):
-        with pytest.raises(ValueError):
-            an.estimate_truncation((5.0, 5.0, 5.0, 10.0), (640, 480))
-
     def test_occlusion_levels(self):
         box = (0.0, 0.0, 10.0, 10.0)  # clipped area 100
         size = (640, 480)

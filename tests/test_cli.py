@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_ground, make_vehicle, oracle_hulls
+from conftest import ACCEPTANCE_SCENARIO, CROWD_KEYS, make_ground, make_vehicle, oracle_hulls
 
 from matrixgt import cli
 from matrixgt import dataset as ds
@@ -1006,16 +1006,12 @@ NON_REGULAR_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(NON_REGULAR_INPUTS))
-def test_an_input_that_is_not_a_regular_file_exits_3(case, tmp_path):
-    """Opening a FIFO waits for a writer and a device such as /dev/zero never
-    ends, so a stage reads only regular files and exits 3, naming the path,
-    for anything else. Each stage runs in a child process with a timeout and
-    1 GiB of address space, so a stall or an endless read fails this test
-    instead of stalling the suite or filling the host's memory."""
+def _exits_3_naming(argv, path):
+    """Run a stage in a child process with a timeout and 1 GiB of address
+    space, so a stall or an endless read fails the test instead of stalling
+    the suite or filling the host's memory; it must exit 3 naming ``path``."""
     import resource
 
-    argv, path = NON_REGULAR_INPUTS[case](tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "MATRIXGT_WORKERS": "1",
            "OPENBLAS_NUM_THREADS": "1"}
     result = subprocess.run(
@@ -1024,6 +1020,59 @@ def test_an_input_that_is_not_a_regular_file_exits_3(case, tmp_path):
     )
     assert result.returncode == cli.EXIT_IO, result.stderr
     assert result.stderr.startswith("matrixgt: i/o error:") and str(path) in result.stderr, result.stderr
+
+
+@pytest.mark.parametrize("case", sorted(NON_REGULAR_INPUTS))
+def test_an_input_that_is_not_a_regular_file_exits_3(case, tmp_path):
+    """Opening a FIFO waits for a writer and a device such as /dev/zero never
+    ends, so a stage reads only regular files and exits 3, naming the path,
+    for anything else."""
+    _exits_3_naming(*NON_REGULAR_INPUTS[case](tmp_path))
+
+
+def _output_a_fifo(make_argv, output):
+    """``make_argv``'s stage, with the file ``output(root)`` already there as
+    a FIFO that nothing reads."""
+
+    def make(root):
+        argv = make_argv(root)
+        path = output(root)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        os.mkfifo(path)
+        return argv, path
+
+    return make
+
+
+def _annotate_argv(root):
+    assert cli.main(_generate_argv(root)) == 0
+    return ["annotate", "--in", str(root / "ds"), "--out", str(root / "L")]
+
+
+def _oracle_label_a_device(root):
+    assert cli.main(_generate_argv(root)) == 0
+    path = root / "gt" / "000000.txt"
+    path.parent.mkdir()
+    path.symlink_to("/dev/null")
+    return ["oracle-labels", "--in", str(root / "ds"), "--out", str(root / "gt")], path
+
+
+# (builder of argv and of the output that is a FIFO or a device)
+NON_REGULAR_OUTPUTS = {
+    "annotate-label-is-a-fifo": _output_a_fifo(_annotate_argv, lambda root: root / "L" / "000000.txt"),
+    "evaluate-report-is-a-fifo": _output_a_fifo(_evaluate_argv, lambda root: root / "r" / "report.txt"),
+    "stats-summary-is-a-fifo": _output_a_fifo(_stats_argv, lambda root: root / "s" / "summary.txt"),
+    "generate-meta-is-a-fifo": _output_a_fifo(_generate_argv, lambda root: ds.frame_paths(root / "ds", 0)["meta"]),
+    "oracle-label-is-a-symlink-to-a-device": _oracle_label_a_device,
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_REGULAR_OUTPUTS))
+def test_an_output_that_is_not_a_regular_file_exits_3(case, tmp_path):
+    """Opening a FIFO for writing waits for a reader, and a device takes what
+    it is given, so a stage writes only regular files and exits 3, naming the
+    path, for anything else."""
+    _exits_3_naming(*NON_REGULAR_OUTPUTS[case](tmp_path))
 
 
 # KITTI has no box sentinel, so a box with no area, or whose centroid or area
@@ -1156,6 +1205,73 @@ def test_stages_on_a_mutated_dataset_keep_the_exit_code_contract(fuzz_dataset, t
     if mutation[2] in ("stencil", "meta", "manifest"):
         assert codes["annotate"] == codes["oracle-labels"], codes
     shutil.rmtree(root)
+
+
+# --- same bytes at every numpy SIMD dispatch level ---------------------------
+
+# numpy reads NPY_DISABLE_CPU_FEATURES once per process, at import
+SIMD_CAPS = {
+    "uncapped": "",
+    "no-avx512": "X86_V4",
+    "no-avx2": "X86_V4 X86_V3 AVX2 FMA3 F16C AVX",
+}
+
+# the three reading and writing stages on each scenario, then the hash of a
+# float64 log, whose rounding depends on the SIMD code numpy dispatches to
+_SIMD_CHILD = """\
+import hashlib, sys
+from pathlib import Path
+import numpy as np
+from matrixgt import cli
+root, out = Path(sys.argv[1]), Path(sys.argv[2])
+for scenario in sorted(root.glob("*.txt")):
+    run = out / scenario.stem
+    for argv in (["generate", "--scenario", str(scenario), "--out", str(run / "ds")],
+                 ["annotate", "--in", str(run / "ds"), "--out", str(run / "det")],
+                 ["oracle-labels", "--in", str(run / "ds"), "--out", str(run / "gt")]):
+        if cli.main(argv) != 0:
+            sys.exit(f"{argv[0]} failed on {scenario.name}")
+print(hashlib.sha256(np.log(np.linspace(1e-3, 1e3, 1 << 20)).tobytes()).hexdigest())
+"""
+
+
+def _first_differing_file(a, b):
+    files = sorted({p.relative_to(d) for d in (a, b) for p in d.rglob("*") if p.is_file()})
+    return next(
+        (f for f in files if not ((a / f).is_file() and (b / f).is_file() and (a / f).read_bytes() == (b / f).read_bytes())),
+        None,
+    )
+
+
+def test_bytes_are_the_same_at_every_numpy_simd_dispatch_level(tmp_path):
+    """``generate``, ``annotate`` and ``oracle-labels`` write the same bytes
+    whether numpy may dispatch to AVX-512, only up to AVX, or to neither, on
+    a few frames of the acceptance and the crowd shape. Each cap runs in its
+    own child process. A sentinel in the same child, a float64 ``np.log``
+    whose hash moves with the SIMD code that computes it, shows that a cap
+    took effect; if no cap moved it, the host has nothing to cap and the test
+    skips rather than pass vacuously.
+
+    Out of reach here: non-x86 hosts, whose numpy dispatches other code, and
+    the libm behind Python's own ``math`` functions, which no numpy setting
+    changes."""
+    crowd = ACCEPTANCE_SCENARIO
+    for key, value in CROWD_KEYS.items():
+        crowd = _with_key(crowd, key, value)
+    for name, text in (("acceptance", ACCEPTANCE_SCENARIO), ("crowd", crowd)):
+        (tmp_path / f"{name}.txt").write_text(_with_key(text, "frames", 8))
+    sentinel = {}
+    for cap, features in SIMD_CAPS.items():
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "MATRIXGT_WORKERS": "1",
+               "OPENBLAS_NUM_THREADS": "1", "NPY_DISABLE_CPU_FEATURES": features}
+        result = subprocess.run([sys.executable, "-c", _SIMD_CHILD, str(tmp_path), str(tmp_path / cap)],
+                                capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, (cap, result.stderr)
+        sentinel[cap] = result.stdout.strip()
+        assert dir_digest(tmp_path / cap) == dir_digest(tmp_path / "uncapped"), (
+            f"{cap}: {_first_differing_file(tmp_path / 'uncapped', tmp_path / cap)} differs from the uncapped run")
+    if all(sentinel[cap] == sentinel["uncapped"] for cap in SIMD_CAPS):
+        pytest.skip("NPY_DISABLE_CPU_FEATURES moved no float64 log on this host, so no cap took effect")
 
 
 def test_benchmark_replay_writes_what_the_cli_writes(tmp_path, monkeypatch):

@@ -50,10 +50,6 @@ class TestDifficulty:
     def test_occlusion_three_is_unknown(self):
         assert kl.classify_difficulty(car(bbox=(0, 0, 10, 60.0), occluded=3)) == kl.Difficulty.UNKNOWN
 
-    def test_malformed_bbox(self):
-        with pytest.raises(ValueError):
-            kl.classify_difficulty(car(bbox=(10.0, 0.0, 10.0, 40.0)))
-
     def test_ordering(self):
         assert kl.Difficulty.EASY < kl.Difficulty.MODERATE < kl.Difficulty.HARD < kl.Difficulty.UNKNOWN
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ACCEPTANCE_SCENARIO, make_ground, make_vehicle, render_scenario_frame
+from conftest import ACCEPTANCE_SCENARIO, CROWD_KEYS, make_ground, make_vehicle, render_scenario_frame
 from oracles import brute_force_buffers, brute_force_depth, cuboid_corners, ray_cast_depth, triangle_coverage_depth
 
 from matrixgt import cli
@@ -552,8 +552,9 @@ def _boxes(rng, count):
 
 class TestPixelWindow:
     """``pixel_window`` is the one rule for "pixels whose centers lie in a
-    box": the rasterizer's triangle windows, the frame's draw window, the
-    annotator's candidate windows and the oracle's search windows."""
+    box": the rasterizer's triangle windows, whose union is the frame's draw
+    window, the annotator's candidate windows and the oracle's search
+    windows."""
 
     def test_equals_a_per_pixel_scan(self):
         rng = random.Random(13)
@@ -852,10 +853,6 @@ def _acceptance_config(**overrides):
     return dataclasses.replace(config, **{"frames": 3, **overrides})
 
 
-# the benchmark's crowd shape: 320x240, many overlapping objects, a record range
-_CROWD_KEYS = dict(width=320, height=240, fx=350.0, fy=350.0, cx=160.0, cy=120.0, vehicle_count_min=14,
-                   vehicle_count_max=22, distractor_count_max=4, region_z_min=12.0, region_z_max=80.0,
-                   min_depth_gap_m=0.0, max_overlap_frac=1.0, record_max_range_m=60.0)
 # the ground slab (from z = 1 m) lies behind the 1.5 m near plane and vehicles
 # are placed at it, so frames skip the first object and some records
 _NEAR_PLANE_KEYS = dict(width=160, height=120, fx=120.0, fy=120.0, cx=80.0, cy=60.0, near_m=1.5,
@@ -874,7 +871,7 @@ class TestReusedFrameBuffers:
     @pytest.mark.parametrize("emit_color", [False, True])
     @pytest.mark.parametrize("shape", ["acceptance", "crowd", "near-plane"])
     def test_files_equal_render_frame_and_write_frame_files(self, shape, emit_color, tmp_path):
-        keys = {"acceptance": {}, "crowd": _CROWD_KEYS, "near-plane": _NEAR_PLANE_KEYS}[shape]
+        keys = {"acceptance": {}, "crowd": CROWD_KEYS, "near-plane": _NEAR_PLANE_KEYS}[shape]
         config = _acceptance_config(emit_color=emit_color, **keys)
         (tmp_path / "streamed").mkdir()
         (tmp_path / "fresh").mkdir()
