@@ -124,7 +124,7 @@ def pixel_hull(ys: np.ndarray, xs: np.ndarray) -> tuple[float, float, float, flo
 def estimate_truncation(
     coarse_box: tuple[float, float, float, float], image_size: tuple[int, int]
 ) -> float:
-    """Fraction of the un-clipped box lying outside the image: 1 - clipped/full."""
+    """Part of the un-clipped box lying outside the image: 1 - clipped/full."""
     area = box_area(coarse_box)
     inside = box_intersection_area(coarse_box, (0.0, 0.0, *image_size))
     return min(1.0, max(0.0, 1.0 - inside / area))

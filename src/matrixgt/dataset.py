@@ -24,8 +24,9 @@ Conventions, fixed for the whole pipeline:
   rotates about the vertical axis; yaw = 0 puts the length parallel to the
   image x axis.
 
-Cuboid corners are computed in Python floats, with one rounding per fused
-multiply-add and no BLAS, so their bits do not depend on the host's CPU.
+Cuboid corners are computed with one rounding per fused multiply-add, each
+rounded from its exact integer fraction by CPython's correctly rounded
+``int / int``, and no BLAS, so their bits do not depend on the host's CPU.
 """
 
 from __future__ import annotations
@@ -245,60 +246,33 @@ _CORNER_SIGNS = tuple((sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in
 _XZ_INDEX = tuple(2 * (sx > 0) + (sz > 0) for sx, _, sz in _CORNER_SIGNS)
 _Y_INDEX = tuple(int(sy > 0) for _, sy, _ in _CORNER_SIGNS)
 
-# Dekker's product: p + e == x*y exactly for p = fl(x*y), with each factor cut
-# into two halves by Veltkamp's splitter 2^27 + 1. It holds while no split
-# overflows and the low part e does not underflow, which these bounds ensure.
-_VELTKAMP_SPLITTER = 134217729.0
-_SPLIT_MAX = 2.0**995
-_PRODUCT_MIN = 2.0**-968
-_PRODUCT_MAX = 2.0**1000
-
-
 def _fma_signs(m: float, y: float, a: float) -> tuple[float, float, float, float]:
     """``fma(+-m, y, +-a)`` in the order (-m, -a), (+m, -a), (-m, +a), (+m, +a).
 
     ``fma(x, y, a)`` is ``x*y + a`` rounded once, as a hardware fused
-    multiply-add gives it (Python 3.11 has no ``math.fma``). Dekker's product
-    gives ``m*y`` exactly as ``p + e``, and ``math.fsum`` rounds ``p + e + a``
-    correctly. Where Dekker's product is not exact (a zero factor, a factor too
-    large to split, a product that overflows or whose low part underflows) or
-    ``fsum`` overflows part-way, :func:`_exact_fma` gives the value instead.
+    multiply-add gives it (Python 3.11 has no ``math.fma``). A finite double
+    is an integer over a power of two, so for finite operands ``x*y + a`` is
+    one exact integer fraction, and CPython's ``int / int`` rounds it
+    correctly; it raises ``OverflowError`` only where the rounded value
+    overflows, which is +-inf. The tests check these bits against an oracle
+    that rounds through decimal text instead.
     """
-    p = m * y
-    if abs(m) < _SPLIT_MAX and abs(y) < _SPLIT_MAX and _PRODUCT_MIN <= abs(p) < _PRODUCT_MAX:
-        t = m * _VELTKAMP_SPLITTER
-        mh = t - (t - m)
-        ml = m - mh
-        t = y * _VELTKAMP_SPLITTER
-        yh = t - (t - y)
-        yl = y - yh
-        e = ((mh * yh - p) + mh * yl + ml * yh) + ml * yl
-        try:
-            return (math.fsum((-p, -e, -a)), math.fsum((p, e, -a)),
-                    math.fsum((-p, -e, a)), math.fsum((p, e, a)))
-        except OverflowError:  # a partial sum overflowed; the exact value may not
-            pass
-    return tuple(_exact_fma(sm * m, y, sa * a) for sa in (-1.0, 1.0) for sm in (-1.0, 1.0))
-
-
-def _exact_fma(x: float, y: float, a: float) -> float:
-    """``x*y + a`` rounded once; +-inf where it overflows, and IEEE 754's
-    special values and signed zeros elsewhere. A zero factor (the sine of a
-    yaw of 0, as the ground slab's) or a non-finite one makes ``x*y`` exact;
-    other operands round the exact rational value."""
-    if not (x and y and math.isfinite(x) and math.isfinite(y)):
-        return x * y + a  # the product is exact: +-0, +-inf or nan
+    if not (math.isfinite(m) and math.isfinite(y)):
+        return tuple(sm * m * y + sa * a for sa in (-1.0, 1.0) for sm in (-1.0, 1.0))  # x*y is +-inf or nan
     if not math.isfinite(a):
-        return a
-    from fractions import Fraction  # imported only on this rare path: it loads decimal
-
-    exact = Fraction(x) * Fraction(y) + Fraction(a)
-    if not exact:
-        return x * y + a  # x*y is exact here, so this sum gives zero's IEEE sign
-    try:
-        return float(exact)
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
+        return -a, -a, a, a  # so is the exact sum
+    (mn, md), (yn, yd), (an, ad) = m.as_integer_ratio(), y.as_integer_ratio(), a.as_integer_ratio()
+    product, addend, denominator = mn * yn * ad, an * md * yd, md * yd * ad
+    out = []
+    for sa in (-1, 1):
+        for sm in (-1, 1):
+            numerator = sm * product + sa * addend
+            try:
+                # an exact zero takes its IEEE sign from the float sum, x*y being exact
+                out.append(numerator / denominator if numerator else sm * m * y + sa * a)
+            except OverflowError:
+                out.append(math.inf if numerator > 0 else -math.inf)
+    return tuple(out)
 
 
 def _cuboid_corners(obj: SceneObject) -> tuple[list[float], list[float], list[float]]:

@@ -549,12 +549,12 @@ def generate_scene(config: ScenarioConfig, frame_idx: int) -> list[SceneObject]:
     return objects
 
 
-def ppm_bytes(rgb: np.ndarray) -> bytes:
-    """Binary PPM (P6) encoding of an (H, W, 3) uint8 image."""
+def ppm_header(rgb: np.ndarray) -> bytes:
+    """Header of the binary PPM (P6) file of an (H, W, 3) uint8 image; its
+    pixels follow in row-major order."""
     if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
         raise ValueError(f"PPM image must be (H, W, 3) uint8, got {rgb.shape} {rgb.dtype}")
-    header = f"P6\n{rgb.shape[1]} {rgb.shape[0]}\n255\n".encode("ascii")
-    return header + np.ascontiguousarray(rgb).tobytes()
+    return f"P6\n{rgb.shape[1]} {rgb.shape[0]}\n255\n".encode("ascii")
 
 
 def write_frame_files(bundle: FrameBundle, dataset_dir: str | Path) -> None:
@@ -564,7 +564,7 @@ def write_frame_files(bundle: FrameBundle, dataset_dir: str | Path) -> None:
     write_raster(bundle.instance_oracle, paths["instance"])
     write_text(paths["meta"], meta_text(bundle.records))
     if bundle.color is not None:
-        write_bytes(paths["color"], ppm_bytes(bundle.color))
+        write_bytes(paths["color"], ppm_header(bundle.color), np.ascontiguousarray(bundle.color))
 
 
 def write_scenario_frame(config: ScenarioConfig, frame_idx: int, dataset_dir: str | Path) -> None:

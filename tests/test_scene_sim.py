@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import logging
 import math
 import os
@@ -7,7 +8,6 @@ import struct
 import subprocess
 import sys
 from dataclasses import fields as dataclass_fields
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -59,19 +59,25 @@ class TestCoarseBox:
         assert ds.inflate_box((10.0, 20.0, 30.0, 40.0), 0.10) == pytest.approx((9.0, 19.0, 31.0, 41.0))
 
 
-def _fraction_fma(x, y, a):
-    """``x*y + a`` rounded once from its exact rational value, as IEEE 754
-    rounds a fused multiply-add of finite operands."""
-    exact = Fraction(x) * Fraction(y) + Fraction(a)
+def _decimal_fma(x, y, a):
+    """``x*y + a`` rounded once from its exact value, as IEEE 754 rounds a
+    fused multiply-add of finite operands.
+
+    The exact value is a decimal (every double is one, and 3000 digits hold
+    any such sum exactly; ``Inexact`` is trapped to prove it), and its text
+    is rounded by ``float``'s correctly rounded string conversion, which
+    gives +-inf or a signed zero without raising. So no integer or rational
+    division is involved, as there is in the code under test."""
+    with decimal.localcontext() as context:
+        context.prec = 3000
+        context.traps[decimal.Inexact] = True
+        exact = decimal.Decimal(x) * decimal.Decimal(y) + decimal.Decimal(a)
     if exact == 0:
         # an exact zero is +0, unless a zero product and a zero addend are both negative
         product_negative = (math.copysign(1.0, x) < 0) != (math.copysign(1.0, y) < 0)
         both_negative = (x == 0 or y == 0) and product_negative and a == 0 and math.copysign(1.0, a) < 0
         return -0.0 if both_negative else 0.0
-    try:
-        return float(exact)
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
+    return float(str(exact))
 
 
 def _oracle_corners(obj):
@@ -85,7 +91,7 @@ def _oracle_corners(obj):
     for sx in (-1, 1):
         for sz in (-1, 1):
             a, d = sx * (length / 2.0), sz * (width / 2.0)
-            xz[sx, sz] = (_fraction_fma(d, s, a * c) + ox, _fraction_fma(d, c, a * -s) + oz)
+            xz[sx, sz] = (_decimal_fma(d, s, a * c) + ox, _decimal_fma(d, c, a * -s) + oz)
     xs = [xz[sx, sz][0] for sx, _, sz in ds._CORNER_SIGNS]
     ys = [sy * (height / 2.0) + oy for _, sy, _ in ds._CORNER_SIGNS]
     zs = [xz[sx, sz][1] for sx, _, sz in ds._CORNER_SIGNS]
@@ -135,15 +141,17 @@ class TestScalarCorners:
         cases = [
             (max_double, 2.0, -max_double),  # the product overflows, the sum does not
             (max_double, 1.5, 0.0),  # the sum overflows: +-inf
-            (1e150, 1e150, max_double),  # fsum overflows part-way
-            (2.0**1000, 2.0**-1000, 1.0),  # a factor too large to split
+            (1e150, 1e150, max_double),  # a finite product and addend whose exact sum overflows
+            (2.0**1000, 2.0**-1000, 1.0),  # a huge factor and a tiny one
             (1e-200, 1e-200, 0.0),  # the product underflows to 0
             (5e-324, 0.5, 0.0),  # a tie below the smallest subnormal
             (5e-324, 0.75, -0.0),
-            (2.0**-500, 2.0**-480, 2.0**-1060),  # the low part of the product is subnormal
+            (2.0**-500, 2.0**-480, 2.0**-1060),  # a subnormal addend far below the product
             (-0.0, 3.0, -0.0),
             (0.0, -3.0, 0.0),
-            (3.0, 1.0 / 3.0, -1.0),  # cancellation: the low part decides
+            (3.0, 1.0 / 3.0, -1.0),  # cancellation: the product's rounding error decides
+            (max_double, 1.0, 2.0**970),  # a tie half an ulp above the largest double: +-inf
+            (max_double, -1.0, 2.0**918 - 2.0**970),  # just short of that tie: -+max_double
         ]
         for _ in range(6000):
             m, y = _random_double(rng), _random_double(rng)
@@ -159,7 +167,7 @@ class TestScalarCorners:
             cases.append((m, y, a))
         for m, y, a in cases:
             got = ds._fma_signs(m, y, a)
-            want = [_fraction_fma(sm * m, y, sa * a) for sa in (-1.0, 1.0) for sm in (-1.0, 1.0)]
+            want = [_decimal_fma(sm * m, y, sa * a) for sa in (-1.0, 1.0) for sm in (-1.0, 1.0)]
             assert _bits(got) == _bits(want), (m, y, a)
         assert ds._fma_signs(max_double, 1.5, 0.0) == (-math.inf, math.inf, -math.inf, math.inf)
 
@@ -214,11 +222,11 @@ class TestScalarCorners:
         # a zero factor makes the product exact, signed zeros included
         for m, y in ((0.0, 3.0), (-0.0, 3.0), (2.5, 0.0), (2.5, -0.0), (0.0, -0.0), (5e-324, 0.0), (0.0, 1e308)):
             for a in (0.0, -0.0, 1.25, -7.5, 5e-324, sys.float_info.max):
-                want = [_fraction_fma(sm * m, y, sa * a) for sa in (-1.0, 1.0) for sm in (-1.0, 1.0)]
+                want = [_decimal_fma(sm * m, y, sa * a) for sa in (-1.0, 1.0) for sm in (-1.0, 1.0)]
                 assert _bits(ds._fma_signs(m, y, a)) == _bits(want), (m, y, a)
                 assert _bits(ds._fma_signs(y, m, a)) == _bits(want), (y, m, a)
-        # the ground slab has yaw 0, so a sine of 0: a generating process must
-        # not fall back to Fraction for it, which imports decimal
+        # the ground slab has yaw 0, so a sine of 0: generating frames rounds
+        # every fma from exact integers, and loads neither fractions nor decimal
         scenario = tmp_path / "acceptance.txt"
         scenario.write_text(ACCEPTANCE_SCENARIO)
         script = (
@@ -228,11 +236,11 @@ class TestScalarCorners:
             f"config = ds.load_scenario({str(scenario)!r})\n"
             "for frame in range(3):\n"
             f"    ss.write_scenario_frame(config, frame, {str(tmp_path)!r})\n"
-            "print('fractions' in sys.modules)\n"
+            "print('fractions' in sys.modules, 'decimal' in sys.modules)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(ss.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
-        assert result.stdout.split() == ["False"]
+        assert result.stdout.split() == ["False", "False"]
         assert ds.frame_paths(tmp_path, 2)["meta"].exists()
 
 
@@ -1160,9 +1168,17 @@ class TestDatasetFiles:
         base.update(overrides)
         return ds.ScenarioConfig(**base)
 
-    def test_ppm_golden(self):
+    def test_ppm_golden(self, tmp_path):
         rgb = np.array([[[1, 2, 3], [4, 5, 6]]], dtype=np.uint8)
-        assert ss.ppm_bytes(rgb) == b"P6\n2 1\n255\n" + bytes([1, 2, 3, 4, 5, 6])
+        assert ss.ppm_header(rgb) == b"P6\n2 1\n255\n"
+        with pytest.raises(ValueError):
+            ss.ppm_header(rgb[..., :2])
+        # a reversed view, so the written pixels must come from a contiguous copy
+        bundle = ss.FrameBundle(frame_id=0, color=rgb[:, ::-1], depth=Raster(np.zeros((1, 2), np.float32)),
+                                stencil=Raster(np.zeros((1, 2), np.uint8)),
+                                instance_oracle=Raster(np.zeros((1, 2), np.uint16)), records=[])
+        ss.write_frame_files(bundle, tmp_path)
+        assert ds.frame_paths(tmp_path, 0)["color"].read_bytes() == b"P6\n2 1\n255\n" + bytes([4, 5, 6, 1, 2, 3])
 
     def test_frame_buffers_reader(self, tmp_path):
         scenario = tmp_path / "scenario.txt"
