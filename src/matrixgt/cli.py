@@ -4,21 +4,20 @@ Subcommands::
 
     matrixgt generate      --scenario S --out D [--workers N]
     matrixgt annotate      --in D --out L [--rho R] [--workers N]
-    matrixgt oracle-labels --in D --out L
+    matrixgt oracle-labels --in D --out L [--workers N]
     matrixgt evaluate      --det L1 --gt L2 [--iou T] [--ap 11pt|all] [--out D]
     matrixgt stats         --labels L --out D [--grid CxR] [--image WxH]
 
 Exit codes: 0 success, 2 configuration/parse error, 3 I/O error,
 4 validation error. All subcommands are idempotent and produce byte-identical
 outputs regardless of worker count; ``MATRIXGT_WORKERS`` is the fallback when
-``--workers`` is absent (oracle-labels has no flag), and 0 means one worker
-per CPU that the process may run on. A stage never starts more workers than
-that, or than it has frames. On more than one worker a stage forks one
-process per worker, and each claims one frame at a time, in frame order,
-until none is left; chunks of frames appear only past 1,024 frames. A
-failing stage reports the lowest failing frame's error, as one worker
-would; it may stop before later frames run. A worker killed by a signal
-fails the stage with exit 3.
+``--workers`` is absent, and 0 means one worker per CPU that the process may
+run on. A stage never starts more workers than that, or than it has frames.
+On more than one worker a stage forks one process per worker, and each
+claims one frame at a time, in frame order, until none is left; chunks of
+frames appear only past 1,024 frames. A failing stage reports the lowest
+failing frame's error, as one worker would; it may stop before later frames
+run. A worker killed by a signal fails the stage with exit 3.
 """
 
 from __future__ import annotations
@@ -167,7 +166,7 @@ def cmd_oracle_labels(args) -> int:
 
     dataset_dir = Path(args.input_dir)
     config = dataset.read_manifest(dataset_dir / dataset.MANIFEST_NAME)
-    workers = _resolve_workers(None)
+    workers = _resolve_workers(args.workers)
     labels_dir = Path(args.out)
     labels_dir.mkdir(parents=True, exist_ok=True)
     tasks = [
@@ -241,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-labels", help="perfect labels from the withheld instance oracle")
     p.add_argument("--in", dest="input_dir", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="label output directory")
+    p.add_argument("--workers", type=int, default=None, help="worker processes (0 = auto)")
     p.set_defaults(func=cmd_oracle_labels)
 
     p = sub.add_parser("evaluate", help="difficulty-binned AP of detections vs ground truth")

@@ -60,13 +60,22 @@ def write_bytes(path: str | Path, *chunks) -> None:
     made or truncated; every output file is written through here. Anything
     else (a directory, a FIFO, a device) raises ``OSError`` naming the path,
     so no output can stall a stage: the open does not wait for a FIFO's
-    reader, and nothing is written to a device."""
+    reader, and nothing is written to a device. A write that fails (a full
+    disk, a file size limit) removes the file it cut short and raises
+    ``OSError`` naming the path, so no partial file is left to pass for a
+    whole one."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
     with open(fd, "wb") as file:
         if not stat.S_ISREG(os.fstat(fd).st_mode):
             raise OSError(f"{path}: not a regular file")
-        for chunk in chunks:
-            file.write(chunk)
+        try:
+            for chunk in chunks:
+                file.write(chunk)
+            file.close()  # flushes what is buffered, where a write may fail too
+        except OSError as exc:
+            file.raw.close()  # drops what is still buffered: nothing more is written
+            os.unlink(path)
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -105,10 +105,14 @@ def encode_log_depth(z, params: DepthCodecParams):
     """Encode metric depth to the unit-interval log value d = ln(z/near)/ln(far/near).
 
     ``z`` values are clamped into [near, far] before encoding; accepts scalars
-    or numpy arrays. Strictly increasing in z on the valid range.
+    or numpy arrays. Strictly increasing in z on the valid range. An array is
+    encoded in the clamped copy, the one temporary, with the same operations
+    in the same order as the formula, so the bits are the formula's.
     """
-    z = np.clip(z, params.near_m, params.far_m)
-    d = np.log(z / params.near_m) / math.log(params.far_m / params.near_m)
+    d = np.asarray(np.clip(z, params.near_m, params.far_m))  # a scalar clamps to a scalar
+    np.divide(d, params.near_m, out=d)
+    np.log(d, out=d)
+    np.divide(d, math.log(params.far_m / params.near_m), out=d)
     return float(d) if d.ndim == 0 else d
 
 

@@ -27,13 +27,17 @@ entirely (not rendered, not recorded) with one warning per frame; the
 placement region keeps generated scenes clear of the near plane, so this only
 triggers on hand-crafted scenes.
 
-Frame buffers have one owner each. :func:`render_frame` allocates fresh ones,
-copies the whole cached first-object layer into them and hands them to the
-returned bundle. :func:`write_scenario_frame` draws into one set per process
-that every frame reuses, and writes the files from it before the call
-returns; the set remembers which layer it holds and the window that its last
-frame drew into, and the next frame resets only that window. The cached
-first-object layer is read-only and only ever copied from.
+Frame buffers have one owner each. :func:`render_frame` allocates fresh ones
+and hands them to the returned bundle. :func:`write_scenario_frame` draws
+into one set per process that every frame reuses, and writes the files from
+it before the call returns; the set remembers which layer it holds and the
+window that its last frame drew into, and the next frame resets only that
+window. The first object's layer is cached once per process, and only inside
+the window that object drew: it is drawn into the frame buffers that its
+first frame fills anyway, and that window is copied out read-only. A reset
+fills the empty values over the dirty window and copies the cached pixels
+where the two windows overlap, so a process holds one full set of frame
+arrays.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .dataset import (
 # go when the replay is retired (ROADMAP item 2)
 from .dataset import MANIFEST_NAME, list_frame_indices, load_scenario, manifest_text, read_frame_buffers, read_manifest
 from .errors import BehindCameraError, ConfigError, write_bytes, write_text
-from .raster_codec import Raster, encode_log_depth, write_raster
+from .raster_codec import DepthCodecParams, Raster, encode_log_depth, write_raster
 from .rng import Xorshift64Star, mix64
 
 import bisect
@@ -281,31 +285,38 @@ def _render_color(instance: np.ndarray, scene: Sequence[SceneObject]) -> np.ndar
     return lut[instance]
 
 
-@functools.lru_cache(maxsize=1)
-def _first_object_layer(
-    camera: CameraModel, obj: SceneObject
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``obj`` drawn alone into empty buffers: read-only zbuf, stencil,
-    instance and encoded depth. An object at or behind the near plane is not
-    drawn; :func:`_render_into` logs its skip on every frame.
+_EMPTY = (np.inf, 0, 0, 1.0)  # an undrawn pixel's zbuf, stencil, instance and encoded depth
 
-    Every frame starts from these pixels (see :func:`_render_into`). A scenario
-    draws its ground slab first in every frame, so one entry serves a whole
-    run; the arrays depend only on the two frozen, hashable arguments.
-    """
-    layer = zbuf, stencil, instance, encoded = _new_frame_buffers(camera.height, camera.width)
-    for arr, empty in zip(layer, (np.inf, 0, 0, 1.0)):
-        arr.fill(empty)
-    try:
-        triangles = _object_triangles(obj, _project_corners(camera, obj))
-    except BehindCameraError:
-        triangles = []
-    _draw_triangles(zbuf, stencil, instance, triangles)
-    covered = np.isfinite(zbuf)
-    encoded[covered] = encode_log_depth(zbuf[covered], camera.depth_params)
-    for arr in layer:
-        arr.flags.writeable = False
-    return layer
+
+def _overlap(a: Window, b: Window) -> Optional[Window]:
+    """The pixels that the windows ``a`` and ``b`` share, or None."""
+    rows = slice(max(a[0].start, b[0].start), min(a[0].stop, b[0].stop))
+    cols = slice(max(a[1].start, b[1].start), min(a[1].stop, b[1].stop))
+    return (rows, cols) if rows.start < rows.stop and cols.start < cols.stop else None
+
+
+def _within(window: Window, part: Window) -> Window:
+    """``part``, a window inside ``window``, in the coordinates of an array
+    that holds just ``window``."""
+    return tuple(slice(p.start - w.start, p.stop - w.start) for w, p in zip(window, part))
+
+
+@dataclass(frozen=True, eq=False)
+class _Layer:
+    """A scene's first object drawn alone into empty buffers, for ``key``,
+    the (camera, object) pair it depends on. ``arrays`` are read-only copies
+    of its zbuf, stencil, instance and encoded depth inside ``window``, the
+    window that :func:`_draw_triangles` returned for it, or None where it
+    drew nothing; outside that window the layer holds the empty values."""
+
+    key: tuple[CameraModel, SceneObject]
+    window: Optional[Window]
+    arrays: tuple[np.ndarray, ...]
+
+
+# The one cached first-object layer. A scenario draws its ground slab first in
+# every frame, so one entry serves a whole run.
+_first_object_layer: Optional[_Layer] = None
 
 
 def _new_frame_buffers(height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -322,15 +333,24 @@ def _new_frame_buffers(height: int, width: int) -> tuple[np.ndarray, np.ndarray,
 
 class _FrameBuffers:
     """One frame's ``arrays`` (as made by :func:`_new_frame_buffers`) and what
-    they hold: the pixels of ``layer``, a :func:`_first_object_layer`,
-    everywhere outside ``window``, which the last frame drew into on top of
-    it. A fresh set holds no layer, so its first frame copies all of one.
+    they hold: the pixels of ``layer``, a :class:`_Layer`, everywhere outside
+    ``window``, which the last frame drew into on top of it. A fresh set holds
+    no layer, so its first frame resets all of it.
     """
 
     def __init__(self, height: int, width: int):
         self.arrays = _new_frame_buffers(height, width)
-        self.layer: Optional[tuple[np.ndarray, ...]] = None
+        self.layer: Optional[_Layer] = None
         self.window: Optional[Window] = None
+
+    def reset(self, layer: _Layer, window: Window) -> None:
+        """Restore ``layer``'s pixels inside ``window``."""
+        for arr, empty in zip(self.arrays, _EMPTY):
+            arr[window] = empty
+        common = layer.window and _overlap(window, layer.window)
+        if common:
+            for dst, src in zip(self.arrays, layer.arrays):
+                dst[common] = src[_within(layer.window, common)]
 
 
 # The frame buffers that write_scenario_frame draws every frame into: one set
@@ -338,6 +358,23 @@ class _FrameBuffers:
 # the heap from being handed back to the OS and faulted in again every frame,
 # and a frame restores only the window that the one before it drew into.
 _frame_buffers = functools.lru_cache(maxsize=1)(_FrameBuffers)
+
+
+def _encode_drawn(buffers: _FrameBuffers, window: Optional[Window], layer: _Layer, params: DepthCodecParams) -> None:
+    """Log-encode the pixels inside ``window`` that were drawn over ``layer``.
+    A hit lowers z strictly, so these are the pixels whose z differs from the
+    layer's: inf outside its window, its cached z inside. The encoding is
+    elementwise, so every other pixel keeps its encoding."""
+    if window is None:
+        return
+    zbuf, _, _, encoded = buffers.arrays
+    zwin = zbuf[window]
+    drawn = zwin != np.inf
+    common = layer.window and _overlap(window, layer.window)
+    if common:
+        inside = _within(window, common)
+        np.not_equal(zwin[inside], layer.arrays[0][_within(layer.window, common)], out=drawn[inside])
+    encoded[window][drawn] = encode_log_depth(zwin[drawn], params)
 
 
 def _render_into(
@@ -355,41 +392,54 @@ def _render_into(
 
     Each object is projected once: its corners give both its triangles and
     its record's coarse box. The lowest-id object's pixels come from the
-    cached :func:`_first_object_layer`. The buffers are reset to that layer
-    only inside the window that their last frame drew into, or everywhere if
-    they last held another layer or none. That window is the union of the
-    windows of the front faces :func:`_draw_triangles` drew. The buffers are
-    marked as drawn everywhere before anything is drawn, and take the drawn
-    window only once drawing is done, so a frame that fails part-way leaves
-    the next a full reset.
+    cached :class:`_Layer` when its key matches. The buffers are reset to that
+    layer only inside the window that their last frame drew into, or
+    everywhere if they last held another layer or none. That window is the
+    union of the windows of the front faces :func:`_draw_triangles` drew. On
+    a cache miss the buffers are emptied, the first object is drawn into them
+    and its window is copied out as the new layer, so a process keeps one
+    full set of frame arrays. The buffers are marked as drawn everywhere
+    before anything is drawn, and take the drawn window only once drawing is
+    done, so a frame that fails part-way leaves the next a full reset.
 
     The bundle's rasters are read-only views of ``buffers``, so they hold what
     this call drew only until the buffers are drawn into again.
     """
+    global _first_object_layer
     if not scene:
         raise ValueError("scene must be nonempty")
     ordered = sorted(scene, key=lambda o: o.object_id)
-    layer = _first_object_layer(camera, ordered[0])
-    projected, later = [], []
-    for i, obj in enumerate(ordered):
+    projected = []
+    for obj in ordered:
         try:
-            corners = _project_corners(camera, obj)
+            projected.append((obj, _project_corners(camera, obj)))
         except BehindCameraError as exc:
             log.warning("%s, skipped", exc)
-            continue
-        projected.append((obj, corners))
-        if i > 0:  # the first object's pixels come from the cached layer
-            later.append(projected[-1])
+    # the first object's pixels are the layer's; a skipped one draws none
+    first = projected[:1] if projected and projected[0][0] is ordered[0] else []
+    later = projected[len(first) :]
 
-    whole = slice(None), slice(None)
-    restore = buffers.window if buffers.layer is layer else whole
-    if restore is not None:
-        for dst, src in zip(buffers.arrays, layer):
-            np.copyto(dst[restore], src[restore])
-    buffers.layer, buffers.window = layer, whole
+    key = camera, ordered[0]
+    hit = _first_object_layer is not None and _first_object_layer.key == key
+    layer = _first_object_layer if hit else _Layer(key, None, ())  # on a miss, empty buffers
+    whole = slice(0, camera.height), slice(0, camera.width)
+    dirty = buffers.window if buffers.layer is layer else whole
+    buffers.layer, buffers.window = None, whole
+    if dirty is not None:
+        buffers.reset(layer, dirty)
     zbuf, stencil, instance, encoded = buffers.arrays
+    if not hit:  # draw the first object, and keep what it drew inside its window
+        window = _draw_triangles(zbuf, stencil, instance, (t for obj, c in first for t in _object_triangles(obj, c)))
+        _encode_drawn(buffers, window, layer, camera.depth_params)
+        arrays = tuple(arr[window].copy() for arr in buffers.arrays) if window is not None else ()
+        for arr in arrays:
+            arr.flags.writeable = False
+        _first_object_layer = layer = _Layer(key, window, arrays)
+    buffers.layer = layer
     triangles = (t for obj, corners in later for t in _object_triangles(obj, corners))
-    buffers.window = window = _draw_triangles(zbuf, stencil, instance, triangles)
+    window = _draw_triangles(zbuf, stencil, instance, triangles)
+    _encode_drawn(buffers, window, layer, camera.depth_params)
+    buffers.window = window
 
     records = []
     for obj, corners in projected:
@@ -407,14 +457,6 @@ def _render_into(
                 location_cam=obj.center,
             )
         )
-
-    if window is not None:
-        # a hit lowers z strictly, so this marks exactly the pixels drawn after
-        # the first object, all inside the window; the encoding is elementwise,
-        # so all others keep theirs
-        zwin = zbuf[window]
-        drawn = zwin != layer[0][window]
-        encoded[window][drawn] = encode_log_depth(zwin[drawn], camera.depth_params)
 
     color = _render_color(instance, scene) if emit_color else None
     return FrameBundle(

@@ -5,8 +5,10 @@ they happen. The end-to-end dataset (200 frames, 640x480) is built once per
 session and shared by the criteria that need it.
 """
 
+import importlib.util
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,8 +45,9 @@ def e2e(tmp_path_factory):
     scenario = root / "scenario.txt"
     scenario.write_text(ACCEPTANCE_SCENARIO)
     dataset = root / "dataset"
-    det = root / "labels_pipeline"
-    gt = root / "labels_oracle"
+    # the names that the benchmark's per-frame digests hash (see test_outputs_match_the_benchmark_pins)
+    det = root / "det"
+    gt = root / "gt"
     timings = {}
     start = time.perf_counter()
     assert cli.main(["generate", "--scenario", str(scenario), "--out", str(dataset), "--workers", "1"]) == 0
@@ -312,3 +315,29 @@ def test_criterion_8_statistics_conservation(e2e, tmp_path):
         return f"(totals {car_boxes}/{200}, worst cell dev {deviation:.0f} <= {3 * sigma:.0f})"
 
     _verdict(8, "statistics conservation", body)
+
+
+def _benchmark_checks():
+    """``perfbench/checks.py``, loaded from its file so that the pins and the
+    digest have one copy each."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_outputs_match_the_benchmark_pins(e2e):
+    """Every frame's dataset files and both label files carry the bytes that
+    the benchmark pins for the acceptance scenario (``perfbench/pins``), so a
+    change of output bytes fails tier-1. The digest hashes each file under
+    its directory's name, hence the fixture's ``dataset``, ``det`` and ``gt``."""
+    checks = _benchmark_checks()
+    pins = checks.load_pins(Path(checks.__file__).parent / "pins" / "acceptance.json")
+    assert len(pins) == 200
+    digests = checks.frame_digests(e2e["dataset"], e2e["det"], e2e["gt"], len(pins))
+    differing = [frame for frame, (got, want) in enumerate(zip(digests, pins)) if got != want]
+    assert not differing, (
+        f"frame {differing[0]} is the first of {len(differing)} frames whose dataset or label "
+        f"files differ from perfbench/pins/acceptance.json"
+    )

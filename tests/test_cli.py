@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import shutil
@@ -182,6 +183,21 @@ class TestOracleLabels:
             vehicle_ids = {r.object_id for r in records if r.cls is ds.ObjectClass.VEHICLE}
             visible = {int(v) for v in np.unique(instance.data) if v != 0 and int(v) in vehicle_ids}
             assert len(labels_by_frame[f"{frame:06d}"]) == len(visible)
+
+    def test_worker_counts_identical(self, tiny_dataset, tmp_path, monkeypatch):
+        run_tasks, seen = cli._run_tasks, []
+
+        def spy(task_fn, tasks, workers):
+            seen.append(workers)
+            run_tasks(task_fn, tasks, workers)
+
+        monkeypatch.setattr(cli, "_run_tasks", spy)
+        monkeypatch.setenv("MATRIXGT_WORKERS", "1")
+        out1, out2 = tmp_path / "g1", tmp_path / "g2"
+        assert cli.main(["oracle-labels", "--in", str(tiny_dataset), "--out", str(out1), "--workers", "1"]) == 0
+        assert cli.main(["oracle-labels", "--in", str(tiny_dataset), "--out", str(out2), "--workers", "2"]) == 0
+        assert seen == [1, 2]  # the flag wins over MATRIXGT_WORKERS
+        assert dir_digest(out1) == dir_digest(out2)
 
     def test_depth_is_not_read(self, tiny_dataset, tmp_path):
         before = tmp_path / "before"
@@ -1074,6 +1090,35 @@ def test_an_output_that_is_not_a_regular_file_exits_3(case, tmp_path):
     it is given, so a stage writes only regular files and exits 3, naming the
     path, for anything else."""
     _exits_3_naming(*NON_REGULAR_OUTPUTS[case](tmp_path))
+
+
+@pytest.mark.parametrize("stage, limit, cut", [
+    ("generate", 1_000_000, "000000_depth.mrb"),  # its 640x480 depth raster holds 1,228,814 bytes
+    ("annotate", 100, "000000.txt"),
+    ("oracle-labels", 100, "000000.txt"),
+])
+def test_a_failed_write_names_its_file_and_leaves_no_cut_file(stage, limit, cut, tmp_path):
+    """A stage whose write fails part-way, here at a file size limit that acts
+    only on its child process, exits 3 naming the file and removes it, so no
+    cut file is left to pass for a whole one."""
+    import resource
+
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(ACCEPTANCE_SCENARIO.replace("frames=200", "frames=2"))
+    dataset, out = tmp_path / "ds", tmp_path / "out"
+    if stage == "generate":
+        argv = ["generate", "--scenario", str(scenario), "--out", str(out)]
+    else:
+        assert cli.main(["generate", "--scenario", str(scenario), "--out", str(dataset)]) == 0
+        argv = [stage, "--in", str(dataset), "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "MATRIXGT_WORKERS": "1"}
+    result = subprocess.run(
+        [sys.executable, "-m", "matrixgt", *argv], capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+    )
+    assert result.returncode == cli.EXIT_IO, result.stderr
+    assert result.stderr == f"matrixgt: i/o error: [Errno {errno.EFBIG}] File too large: {str(out / cut)!r}\n"
+    assert list(out.iterdir()) == []  # frame 0 failed first, and its cut file is gone
 
 
 # KITTI has no box sentinel, so a box with no area, or whose centroid or area

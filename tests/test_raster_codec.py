@@ -85,6 +85,28 @@ class TestDepthCodec:
         with pytest.raises(ConfigError):
             DepthCodecParams(-1.0, 2.0)
 
+    @pytest.mark.parametrize("codec", [DepthCodecParams(0.15, 600.0), DepthCodecParams(1.5, 80.0)])
+    def test_in_place_encoding_has_the_bits_of_the_formula(self, codec):
+        near, far = codec.near_m, codec.far_m
+        z = np.concatenate((np.geomspace(near, far, 10_001), [0.0, near / 3, np.nextafter(near, 0.0)],
+                            [np.nextafter(far, np.inf), far * 7, 1e300, np.inf]))
+        rng = np.random.default_rng(3)
+        z = np.concatenate((z, rng.uniform(near, far, 4_000), np.exp(rng.uniform(-3.0, 8.0, 4_000))))
+        grid = np.resize(z, (60, 600))
+        # contiguous, then strided and transposed views
+        for values in (z, grid, grid[::2, 1::3], grid.T, z[::-7]):
+            before = values.copy()
+            want = np.log(np.clip(values, near, far) / near) / math.log(far / near)
+            got = encode_log_depth(values, codec)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert values.tobytes() == before.tobytes()  # the input is left as it was
+            assert not np.shares_memory(got, values)
+        for scalar in (near, 30.0, far, 0.01, 1e9, np.float64(12.5), np.inf):
+            got = encode_log_depth(scalar, codec)
+            assert type(got) is float
+            assert got == float(np.log(np.clip(scalar, near, far) / near) / math.log(far / near))
+
     def test_linearize_depth_clamps_arrays(self, codec):
         data = np.array([[0.5, 1.0], [1.25, -0.5]], dtype=np.float32)
         z = linearize_depth(data.astype(np.float64), codec)

@@ -784,20 +784,28 @@ def _planes(bundle):
 
 
 class TestFirstObjectCache:
-    """render_frame draws the lowest-id object through a one-entry cache keyed
-    by (camera, object) and starts every frame from copies of its buffers."""
+    """Frames draw the lowest-id object from a one-entry cache keyed by
+    (camera, object): a copy of that object's layer inside the window it
+    drew, built in the frame buffers of the frame that first needs it."""
 
-    def test_one_computation_per_scenario(self):
+    def test_one_computation_per_scenario(self, monkeypatch):
         config = ds.ScenarioConfig(seed=9, frames=5, width=96, height=72, fx=80.0, fy=80.0, cx=48.0,
                                    cy=36.0, region_x_min=-5.0, region_x_max=5.0, region_z_min=8.0,
                                    region_z_max=20.0, emit_color=False)
-        ss._first_object_layer.cache_clear()
+        monkeypatch.setattr(ss, "_first_object_layer", None)
+        layers = []
         for frame in range(config.frames):
             render_scenario_frame(config, frame)
-        info = ss._first_object_layer.cache_info()
-        assert (info.misses, info.hits) == (1, config.frames - 1)
+            layers.append(ss._first_object_layer)
+        for frame in range(config.frames):
+            ss._render_into(ss._FrameBuffers(config.height, config.width), config.camera(),
+                            ss.generate_scene(config, frame), frame, inflate_pct=0.0,
+                            record_max_range_m=0.0, emit_color=False)
+            layers.append(ss._first_object_layer)
+        assert all(layer is layers[0] for layer in layers)
+        assert layers[0].key == (config.camera(), ss.generate_scene(config, 0)[0])
 
-    def test_alternating_cameras_and_first_objects_match_references(self, small_camera, codec):
+    def test_alternating_cameras_and_first_objects_match_references(self, small_camera, codec, monkeypatch):
         other_camera = ds.CameraModel(fx=200.0, fy=210.0, cx=150.0, cy=100.0, width=300, height=200,
                                       depth_params=codec)
         ground_first = [make_ground(z_far=40.0), make_vehicle(2, x=0.5, z=9.0, yaw=0.3),
@@ -808,15 +816,50 @@ class TestFirstObjectCache:
         moved_first = [make_vehicle(2, x=-0.6, z=8.0, yaw=0.4), *vehicle_first[1:]]
         cases = [(camera, scene) for scene in (ground_first, vehicle_first, moved_first, ground_first)
                  for camera in (small_camera, other_camera)]
-        bundles = [ss.render_frame(camera, scene, 0, emit_color=False) for camera, scene in cases]
-        for (camera, scene), bundle in zip(cases, bundles):
+        # one reused set of buffers per image size, as generate keeps one per process
+        shared = {camera.width: ss._FrameBuffers(camera.height, camera.width)
+                  for camera in (small_camera, other_camera)}
+        for camera, scene in cases:
+            bundle = ss.render_frame(camera, scene, 0, emit_color=False)
             _assert_equals_cull_free_reference(camera, scene, bundle)
-            ss._first_object_layer.cache_clear()
+            reused = ss._render_into(shared[camera.width], camera, scene, 0, inflate_pct=0.0,
+                                     record_max_range_m=0.0, emit_color=False)
+            monkeypatch.setattr(ss, "_first_object_layer", None)
             fresh = ss.render_frame(camera, scene, 0, emit_color=False)
-            for got, want in zip(_planes(bundle), _planes(fresh)):
-                assert got.tobytes() == want.tobytes()
+            for got, again, want in zip(_planes(bundle), _planes(reused), _planes(fresh)):
+                assert got.tobytes() == want.tobytes() == again.tobytes()
 
-    def test_near_plane_warning_on_every_frame(self, small_camera, caplog):
+    def test_a_narrow_layer_window_and_later_objects_outside_it(self, small_camera):
+        """A first object whose window spans neither the full width nor the
+        full height, and later objects that draw on both sides of it, inside
+        it and across its edge, frame after frame into one set of buffers."""
+        first = make_vehicle(1, x=0.0, z=10.0)
+        later = [
+            [make_vehicle(2, x=-4.0, z=12.0), make_vehicle(3, x=1.5, z=9.0, yaw=0.5)],  # left; across the edge
+            [make_vehicle(4, x=4.0, z=8.0)],  # right, outside
+            [],  # nothing drawn after the first object
+            [make_vehicle(5, x=0.3, z=14.0, height=3.0)],  # behind the first object, above it
+            [make_ground(z_far=40.0), make_vehicle(3, x=-1.5, z=9.0, yaw=-0.5)],
+        ]
+        buffers = ss._FrameBuffers(small_camera.height, small_camera.width)
+        outside = 0
+        for frame, objects in enumerate(later * 2):
+            scene = [first, *[dataclasses.replace(o, object_id=o.object_id + 1) for o in objects]]
+            bundle = ss._render_into(buffers, small_camera, scene, frame, inflate_pct=0.0,
+                                     record_max_range_m=0.0, emit_color=False)
+            _assert_equals_cull_free_reference(small_camera, scene, bundle)
+            rows, cols = window = ss._first_object_layer.window
+            assert 0 < cols.start and cols.stop < small_camera.width
+            assert 0 < rows.start and rows.stop < small_camera.height
+            in_layer = np.zeros((small_camera.height, small_camera.width), dtype=bool)
+            in_layer[window] = True
+            outside += np.count_nonzero(bundle.instance_oracle.data[~in_layer] > 1)
+            fresh = ss.render_frame(small_camera, scene, frame, emit_color=False)
+            for got, want in zip(_planes(bundle), _planes(fresh)):
+                assert got.tobytes() == want.tobytes(), frame
+        assert outside > 0
+
+    def test_near_plane_warning_on_every_frame(self, small_camera, caplog, monkeypatch):
         """One warning per frame for a skipped object, whether it is the
         cached first object or a later one."""
         near = dict(x=0.0, z=0.5, length=2.0)
@@ -825,11 +868,16 @@ class TestFirstObjectCache:
             ([make_vehicle(2, x=0.0, z=10.0), make_vehicle(3, **near)], 3, 2),
         ]
         for scene, skipped, drawn in cases:
-            ss._first_object_layer.cache_clear()
+            monkeypatch.setattr(ss, "_first_object_layer", None)
             caplog.clear()
+            layers = []
             with caplog.at_level(logging.WARNING, logger=ss.log.name):
-                bundles = [ss.render_frame(small_camera, scene, frame, emit_color=False) for frame in (0, 1)]
-            assert ss._first_object_layer.cache_info().hits == 1
+                bundles = []
+                for frame in (0, 1):
+                    bundles.append(ss.render_frame(small_camera, scene, frame, emit_color=False))
+                    layers.append(ss._first_object_layer)
+            assert layers[0] is layers[1]
+            assert (layers[0].window is None) == (skipped == 2)
             warned = [m for m in caplog.messages if m.startswith(f"object {skipped} ")]
             assert len(warned) == 2 and all("has a corner" in m and m.endswith(", skipped") for m in warned)
             for bundle in bundles:
@@ -837,7 +885,7 @@ class TestFirstObjectCache:
                 assert [r.object_id for r in bundle.records] == [drawn]
                 _assert_equals_cull_free_reference(small_camera, scene, bundle)
 
-    def test_frame_buffers_are_read_only_and_never_shared(self, small_camera):
+    def test_frame_buffers_are_read_only_and_never_shared(self, small_camera, tmp_path):
         scene = [make_ground(z_far=40.0), make_vehicle(2, x=0.5, z=9.0)]
         first = ss.render_frame(small_camera, scene, 0, emit_color=False)
         expected = [plane.copy() for plane in _planes(first)]
@@ -845,15 +893,48 @@ class TestFirstObjectCache:
             with pytest.raises(ValueError):
                 plane[0, 0] = 0
         # even with the lock lifted by hand, a write reaches neither the
-        # cached buffers nor the next frame
+        # cached layer nor the next frame
         for plane in _planes(first):
             plane.flags.writeable = True
             plane[...] = 7
         again = ss.render_frame(small_camera, scene, 1, emit_color=False)
         for got, want in zip(_planes(again), expected):
             assert got.tobytes() == want.tobytes()
-        for cached in ss._first_object_layer(small_camera, scene[0])[:4]:
+        layer = ss._first_object_layer
+        assert len(layer.arrays) == 4
+        for cached in layer.arrays:
             assert not cached.flags.writeable
+            assert not any(np.shares_memory(cached, plane) for plane in (*_planes(first), *_planes(again)))
+        # nor with the reused buffers that generate draws into
+        config = _acceptance_config(width=96, height=72, fx=105.0, fy=105.0, cx=48.0, cy=36.0)
+        ss.write_scenario_frame(config, 0, tmp_path)
+        reused = ss._frame_buffers(config.height, config.width)
+        for cached in ss._first_object_layer.arrays:
+            assert not any(np.shares_memory(cached, buffer) for buffer in reused.arrays)
+
+    def test_peak_memory_is_one_frame_of_buffers_and_the_cached_window(self, tmp_path):
+        """The traced peak over a process's first three acceptance frames: one
+        full set of frame arrays at 15 B/px, the cached window, and at most
+        1 MB of temporaries. A fresh process, so that no buffer or layer is
+        cached yet."""
+        code = (
+            "import sys, tracemalloc\n"
+            "from matrixgt import dataset as ds, scene_sim as ss\n"
+            "config = ds.parse_scenario_text(sys.stdin.read())\n"
+            "tracemalloc.start()\n"
+            "for frame in range(3):\n"
+            "    ss.write_scenario_frame(config, frame, sys.argv[1])\n"
+            "peak = tracemalloc.get_traced_memory()[1]\n"
+            "print(peak, sum(a.nbytes for a in getattr(ss._first_object_layer, 'arrays', ())))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ss.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], input=ACCEPTANCE_SCENARIO,
+                                env=env, capture_output=True, text=True, check=True)
+        peak, cached = map(int, result.stdout.split())
+        config = ds.parse_scenario_text(ACCEPTANCE_SCENARIO)
+        window = 15 * config.width * 230  # the ground slab's window: rows 250-479
+        assert peak <= 15 * config.width * config.height + window + 1_000_000, f"traced peak {peak} B"
+        assert cached == window
 
 
 def _acceptance_config(**overrides):
