@@ -105,8 +105,14 @@ def cmd_generate(args) -> int:
     workers = _resolve_workers(args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # an older run's manifest goes before the first frame, so that a run cut
+    # short leaves none to pass its mix of frames for a dataset; one that is
+    # not a regular file stays, and the write below fails on it
+    manifest = out / dataset.MANIFEST_NAME
+    if manifest.is_file():
+        manifest.unlink()
     _run_tasks(_generate_task, [(config, i, out) for i in range(config.frames)], workers)
-    write_text(out / dataset.MANIFEST_NAME, dataset.manifest_text(config))
+    write_text(manifest, dataset.manifest_text(config))
     return EXIT_OK
 
 

@@ -6,8 +6,9 @@ A dataset directory holds ``manifest.txt`` (``format_version``, then the
 ``{i:06d}_depth.mrb`` (F32 log-encoded depth), ``_stencil.mrb`` (U8 packed
 class codes), ``_instance.mrb`` (U16 instance oracle), ``_meta.txt`` (one
 :class:`EngineRecord` a line) and, when the scenario emits color,
-``_color.ppm``. The manifest is written after every frame, and its
-``frames`` numbers them 0 .. frames - 1.
+``_color.ppm``. The manifest is written after every frame, an older one
+having been removed before the first, and its ``frames`` numbers them
+0 .. frames - 1.
 
 This module owns the types those files carry, the corner and box geometry
 that a scenario's own check needs, the manifest and meta text formats and

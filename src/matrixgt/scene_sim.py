@@ -32,12 +32,12 @@ and hands them to the returned bundle. :func:`write_scenario_frame` draws
 into one set per process that every frame reuses, and writes the files from
 it before the call returns; the set remembers which layer it holds and the
 window that its last frame drew into, and the next frame resets only that
-window. The first object's layer is cached once per process, and only inside
-the window that object drew: it is drawn into the frame buffers that its
-first frame fills anyway, and that window is copied out read-only. A reset
-fills the empty values over the dirty window and copies the cached pixels
-where the two windows overlap, so a process holds one full set of frame
-arrays.
+window. A set is a stencil, an instance and an encoded depth plane, 7 B/px:
+each draw z-tests in a float64 depth scratch of just the rows of its
+window. The first object's layer is cached once per process, as its scratch
+z and the encoded depth of the same rows (12 B a pixel of those rows); its
+stencil and instance follow from that z. A reset fills the empty values over
+the dirty window and restores the layer where the two windows overlap.
 """
 
 from __future__ import annotations
@@ -112,6 +112,7 @@ _FACE_TRIANGLES = tuple(
 Vertex = tuple[float, float, float]  # projected (x, y, 1/z): screen position, inverse camera depth
 Triangle = tuple[Vertex, Vertex, Vertex]
 Window = tuple[slice, slice]  # rows, columns
+Drawn = tuple[Window, np.ndarray, np.ndarray]  # a window, the z of its rows, the mask of the pixels hit
 
 
 def _object_triangles(
@@ -154,13 +155,22 @@ _BATCH_PIXELS = 1 << 12
 
 
 def _draw_triangles(
-    zbuf: np.ndarray, stencil: np.ndarray, instance: np.ndarray, triangles: Iterable[tuple[Triangle, int, int]]
-) -> Optional[Window]:
+    stencil: np.ndarray,
+    instance: np.ndarray,
+    triangles: Iterable[tuple[Triangle, int, int]],
+    layer: _Layer,
+) -> Optional[Drawn]:
     """Z-test ``triangles``, ``(triangle, class_code, object_id)`` as
-    :func:`_object_triangles` gives them, into the C-contiguous frame buffers
-    in the given order, one object's triangles together. Returns the window
-    that holds every pixel the call may have changed, the union of the front
-    faces' windows, or None if no front face has a pixel.
+    :func:`_object_triangles` gives them, in the given order, one object's
+    triangles together. The window that holds every pixel the call may
+    change, the union of the front faces' windows, comes first. The z-test
+    runs in a float64 depth scratch of that window's rows, which starts as
+    ``layer``'s z where the two windows overlap and inf elsewhere; a whole
+    row, so that a pixel has one flat index in the scratch and in the rows
+    of the C-contiguous full-frame ``stencil`` and ``instance``, where a hit
+    writes its class and id. Returns the window, the scratch and the mask of
+    the scratch's pixels that were hit, or None if no front face has a
+    pixel.
 
     Back faces are skipped. With the outward winding of ``_FACE_TRIANGLES`` a
     triangle faces the camera exactly when its projected signed area is
@@ -182,11 +192,11 @@ def _draw_triangles(
     each pixel gathers the two of its row and column. The pass runs in
     batches of at most ``_BATCH_PIXELS`` positions and z-tests object by
     object in draw order: a pixel takes an object's least ``z`` over its
-    triangles where that is strictly less than the zbuf's. So a NaN never
+    triangles where that is strictly less than the scratch's. So a NaN never
     hits, an earlier object keeps a tie, and an object split across two
     batches gives what a triangle-by-triangle loop gives.
     """
-    height, width = zbuf.shape
+    height, width = stencil.shape
     faces, runs = [], []  # a front face's vertices and window; (first face, class, id) per object
     for tri, class_code, object_id in triangles:
         (x0, y0, i0), (x1, y1, i1), (x2, y2, i2) = tri
@@ -207,63 +217,72 @@ def _draw_triangles(
     table = np.array(faces).T
     x, y, inverse = table[:9].reshape(3, 3, -1)
     wx0, wy0, wx1, wy1 = table[9:].astype(np.intp)
-    window = slice(int(wy0.min()), int(wy1.max())), slice(int(wx0.min()), int(wx1.max()))
+    rows, _ = window = slice(int(wy0.min()), int(wy1.max())), slice(int(wx0.min()), int(wx1.max()))
+    z_rows = np.full((rows.stop - rows.start, width), np.inf)
+    common = layer.window and _overlap(window, layer.window)
+    if common:
+        z_rows[_within(window, common)] = layer.arrays[0][_within(layer.window, common)]
     # edge k runs from vertex k+1, (ax, ay), to vertex k+2
     ax, ay = x[[1, 2, 0]], y[[1, 2, 0]]
     dx, dy = x[[2, 0, 1]] - ax, y[[2, 0, 1]] - ay
     heights, widths = wy1 - wy0, wx1 - wx0
-    first_column = np.cumsum(widths) - widths
-    ys = np.repeat(wy0 - (np.cumsum(heights) - heights), heights) + np.arange(heights.sum())
-    xs = np.repeat(wx0 - first_column, widths) + np.arange(widths.sum())
-    per_row = np.repeat(np.concatenate((dx, ay, inverse, (dy < 0.0) | ((dy == 0.0) & (dx > 0.0)))), heights, axis=1)
+    # numpy's methods rather than its functions, which wrap them in Python:
+    # a frame makes a few hundred such calls
+    first_column = widths.cumsum() - widths
+    ys = (wy0 - (heights.cumsum() - heights)).repeat(heights) + np.arange(heights.sum())
+    xs = (wx0 - first_column).repeat(widths) + np.arange(widths.sum())
+    per_row = np.concatenate((dx, ay, inverse, (dy < 0.0) | ((dy == 0.0) & (dx > 0.0)))).repeat(heights, axis=1)
     row_terms, row_inverse, row_top_left = per_row[:3] * ((ys + 0.5) - per_row[3:6]), per_row[6:9], per_row[9:] != 0.0
-    per_column = np.repeat(np.concatenate((dy, ax)), widths, axis=1)
+    per_column = np.concatenate((dy, ax)).repeat(widths, axis=1)
     column_terms = per_column[:3] * ((xs + 0.5) - per_column[3:])
     # position q in row r is column column_offset[r] + q of the column terms
-    # and pixel pixel_offset[r] + q of the flattened image
-    row_length = np.repeat(widths, heights)
-    row_start = np.cumsum(row_length) - row_length
-    column_offset = np.repeat(first_column, heights) - row_start
-    pixel_offset = ys * width + np.repeat(wx0, heights) - row_start
+    # and pixel pixel_offset[r] + q of the flattened rows from the window's first
+    row_length = widths.repeat(heights)
+    row_start = row_length.cumsum() - row_length
+    column_offset = first_column.repeat(heights) - row_start
+    pixel_offset = (ys - rows.start) * width + wx0.repeat(heights) - row_start
     row_end = (row_start + row_length).tolist()
-    run_start = (np.cumsum(heights * widths) - heights * widths)[[first for first, _, _ in runs]].tolist()
+    run_start = ((heights * widths).cumsum() - heights * widths)[[first for first, _, _ in runs]].tolist()
 
-    zflat, stencil_flat, instance_flat = zbuf.reshape(-1), stencil.reshape(-1), instance.reshape(-1)
-    for start in range(0, row_end[-1], _BATCH_PIXELS):
-        stop = min(start + _BATCH_PIXELS, row_end[-1])
-        # rows first .. last - 1 have this many positions each in the batch
-        first, last = bisect.bisect_right(row_end, start), bisect.bisect_left(row_end, stop) + 1
-        lengths = row_length[first:last].copy()
-        lengths[0] = row_end[first] - start
-        lengths[-1] -= row_end[last - 1] - stop
-        columns = np.repeat(column_offset[first:last], lengths) + np.arange(start, stop)
-        w = np.repeat(row_terms[:, first:last], lengths, axis=1)
-        w -= np.take(column_terms, columns, axis=1)
-        covered = (w >= 0.0).all(axis=0)
-        ties = w == 0.0
-        if ties.any():  # w == 0 passes only top and left edges
-            covered &= ~(ties & ~np.repeat(row_top_left[:, first:last], lengths, axis=1)).any(axis=0)
-        at = np.flatnonzero(covered)
-        row_at = np.repeat(np.arange(first, last), lengths)[at]
-        w = np.take(w, at, axis=1)
-        z = w[0] + w[1] + w[2]
-        w *= np.take(row_inverse, row_at, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    hits = np.zeros(z_rows.shape, dtype=bool)
+    zflat, hits_flat = z_rows.reshape(-1), hits.reshape(-1)
+    stencil_flat, instance_flat = (arr.reshape(-1)[rows.start * width :] for arr in (stencil, instance))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, row_end[-1], _BATCH_PIXELS):
+            stop = min(start + _BATCH_PIXELS, row_end[-1])
+            # rows first .. last - 1 have this many positions each in the batch
+            first, last = bisect.bisect_right(row_end, start), bisect.bisect_left(row_end, stop) + 1
+            lengths = row_length[first:last].copy()
+            lengths[0] = row_end[first] - start
+            lengths[-1] -= row_end[last - 1] - stop
+            columns = column_offset[first:last].repeat(lengths) + np.arange(start, stop)
+            w = row_terms[:, first:last].repeat(lengths, axis=1)
+            w -= column_terms.take(columns, axis=1)
+            covered = (w >= 0.0).all(axis=0)
+            ties = w == 0.0
+            if ties.any():  # w == 0 passes only top and left edges
+                covered &= ~(ties & ~row_top_left[:, first:last].repeat(lengths, axis=1)).any(axis=0)
+            (at,) = covered.nonzero()
+            row_at = np.arange(first, last).repeat(lengths)[at]
+            w = w.take(at, axis=1)
+            z = w[0] + w[1] + w[2]
+            w *= row_inverse.take(row_at, axis=1)
             z /= w[0] + w[1] + w[2]
-        pixels = pixel_offset[row_at] + at + start
+            pixels = pixel_offset[row_at] + at + start
 
-        # the objects with positions in the batch, and where in it each begins
-        lo, hi = bisect.bisect_right(run_start, start), bisect.bisect_left(run_start, stop)
-        cuts = [0, *(bisect.bisect_left(at, s - start) for s in run_start[lo:hi]), at.size]
-        for (_, class_code, object_id), a, b in zip(runs[lo - 1 : hi], cuts, cuts[1:]):
-            zz, pp = z[a:b], pixels[a:b]
-            hit = zz < zflat[pp]
-            pp = pp[hit]
-            if pp.size:
-                np.minimum.at(zflat, pp, zz[hit])
-                stencil_flat[pp] = class_code
-                instance_flat[pp] = object_id
-    return window
+            # the objects with positions in the batch, and where in it each begins
+            lo, hi = bisect.bisect_right(run_start, start), bisect.bisect_left(run_start, stop)
+            cuts = [0, *at.searchsorted(np.subtract(run_start[lo:hi], start)).tolist(), at.size]
+            for (_, class_code, object_id), a, b in zip(runs[lo - 1 : hi], cuts, cuts[1:]):
+                zz, pp = z[a:b], pixels[a:b]
+                hit = zz < zflat[pp]
+                pp = pp[hit]
+                if pp.size:
+                    np.minimum.at(zflat, pp, zz[hit])
+                    hits_flat[pp] = True
+                    stencil_flat[pp] = class_code
+                    instance_flat[pp] = object_id
+    return window, z_rows, hits
 
 
 _SKY_RGB = (96, 144, 200)
@@ -285,7 +304,7 @@ def _render_color(instance: np.ndarray, scene: Sequence[SceneObject]) -> np.ndar
     return lut[instance]
 
 
-_EMPTY = (np.inf, 0, 0, 1.0)  # an undrawn pixel's zbuf, stencil, instance and encoded depth
+_EMPTY = (0, 0, 1.0)  # an undrawn pixel's stencil, instance and encoded depth
 
 
 def _overlap(a: Window, b: Window) -> Optional[Window]:
@@ -297,17 +316,19 @@ def _overlap(a: Window, b: Window) -> Optional[Window]:
 
 def _within(window: Window, part: Window) -> Window:
     """``part``, a window inside ``window``, in the coordinates of an array
-    that holds just ``window``."""
-    return tuple(slice(p.start - w.start, p.stop - w.start) for w, p in zip(window, part))
+    that holds the rows of ``window``."""
+    return slice(part[0].start - window[0].start, part[0].stop - window[0].start), part[1]
 
 
 @dataclass(frozen=True, eq=False)
 class _Layer:
     """A scene's first object drawn alone into empty buffers, for ``key``,
-    the (camera, object) pair it depends on. ``arrays`` are read-only copies
-    of its zbuf, stencil, instance and encoded depth inside ``window``, the
-    window that :func:`_draw_triangles` returned for it, or None where it
-    drew nothing; outside that window the layer holds the empty values."""
+    the (camera, object) pair it depends on. ``window`` is the window that
+    :func:`_draw_triangles` returned for it, or None where it drew nothing,
+    and ``arrays`` are the read-only z (that call's depth scratch) and
+    encoded depth of its rows. Its stencil and instance are the object's
+    class code and id where that z is not inf; outside the window the layer
+    is empty."""
 
     key: tuple[CameraModel, SceneObject]
     window: Optional[Window]
@@ -319,27 +340,15 @@ class _Layer:
 _first_object_layer: Optional[_Layer] = None
 
 
-def _new_frame_buffers(height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Uninitialized zbuf (float64), stencil (U8), instance (U16) and encoded
-    depth (F32) arrays for one frame."""
-    shape = (height, width)
-    return (
-        np.empty(shape, dtype=np.float64),
-        np.empty(shape, dtype=np.uint8),
-        np.empty(shape, dtype=np.uint16),
-        np.empty(shape, dtype=np.float32),
-    )
-
-
 class _FrameBuffers:
-    """One frame's ``arrays`` (as made by :func:`_new_frame_buffers`) and what
-    they hold: the pixels of ``layer``, a :class:`_Layer`, everywhere outside
-    ``window``, which the last frame drew into on top of it. A fresh set holds
-    no layer, so its first frame resets all of it.
+    """One frame's stencil (U8), instance (U16) and encoded depth (F32)
+    ``arrays`` and what they hold: the pixels of ``layer``, a :class:`_Layer`,
+    everywhere outside ``window``, which the last frame drew into on top of
+    it. A fresh set holds no layer, so its first frame resets all of it.
     """
 
     def __init__(self, height: int, width: int):
-        self.arrays = _new_frame_buffers(height, width)
+        self.arrays = tuple(np.empty((height, width), dtype=t) for t in (np.uint8, np.uint16, np.float32))
         self.layer: Optional[_Layer] = None
         self.window: Optional[Window] = None
 
@@ -349,8 +358,13 @@ class _FrameBuffers:
             arr[window] = empty
         common = layer.window and _overlap(window, layer.window)
         if common:
-            for dst, src in zip(self.arrays, layer.arrays):
-                dst[common] = src[_within(layer.window, common)]
+            stencil, instance, encoded = self.arrays
+            z, cached = (arr[_within(layer.window, common)] for arr in layer.arrays)
+            drawn = z != np.inf
+            obj = layer.key[1]
+            np.multiply(drawn, np.uint8(obj.cls), out=stencil[common])
+            np.multiply(drawn, np.uint16(obj.object_id), out=instance[common])
+            encoded[common] = cached
 
 
 # The frame buffers that write_scenario_frame draws every frame into: one set
@@ -359,22 +373,23 @@ class _FrameBuffers:
 # and a frame restores only the window that the one before it drew into.
 _frame_buffers = functools.lru_cache(maxsize=1)(_FrameBuffers)
 
+# The depth encoding runs over this many pixels of a window at a time, so that
+# its temporaries stay small however large the window.
+_ENCODE_PIXELS = 1 << 15
 
-def _encode_drawn(buffers: _FrameBuffers, window: Optional[Window], layer: _Layer, params: DepthCodecParams) -> None:
-    """Log-encode the pixels inside ``window`` that were drawn over ``layer``.
-    A hit lowers z strictly, so these are the pixels whose z differs from the
-    layer's: inf outside its window, its cached z inside. The encoding is
-    elementwise, so every other pixel keeps its encoding."""
-    if window is None:
+
+def _encode_drawn(encoded: np.ndarray, drawn: Optional[Drawn], params: DepthCodecParams) -> None:
+    """Log-encode into ``encoded`` the pixels that ``drawn``, what
+    :func:`_draw_triangles` returned, hit. The encoding is elementwise, so
+    every other pixel keeps its encoding."""
+    if drawn is None:
         return
-    zbuf, _, _, encoded = buffers.arrays
-    zwin = zbuf[window]
-    drawn = zwin != np.inf
-    common = layer.window and _overlap(window, layer.window)
-    if common:
-        inside = _within(window, common)
-        np.not_equal(zwin[inside], layer.arrays[0][_within(layer.window, common)], out=drawn[inside])
-    encoded[window][drawn] = encode_log_depth(zwin[drawn], params)
+    window, z, hit = drawn
+    out = encoded[window[0]]
+    step = max(1, _ENCODE_PIXELS // z.shape[1])
+    for start in range(0, z.shape[0], step):
+        band = slice(start, start + step)
+        out[band][hit[band]] = encode_log_depth(z[band][hit[band]], params)
 
 
 def _render_into(
@@ -395,12 +410,14 @@ def _render_into(
     cached :class:`_Layer` when its key matches. The buffers are reset to that
     layer only inside the window that their last frame drew into, or
     everywhere if they last held another layer or none. That window is the
-    union of the windows of the front faces :func:`_draw_triangles` drew. On
-    a cache miss the buffers are emptied, the first object is drawn into them
-    and its window is copied out as the new layer, so a process keeps one
-    full set of frame arrays. The buffers are marked as drawn everywhere
-    before anything is drawn, and take the drawn window only once drawing is
-    done, so a frame that fails part-way leaves the next a full reset.
+    union of the windows of the front faces :func:`_draw_triangles` drew, and
+    the later objects are z-tested in a depth scratch of that window seeded
+    from the layer's z. On a cache miss the buffers are emptied, the first
+    object is drawn into them, and its depth scratch and the encoded depth of
+    its window become the new layer, so a process keeps no full-frame depth
+    buffer. The buffers are marked as drawn everywhere before anything is
+    drawn, and take the drawn window only once drawing is done, so a frame
+    that fails part-way leaves the next a full reset.
 
     The bundle's rasters are read-only views of ``buffers``, so they hold what
     this call drew only until the buffers are drawn into again.
@@ -427,19 +444,20 @@ def _render_into(
     buffers.layer, buffers.window = None, whole
     if dirty is not None:
         buffers.reset(layer, dirty)
-    zbuf, stencil, instance, encoded = buffers.arrays
-    if not hit:  # draw the first object, and keep what it drew inside its window
-        window = _draw_triangles(zbuf, stencil, instance, (t for obj, c in first for t in _object_triangles(obj, c)))
-        _encode_drawn(buffers, window, layer, camera.depth_params)
-        arrays = tuple(arr[window].copy() for arr in buffers.arrays) if window is not None else ()
+    stencil, instance, encoded = buffers.arrays
+    if not hit:  # draw the first object, and keep the z and encoding of its window's rows
+        drawn = _draw_triangles(stencil, instance, (t for obj, c in first for t in _object_triangles(obj, c)), layer)
+        _encode_drawn(encoded, drawn, camera.depth_params)
+        window, z, _ = drawn or (None, None, None)
+        arrays = (z, encoded[window[0]].copy()) if drawn else ()
         for arr in arrays:
             arr.flags.writeable = False
         _first_object_layer = layer = _Layer(key, window, arrays)
     buffers.layer = layer
     triangles = (t for obj, corners in later for t in _object_triangles(obj, corners))
-    window = _draw_triangles(zbuf, stencil, instance, triangles)
-    _encode_drawn(buffers, window, layer, camera.depth_params)
-    buffers.window = window
+    drawn = _draw_triangles(stencil, instance, triangles, layer)
+    _encode_drawn(encoded, drawn, camera.depth_params)
+    buffers.window = drawn[0] if drawn else None
 
     records = []
     for obj, corners in projected:

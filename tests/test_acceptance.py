@@ -5,8 +5,11 @@ they happen. The end-to-end dataset (200 frames, 640x480) is built once per
 session and shared by the criteria that need it.
 """
 
+import hashlib
 import importlib.util
+import json
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -317,27 +320,80 @@ def test_criterion_8_statistics_conservation(e2e, tmp_path):
     _verdict(8, "statistics conservation", body)
 
 
-def _benchmark_checks():
-    """``perfbench/checks.py``, loaded from its file so that the pins and the
-    digest have one copy each."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
-    module = importlib.util.module_from_spec(spec)
+def _benchmark_module(name):
+    """``perfbench/<name>.py``, loaded from its file so that the pins, the
+    digest and the workloads have one copy each."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
     spec.loader.exec_module(module)
     return module
 
 
-def test_outputs_match_the_benchmark_pins(e2e):
-    """Every frame's dataset files and both label files carry the bytes that
-    the benchmark pins for the acceptance scenario (``perfbench/pins``), so a
-    change of output bytes fails tier-1. The digest hashes each file under
-    its directory's name, hence the fixture's ``dataset``, ``det`` and ``gt``."""
-    checks = _benchmark_checks()
-    pins = checks.load_pins(Path(checks.__file__).parent / "pins" / "acceptance.json")
-    assert len(pins) == 200
-    digests = checks.frame_digests(e2e["dataset"], e2e["det"], e2e["gt"], len(pins))
+def _assert_frames_match_the_pins(run, pins_file, frames):
+    """Every frame's dataset files and both label files of ``run`` carry the
+    bytes that ``perfbench/pins/<pins_file>`` pins for its first ``frames``
+    frames. The digest hashes each file under its directory's name, hence
+    the directory names ``dataset``, ``det`` and ``gt``."""
+    checks = _benchmark_module("checks")
+    pins = checks.load_pins(Path(checks.__file__).parent / "pins" / pins_file)[:frames]
+    assert len(pins) == frames
+    digests = checks.frame_digests(run["dataset"], run["det"], run["gt"], frames)
     differing = [frame for frame, (got, want) in enumerate(zip(digests, pins)) if got != want]
     assert not differing, (
         f"frame {differing[0]} is the first of {len(differing)} frames whose dataset or label "
-        f"files differ from perfbench/pins/acceptance.json"
+        f"files differ from perfbench/pins/{pins_file}"
     )
+
+
+def test_outputs_match_the_benchmark_pins(e2e):
+    """All 200 acceptance frames carry the bytes that the benchmark pins, so a
+    change of output bytes fails tier-1."""
+    _assert_frames_match_the_pins(e2e, "acceptance.json", 200)
+
+
+@pytest.fixture(scope="session")
+def crowd_prefix(tmp_path_factory):
+    """The first 20 frames of the benchmark's crowd workload at its default
+    seed, through the CLI at two workers, so that the pool's forked workers
+    render them."""
+    root = tmp_path_factory.mktemp("crowd")
+    keys = {"seed": "20260809", **_benchmark_module("workloads").CROWD_KEYS, "frames": "20"}
+    scenario = root / "scenario.txt"
+    scenario.write_text("".join(f"{key}={value}\n" for key, value in keys.items()))
+    run = {name: root / name for name in ("dataset", "det", "gt")}
+    for argv in (["generate", "--scenario", str(scenario), "--out", str(run["dataset"])],
+                 ["annotate", "--in", str(run["dataset"]), "--out", str(run["det"])],
+                 ["oracle-labels", "--in", str(run["dataset"]), "--out", str(run["gt"])]):
+        assert cli.main([*argv, "--workers", "2"]) == 0
+    return run
+
+
+def test_crowd_prefix_matches_the_benchmark_pins(crowd_prefix):
+    _assert_frames_match_the_pins(crowd_prefix, "crowd-qvga.json", 20)
+
+
+# evaluate's and stats' outputs, as the benchmark runs them: (AP method, image size) per run
+_REPORT_RUNS = {"acceptance": ("11pt", "640x480"), "crowd-prefix": ("all", "320x240")}
+REPORT_PINS = Path(__file__).parent / "report_pins.json"
+
+
+def test_report_and_stats_bytes_match_their_pins(e2e, crowd_prefix, tmp_path):
+    """The sha256 of ``evaluate``'s two reports and of ``stats``' four files,
+    for the acceptance run and the crowd prefix, are pinned in
+    ``report_pins.json``. They change only with an intended change of bytes,
+    together with the benchmark's frame pins."""
+    pins = json.loads(REPORT_PINS.read_text())
+    for name, run in (("acceptance", e2e), ("crowd-prefix", crowd_prefix)):
+        ap_method, image = _REPORT_RUNS[name]
+        report, stats_dir = tmp_path / name / "report", tmp_path / name / "stats"
+        assert cli.main(["evaluate", "--det", str(run["det"]), "--gt", str(run["gt"]), "--ap", ap_method,
+                         "--out", str(report)]) == 0
+        assert cli.main(["stats", "--labels", str(run["det"]), "--out", str(stats_dir), "--image", image]) == 0
+        got = {f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+               for directory in (report, stats_dir) for path in sorted(directory.iterdir())}
+        assert sorted(got) == sorted(pins[name]), name
+        differing = [file for file, digest in pins[name].items() if got[file] != digest]
+        assert not differing, (
+            f"{name}: {differing[0]} is the first of {len(differing)} files that differ from {REPORT_PINS.name}"
+        )

@@ -97,6 +97,33 @@ class TestGenerate:
     def test_frame_count_matches(self, tiny_dataset):
         assert ds.list_frame_indices(tiny_dataset) == [0, 1, 2, 3]
 
+    def test_an_interrupted_run_leaves_no_older_manifest(self, tmp_path, monkeypatch, capsys):
+        """A run cut short over an older dataset has removed that dataset's
+        manifest before its first frame, so no later stage reads the mix of
+        new and old frames as one dataset."""
+        out = tmp_path / "ds"
+        older = tmp_path / "older.txt"
+        older.write_text(_with_key(TINY_SCENARIO, "frames", "5"))
+        assert cli.main(["generate", "--scenario", str(older), "--out", str(out)]) == 0
+        old_first = ds.frame_paths(out, 0)["meta"].read_bytes()
+        newer = tmp_path / "newer.txt"
+        newer.write_text(_with_key(TINY_SCENARIO, "seed", "32"))
+        write = ss.write_scenario_frame
+
+        def interrupted(config, frame_idx, dataset_dir):
+            if frame_idx == 2:
+                raise KeyboardInterrupt
+            write(config, frame_idx, dataset_dir)
+
+        monkeypatch.setattr(ss, "write_scenario_frame", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["generate", "--scenario", str(newer), "--out", str(out), "--workers", "1"])
+        assert not (out / ds.MANIFEST_NAME).exists()
+        assert ds.frame_paths(out, 0)["meta"].read_bytes() != old_first  # frames 0-1 new, 2-4 old
+        assert ds.frame_paths(out, 4)["meta"].exists()
+        assert cli.main(["annotate", "--in", str(out), "--out", str(tmp_path / "det")]) == cli.EXIT_IO
+        assert ds.MANIFEST_NAME in capsys.readouterr().err
+
 
 class TestAnnotate:
     def test_one_label_file_per_frame(self, tiny_dataset, tmp_path):
@@ -1080,6 +1107,8 @@ NON_REGULAR_OUTPUTS = {
     "evaluate-report-is-a-fifo": _output_a_fifo(_evaluate_argv, lambda root: root / "r" / "report.txt"),
     "stats-summary-is-a-fifo": _output_a_fifo(_stats_argv, lambda root: root / "s" / "summary.txt"),
     "generate-meta-is-a-fifo": _output_a_fifo(_generate_argv, lambda root: ds.frame_paths(root / "ds", 0)["meta"]),
+    # a regular manifest is removed before the first frame; this one is left, and the last write fails
+    "generate-manifest-is-a-fifo": _output_a_fifo(_generate_argv, lambda root: root / "ds" / ds.MANIFEST_NAME),
     "oracle-label-is-a-symlink-to-a-device": _oracle_label_a_device,
 }
 

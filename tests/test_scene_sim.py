@@ -590,10 +590,21 @@ def _blank_buffers():
     )
 
 
+def _drawn(triangles):
+    """The renderer's zbuf, stencil and instance of ``triangles`` drawn onto
+    blank buffers, its depth scratch placed in a full-frame zbuf."""
+    zbuf, stencil, instance = _blank_buffers()
+    drawn = ss._draw_triangles(stencil, instance, triangles, ss._Layer(None, None, ()))
+    if drawn is not None:
+        (rows, _), z, hit = drawn
+        assert z.shape == (rows.stop - rows.start, _WIN_W)
+        assert np.array_equal(hit, z != np.inf)  # with no layer, a hit is a pixel with a z
+        zbuf[rows] = z
+    return zbuf, stencil, instance
+
+
 def _rasterized(tri):
-    buffers = _blank_buffers()
-    ss._draw_triangles(*buffers, [(tri, 2, 7)])
-    return buffers
+    return _drawn([(tri, 2, 7)])
 
 
 def _window_pixels(tri):
@@ -732,9 +743,7 @@ class TestRasterizeInto:
                 count = rng.randint(1, 4)
                 frame += [(tri, object_id % 3 + 1, object_id) for tri in triangles[:count]]
                 del triangles[:count]
-            got = _blank_buffers()
-            ss._draw_triangles(*got, frame)
-            for got_plane, want_plane in zip(got, _full_image_reference(frame)):
+            for got_plane, want_plane in zip(_drawn(frame), _full_image_reference(frame)):
                 assert got_plane.tobytes() == want_plane.tobytes(), frame
             split += sum(_window_pixels(tri) for tri, _, _ in frame) > ss._BATCH_PIXELS
         assert split > 50
@@ -785,8 +794,9 @@ def _planes(bundle):
 
 class TestFirstObjectCache:
     """Frames draw the lowest-id object from a one-entry cache keyed by
-    (camera, object): a copy of that object's layer inside the window it
-    drew, built in the frame buffers of the frame that first needs it."""
+    (camera, object): that object's depth scratch and encoded depth over the
+    rows of the window it drew, built in the frame buffers of the frame that
+    first needs it."""
 
     def test_one_computation_per_scenario(self, monkeypatch):
         config = ds.ScenarioConfig(seed=9, frames=5, width=96, height=72, fx=80.0, fy=80.0, cx=48.0,
@@ -901,7 +911,7 @@ class TestFirstObjectCache:
         for got, want in zip(_planes(again), expected):
             assert got.tobytes() == want.tobytes()
         layer = ss._first_object_layer
-        assert len(layer.arrays) == 4
+        assert len(layer.arrays) == 2  # z and encoded depth; stencil and instance follow from z
         for cached in layer.arrays:
             assert not cached.flags.writeable
             assert not any(np.shares_memory(cached, plane) for plane in (*_planes(first), *_planes(again)))
@@ -914,27 +924,73 @@ class TestFirstObjectCache:
 
     def test_peak_memory_is_one_frame_of_buffers_and_the_cached_window(self, tmp_path):
         """The traced peak over a process's first three acceptance frames: one
-        full set of frame arrays at 15 B/px, the cached window, and at most
-        1 MB of temporaries. A fresh process, so that no buffer or layer is
-        cached yet."""
+        set of frame planes at 7 B/px, the cached layer at 12 B a pixel of its
+        rows, the largest depth scratch that a later draw z-tested in, and at
+        most 1 MB of temporaries. A fresh process, so that no buffer or layer
+        is cached yet."""
         code = (
             "import sys, tracemalloc\n"
             "from matrixgt import dataset as ds, scene_sim as ss\n"
             "config = ds.parse_scenario_text(sys.stdin.read())\n"
+            "draw, scratch = ss._draw_triangles, [0]\n"
+            "def spy(stencil, instance, triangles, layer):\n"
+            "    drawn = draw(stencil, instance, triangles, layer)\n"
+            "    if drawn is not None and layer.window is not None:  # a later draw, over the ground\n"
+            "        scratch[0] = max(scratch[0], drawn[1].nbytes)\n"
+            "    return drawn\n"
+            "ss._draw_triangles = spy\n"
             "tracemalloc.start()\n"
             "for frame in range(3):\n"
             "    ss.write_scenario_frame(config, frame, sys.argv[1])\n"
             "peak = tracemalloc.get_traced_memory()[1]\n"
-            "print(peak, sum(a.nbytes for a in getattr(ss._first_object_layer, 'arrays', ())))\n"
+            "print(peak, sum(a.nbytes for a in ss._first_object_layer.arrays), scratch[0])\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(ss.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], input=ACCEPTANCE_SCENARIO,
                                 env=env, capture_output=True, text=True, check=True)
-        peak, cached = map(int, result.stdout.split())
+        peak, cached, scratch = map(int, result.stdout.split())
         config = ds.parse_scenario_text(ACCEPTANCE_SCENARIO)
-        window = 15 * config.width * 230  # the ground slab's window: rows 250-479
-        assert peak <= 15 * config.width * config.height + window + 1_000_000, f"traced peak {peak} B"
-        assert cached == window
+        assert cached == 12 * config.width * 230  # the ground slab's rows 250-479
+        assert 0 < scratch <= 8 * config.width * 60  # later objects draw in a few dozen rows
+        budget = 7 * config.width * config.height + cached + scratch + 1_000_000
+        assert peak <= budget, f"traced peak {peak} B, budget {budget} B"
+
+    def test_window_z_edge_cases_into_one_set_of_buffers(self, small_camera):
+        """Later objects whose window is the whole image or lies wholly outside
+        the layer's, and first objects that draw nothing, frame after frame
+        into one set of buffers, against fresh buffers and the cull-free
+        reference."""
+        ground, offscreen = make_ground(z_far=40.0), make_vehicle(1, x=-500.0, z=10.0)
+        near = make_vehicle(2, x=0.0, z=3.0, length=12.0, height=6.0)  # covers the whole image
+        floating = ds.SceneObject(3, ds.ObjectClass.DISTRACTOR, (0.5, -3.0, 20.0), (1.0, 1.0, 1.0), 0.3)
+        scenes = {
+            "near": [ground, near],
+            "above": [ground, floating],
+            "plain": [ground, make_vehicle(2, x=1.0, z=12.0)],
+            "none first": [offscreen, make_vehicle(2, x=1.0, z=12.0), floating],
+            "none first, near": [offscreen, near],
+        }
+        whole = slice(0, small_camera.height), slice(0, small_camera.width)
+        buffers = ss._FrameBuffers(small_camera.height, small_camera.width)
+        order = ["near", "above", "plain", "near", "none first", "none first, near", "none first", "above",
+                 "near", "plain", "above", "none first, near"]
+        for frame, name in enumerate(order):
+            scene = scenes[name]
+            bundle = ss._render_into(buffers, small_camera, scene, frame, inflate_pct=0.0,
+                                     record_max_range_m=0.0, emit_color=False)
+            layer = ss._first_object_layer
+            if name.startswith("none first"):
+                assert layer.window is None and layer.arrays == ()
+            else:
+                assert layer.window[1] == whole[1] and layer.window[0].start > 0
+            if name.endswith("near"):
+                assert buffers.window == whole
+            if name == "above":
+                assert buffers.window[0].stop <= layer.window[0].start
+            _assert_equals_cull_free_reference(small_camera, scene, bundle)
+            fresh = ss.render_frame(small_camera, scene, frame, emit_color=False)
+            for got, want in zip(_planes(bundle), _planes(fresh)):
+                assert got.tobytes() == want.tobytes(), (frame, name)
 
 
 def _acceptance_config(**overrides):
@@ -1005,12 +1061,12 @@ class TestReusedFrameBuffers:
             (tmp_path / "in-process" / name).mkdir(parents=True)
         draw, calls = ss._draw_triangles, []
 
-        def failing_once_drawn(zbuf, stencil, instance, triangles):
+        def failing_once_drawn(stencil, instance, triangles, layer):
             triangles = list(triangles)
             if all(object_id == ds.GROUND_OBJECT_ID for _, _, object_id in triangles):
-                return draw(zbuf, stencil, instance, triangles)  # a first-object layer
+                return draw(stencil, instance, triangles, layer)  # a first-object layer
             # fail part-way: after the first half of the frame's triangles drew
-            draw(zbuf, stencil, instance, triangles[: len(triangles) // 2])
+            draw(stencil, instance, triangles[: len(triangles) // 2], layer)
             calls.append((instance > ds.GROUND_OBJECT_ID).any())
             raise RuntimeError("rasterizer failed")
 
