@@ -194,8 +194,8 @@ class ScenarioConfig:
             raise ConfigError(f"vehicle_count_max + distractor_count_max exceeds {0xFFFF - GROUND_OBJECT_ID}")
         for name in ("vehicle_length", "vehicle_width", "vehicle_height", "distractor_size"):
             lo, hi = getattr(self, name + "_min"), getattr(self, name + "_max")
-            if lo <= 0 or hi < lo:
-                raise ConfigError(f"empty or non-positive {name} range [{lo}, {hi}]")
+            if lo < _META_RESOLUTION or hi < lo:
+                raise ConfigError(f"empty {name} range [{lo}, {hi}] or sizes below {_META_RESOLUTION} m")
         if self.region_x_max < self.region_x_min or self.region_z_max < self.region_z_min:
             raise ConfigError("empty placement region")
         if self.region_z_min <= 0:
@@ -221,8 +221,8 @@ class ScenarioConfig:
             ground = inflate_box(coarse_box(camera, _ground_object(self)), self.coarse_box_inflate_pct)
         except BehindCameraError:
             return  # skipped with a warning on every frame, as any such object
-        if not _proper_box(ground):
-            raise ConfigError(f"the ground slab projects to the box {ground}, which has no finite positive area")
+        if not _proper_box(_as_written(ground)):
+            raise ConfigError(f"the ground slab's box {ground} has no finite positive area at four decimals")
 
     def camera(self) -> CameraModel:
         return CameraModel(
@@ -500,8 +500,14 @@ def list_frame_indices(dataset_dir: str | Path) -> list[int]:
 
 # --- engine records text --------------------------------------------------
 
-# pi at the four decimals meta files carry, so that a yaw of +-pi reads back
+_META_RESOLUTION = 0.0001  # meta files carry four decimals
+# pi at those four decimals, so that a yaw of +-pi reads back
 _META_YAW_MAX = 3.1416
+
+
+def _as_written(values: Sequence[float]) -> tuple[float, ...]:
+    """``values`` as a meta file writes them and its reader reads them back."""
+    return tuple(float(f"{v:.4f}") for v in values)
 
 
 def meta_text(records: Sequence[EngineRecord]) -> str:

@@ -27,17 +27,18 @@ entirely (not rendered, not recorded) with one warning per frame; the
 placement region keeps generated scenes clear of the near plane, so this only
 triggers on hand-crafted scenes.
 
-Frame buffers have one owner each. :func:`render_frame` allocates fresh ones
-and hands them to the returned bundle. :func:`write_scenario_frame` draws
-into one set per process that every frame reuses, and writes the files from
-it before the call returns; the set remembers which layer it holds and the
-window that its last frame drew into, and the next frame resets only that
-window. A set is a stencil, an instance and an encoded depth plane, 7 B/px:
-each draw z-tests in a float64 depth scratch of just the rows of its
-window. The first object's layer is cached once per process, as its scratch
-z and the encoded depth of the same rows (12 B a pixel of those rows); its
-stencil and instance follow from that z. A reset fills the empty values over
-the dirty window and restores the layer where the two windows overlap.
+Every frame draws into one cached set of frame buffers per process, keyed
+by the camera and the scene's lowest-id object, which a scenario's frames
+share: its ground slab. A set is a stencil, an instance and an encoded depth
+plane, 7 B/px, and that object's layer, drawn once when the set is made and
+kept as the float64 z and the encoded depth of the rows it drew (12 B a
+pixel of those rows); its stencil and instance follow from that z. Every
+window that the planes are reset, z-tested or encoded in is a band of whole
+rows. A frame restores the layer over the rows that the frame before it
+drew, then z-tests its later objects in a float64 scratch of the rows they
+draw, seeded from the layer's z, so no full-frame depth buffer is kept.
+:func:`write_scenario_frame` writes the files straight from the planes;
+:func:`render_frame` returns copies of them, so its bundle owns its buffers.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from __future__ import annotations
 # compiles each of them as it is imported, and a module compiled after numpy
 # is loaded raises the process's peak memory more than one compiled before.
 from .dataset import (
-    GROUND_OBJECT_ID, CameraModel, EngineRecord, ObjectClass, ScenarioConfig, SceneObject, _ground_object, _hull,
-    _project_corners, _proper_box, box_area, box_intersection_area, coarse_box, frame_paths, inflate_box, meta_text,
-    pixel_window,
+    GROUND_OBJECT_ID, CameraModel, EngineRecord, ObjectClass, ScenarioConfig, SceneObject, _as_written,
+    _ground_object, _hull, _project_corners, _proper_box, box_area, box_intersection_area, coarse_box, frame_paths,
+    inflate_box, meta_text, pixel_window,
 )
 # kept for perfbench/replay.py, which reaches them through this module; they
 # go when the replay is retired (ROADMAP item 2)
@@ -111,8 +112,8 @@ _FACE_TRIANGLES = tuple(
 
 Vertex = tuple[float, float, float]  # projected (x, y, 1/z): screen position, inverse camera depth
 Triangle = tuple[Vertex, Vertex, Vertex]
-Window = tuple[slice, slice]  # rows, columns
-Drawn = tuple[Window, np.ndarray, np.ndarray]  # a window, the z of its rows, the mask of the pixels hit
+Drawn = tuple[slice, np.ndarray, np.ndarray]  # a band of rows, their z, the mask of the pixels hit
+Layer = tuple[slice, np.ndarray, np.ndarray]  # a band of rows, their z, their encoded depth
 
 
 def _object_triangles(
@@ -158,17 +159,17 @@ def _draw_triangles(
     stencil: np.ndarray,
     instance: np.ndarray,
     triangles: Iterable[tuple[Triangle, int, int]],
-    layer: _Layer,
+    layer: Optional[Layer] = None,
 ) -> Optional[Drawn]:
     """Z-test ``triangles``, ``(triangle, class_code, object_id)`` as
     :func:`_object_triangles` gives them, in the given order, one object's
-    triangles together. The window that holds every pixel the call may
-    change, the union of the front faces' windows, comes first. The z-test
-    runs in a float64 depth scratch of that window's rows, which starts as
-    ``layer``'s z where the two windows overlap and inf elsewhere; a whole
-    row, so that a pixel has one flat index in the scratch and in the rows
-    of the C-contiguous full-frame ``stencil`` and ``instance``, where a hit
-    writes its class and id. Returns the window, the scratch and the mask of
+    triangles together. The band of rows that holds every pixel the call
+    may change, those of the front faces' windows, comes first. The z-test
+    runs in a float64 depth scratch of that band, which starts as
+    ``layer``'s z where the two bands overlap and inf elsewhere; whole rows,
+    so that a pixel has one flat index in the scratch and in the rows of
+    the C-contiguous full-frame ``stencil`` and ``instance``, where a hit
+    writes its class and id. Returns the band, the scratch and the mask of
     the scratch's pixels that were hit, or None if no front face has a
     pixel.
 
@@ -217,11 +218,11 @@ def _draw_triangles(
     table = np.array(faces).T
     x, y, inverse = table[:9].reshape(3, 3, -1)
     wx0, wy0, wx1, wy1 = table[9:].astype(np.intp)
-    rows, _ = window = slice(int(wy0.min()), int(wy1.max())), slice(int(wx0.min()), int(wx1.max()))
+    rows = slice(int(wy0.min()), int(wy1.max()))
     z_rows = np.full((rows.stop - rows.start, width), np.inf)
-    common = layer.window and _overlap(window, layer.window)
-    if common:
-        z_rows[_within(window, common)] = layer.arrays[0][_within(layer.window, common)]
+    if layer:
+        mine, its = _overlap(rows, layer[0])
+        z_rows[mine] = layer[1][its]
     # edge k runs from vertex k+1, (ax, ay), to vertex k+2
     ax, ay = x[[1, 2, 0]], y[[1, 2, 0]]
     dx, dy = x[[2, 0, 1]] - ax, y[[2, 0, 1]] - ay
@@ -236,7 +237,7 @@ def _draw_triangles(
     per_column = np.concatenate((dy, ax)).repeat(widths, axis=1)
     column_terms = per_column[:3] * ((xs + 0.5) - per_column[3:])
     # position q in row r is column column_offset[r] + q of the column terms
-    # and pixel pixel_offset[r] + q of the flattened rows from the window's first
+    # and pixel pixel_offset[r] + q of the flattened rows from the band's first
     row_length = widths.repeat(heights)
     row_start = row_length.cumsum() - row_length
     column_offset = first_column.repeat(heights) - row_start
@@ -282,7 +283,7 @@ def _draw_triangles(
                     hits_flat[pp] = True
                     stencil_flat[pp] = class_code
                     instance_flat[pp] = object_id
-    return window, z_rows, hits
+    return rows, z_rows, hits
 
 
 _SKY_RGB = (96, 144, 200)
@@ -307,74 +308,17 @@ def _render_color(instance: np.ndarray, scene: Sequence[SceneObject]) -> np.ndar
 _EMPTY = (0, 0, 1.0)  # an undrawn pixel's stencil, instance and encoded depth
 
 
-def _overlap(a: Window, b: Window) -> Optional[Window]:
-    """The pixels that the windows ``a`` and ``b`` share, or None."""
-    rows = slice(max(a[0].start, b[0].start), min(a[0].stop, b[0].stop))
-    cols = slice(max(a[1].start, b[1].start), min(a[1].stop, b[1].stop))
-    return (rows, cols) if rows.start < rows.stop and cols.start < cols.stop else None
+def _overlap(a: slice, b: slice) -> tuple[slice, slice]:
+    """The rows that the row bands ``a`` and ``b`` share, as indices into an
+    array of ``a``'s rows and into one of ``b``'s; both empty if they share
+    none."""
+    lo = max(a.start, b.start)
+    hi = max(lo, min(a.stop, b.stop))
+    return slice(lo - a.start, hi - a.start), slice(lo - b.start, hi - b.start)
 
 
-def _within(window: Window, part: Window) -> Window:
-    """``part``, a window inside ``window``, in the coordinates of an array
-    that holds the rows of ``window``."""
-    return slice(part[0].start - window[0].start, part[0].stop - window[0].start), part[1]
-
-
-@dataclass(frozen=True, eq=False)
-class _Layer:
-    """A scene's first object drawn alone into empty buffers, for ``key``,
-    the (camera, object) pair it depends on. ``window`` is the window that
-    :func:`_draw_triangles` returned for it, or None where it drew nothing,
-    and ``arrays`` are the read-only z (that call's depth scratch) and
-    encoded depth of its rows. Its stencil and instance are the object's
-    class code and id where that z is not inf; outside the window the layer
-    is empty."""
-
-    key: tuple[CameraModel, SceneObject]
-    window: Optional[Window]
-    arrays: tuple[np.ndarray, ...]
-
-
-# The one cached first-object layer. A scenario draws its ground slab first in
-# every frame, so one entry serves a whole run.
-_first_object_layer: Optional[_Layer] = None
-
-
-class _FrameBuffers:
-    """One frame's stencil (U8), instance (U16) and encoded depth (F32)
-    ``arrays`` and what they hold: the pixels of ``layer``, a :class:`_Layer`,
-    everywhere outside ``window``, which the last frame drew into on top of
-    it. A fresh set holds no layer, so its first frame resets all of it.
-    """
-
-    def __init__(self, height: int, width: int):
-        self.arrays = tuple(np.empty((height, width), dtype=t) for t in (np.uint8, np.uint16, np.float32))
-        self.layer: Optional[_Layer] = None
-        self.window: Optional[Window] = None
-
-    def reset(self, layer: _Layer, window: Window) -> None:
-        """Restore ``layer``'s pixels inside ``window``."""
-        for arr, empty in zip(self.arrays, _EMPTY):
-            arr[window] = empty
-        common = layer.window and _overlap(window, layer.window)
-        if common:
-            stencil, instance, encoded = self.arrays
-            z, cached = (arr[_within(layer.window, common)] for arr in layer.arrays)
-            drawn = z != np.inf
-            obj = layer.key[1]
-            np.multiply(drawn, np.uint8(obj.cls), out=stencil[common])
-            np.multiply(drawn, np.uint16(obj.object_id), out=instance[common])
-            encoded[common] = cached
-
-
-# The frame buffers that write_scenario_frame draws every frame into: one set
-# per process (each pool worker has its own) and image size. Reusing them keeps
-# the heap from being handed back to the OS and faulted in again every frame,
-# and a frame restores only the window that the one before it drew into.
-_frame_buffers = functools.lru_cache(maxsize=1)(_FrameBuffers)
-
-# The depth encoding runs over this many pixels of a window at a time, so that
-# its temporaries stay small however large the window.
+# The depth encoding runs over this many pixels of a band at a time, so that
+# its temporaries stay small however large the band.
 _ENCODE_PIXELS = 1 << 15
 
 
@@ -384,16 +328,79 @@ def _encode_drawn(encoded: np.ndarray, drawn: Optional[Drawn], params: DepthCode
     every other pixel keeps its encoding."""
     if drawn is None:
         return
-    window, z, hit = drawn
-    out = encoded[window[0]]
+    rows, z, hit = drawn
+    out = encoded[rows]
     step = max(1, _ENCODE_PIXELS // z.shape[1])
     for start in range(0, z.shape[0], step):
         band = slice(start, start + step)
         out[band][hit[band]] = encode_log_depth(z[band][hit[band]], params)
 
 
+class _FrameBuffers:
+    """The stencil (U8), instance (U16) and encoded depth (F32) ``arrays``
+    that frames of one camera and lowest-id object ``first`` draw into,
+    7 B/px, and that object's ``layer``: the rows it drew alone into the
+    empty planes when the set was made, their float64 z (that draw's depth
+    scratch) and their encoded depth, read-only; None if it drew nothing.
+    Its stencil and instance are its class code and id where that z is not
+    inf. The planes hold the layer outside ``dirty``, the rows that the last
+    frame drew into."""
+
+    def __init__(self, camera: CameraModel, first: SceneObject):
+        self.arrays = tuple(np.empty((camera.height, camera.width), dtype=t) for t in (np.uint8, np.uint16, np.float32))
+        for arr, empty in zip(self.arrays, _EMPTY):
+            arr.fill(empty)
+        self.first = first
+        self.layer: Optional[Layer] = None
+        self.dirty: Optional[slice] = None
+        try:
+            corners = _project_corners(camera, first)
+        except BehindCameraError:
+            return  # every frame that draws it warns of it
+        drawn = self.draw(_object_triangles(first, corners), camera.depth_params)
+        if drawn:
+            rows, z, _ = drawn
+            self.layer = rows, z, self.arrays[2][rows].copy()
+            for arr in self.layer[1:]:
+                arr.flags.writeable = False
+        self.dirty = None  # the planes hold exactly the layer
+
+    def _reset(self, rows: slice) -> None:
+        """Restore the layer's pixels in ``rows`` of the planes; a call of its
+        own, so that its mask is freed before the frame draws."""
+        planes = [arr[rows] for arr in self.arrays]
+        for plane, empty in zip(planes, _EMPTY):
+            plane[...] = empty
+        if self.layer:
+            mine, its = _overlap(rows, self.layer[0])
+            stencil, instance, encoded = (plane[mine] for plane in planes)
+            z, cached = (arr[its] for arr in self.layer[1:])
+            drawn = z != np.inf
+            np.multiply(drawn, np.uint8(self.first.cls), out=stencil)
+            np.multiply(drawn, np.uint16(self.first.object_id), out=instance)
+            encoded[...] = cached
+
+    def draw(self, triangles: Iterable[tuple[Triangle, int, int]], params: DepthCodecParams) -> Optional[Drawn]:
+        """Reset the dirty rows, then draw and encode ``triangles`` over the
+        layer. Every row is dirty until that is done, so a frame that fails
+        part-way leaves the next a full reset."""
+        rows, self.dirty = self.dirty, slice(0, self.arrays[0].shape[0])
+        if rows is not None:
+            self._reset(rows)
+        stencil, instance, encoded = self.arrays
+        drawn = _draw_triangles(stencil, instance, triangles, self.layer)
+        _encode_drawn(encoded, drawn, params)
+        self.dirty = drawn[0] if drawn else None
+        return drawn
+
+
+# The one set of frame buffers per process (each pool worker has its own): a
+# scenario's frames share its camera and ground slab. Reusing it keeps the heap
+# from being handed back to the OS and faulted in again every frame.
+_frame_buffers = functools.lru_cache(maxsize=1)(_FrameBuffers)
+
+
 def _render_into(
-    buffers: _FrameBuffers,
     camera: CameraModel,
     scene: Sequence[SceneObject],
     frame_id: int,
@@ -402,27 +409,14 @@ def _render_into(
     record_max_range_m: float,
     emit_color: bool,
 ) -> FrameBundle:
-    """Draw ``scene`` into the caller's ``buffers`` (for the camera's image
-    size) and bundle them.
+    """Draw ``scene`` over the layer of the cached frame buffers of
+    ``camera`` and the scene's lowest-id object, and bundle them. Each object
+    is projected once here: its corners give both its triangles and its
+    record's coarse box.
 
-    Each object is projected once: its corners give both its triangles and
-    its record's coarse box. The lowest-id object's pixels come from the
-    cached :class:`_Layer` when its key matches. The buffers are reset to that
-    layer only inside the window that their last frame drew into, or
-    everywhere if they last held another layer or none. That window is the
-    union of the windows of the front faces :func:`_draw_triangles` drew, and
-    the later objects are z-tested in a depth scratch of that window seeded
-    from the layer's z. On a cache miss the buffers are emptied, the first
-    object is drawn into them, and its depth scratch and the encoded depth of
-    its window become the new layer, so a process keeps no full-frame depth
-    buffer. The buffers are marked as drawn everywhere before anything is
-    drawn, and take the drawn window only once drawing is done, so a frame
-    that fails part-way leaves the next a full reset.
-
-    The bundle's rasters are read-only views of ``buffers``, so they hold what
-    this call drew only until the buffers are drawn into again.
+    The bundle's rasters are read-only views of the cached buffers, so they
+    hold what this call drew only until the buffers are drawn into again.
     """
-    global _first_object_layer
     if not scene:
         raise ValueError("scene must be nonempty")
     ordered = sorted(scene, key=lambda o: o.object_id)
@@ -432,36 +426,15 @@ def _render_into(
             projected.append((obj, _project_corners(camera, obj)))
         except BehindCameraError as exc:
             log.warning("%s, skipped", exc)
+    buffers = _frame_buffers(camera, ordered[0])
     # the first object's pixels are the layer's; a skipped one draws none
-    first = projected[:1] if projected and projected[0][0] is ordered[0] else []
-    later = projected[len(first) :]
-
-    key = camera, ordered[0]
-    hit = _first_object_layer is not None and _first_object_layer.key == key
-    layer = _first_object_layer if hit else _Layer(key, None, ())  # on a miss, empty buffers
-    whole = slice(0, camera.height), slice(0, camera.width)
-    dirty = buffers.window if buffers.layer is layer else whole
-    buffers.layer, buffers.window = None, whole
-    if dirty is not None:
-        buffers.reset(layer, dirty)
+    later = projected[1:] if projected and projected[0][0] is ordered[0] else projected
+    buffers.draw((t for obj, corners in later for t in _object_triangles(obj, corners)), camera.depth_params)
     stencil, instance, encoded = buffers.arrays
-    if not hit:  # draw the first object, and keep the z and encoding of its window's rows
-        drawn = _draw_triangles(stencil, instance, (t for obj, c in first for t in _object_triangles(obj, c)), layer)
-        _encode_drawn(encoded, drawn, camera.depth_params)
-        window, z, _ = drawn or (None, None, None)
-        arrays = (z, encoded[window[0]].copy()) if drawn else ()
-        for arr in arrays:
-            arr.flags.writeable = False
-        _first_object_layer = layer = _Layer(key, window, arrays)
-    buffers.layer = layer
-    triangles = (t for obj, corners in later for t in _object_triangles(obj, corners))
-    drawn = _draw_triangles(stencil, instance, triangles, layer)
-    _encode_drawn(encoded, drawn, camera.depth_params)
-    buffers.window = drawn[0] if drawn else None
 
     records = []
     for obj, corners in projected:
-        range_m = float(np.linalg.norm(obj.center))
+        range_m = math.hypot(*obj.center)
         if record_max_range_m > 0.0 and range_m > record_max_range_m:
             continue
         records.append(
@@ -505,11 +478,11 @@ def render_frame(
     (optionally inflated by ``inflate_pct`` to reproduce loose engine boxes),
     except objects beyond ``record_max_range_m`` when that limit is set.
 
-    The bundle owns its buffers: they are allocated for this call, read-only,
-    and shared with no other frame or cache.
+    The scene is drawn into the same cached buffers as
+    :func:`write_scenario_frame`'s, and the bundle gets read-only copies of
+    them: it owns its buffers, shared with no other frame or cache.
     """
-    return _render_into(
-        _FrameBuffers(camera.height, camera.width),
+    bundle = _render_into(
         camera,
         scene,
         frame_id,
@@ -517,6 +490,10 @@ def render_frame(
         record_max_range_m=record_max_range_m,
         emit_color=emit_color,
     )
+    bundle.depth, bundle.stencil, bundle.instance_oracle = (
+        Raster(raster.data.copy()) for raster in (bundle.depth, bundle.stencil, bundle.instance_oracle)
+    )
+    return bundle
 
 
 # --- procedural scene generation -------------------------------------------
@@ -545,8 +522,8 @@ def _place(
     """Rejection-sample one object; after the attempt budget the last candidate
     in front of the near plane wins so the object count stays exact
     (constraints are best-effort). A candidate whose inflated coarse box has
-    no area (tiny sizes) counts as one behind the near plane: it could get no
-    engine record. Raises :class:`ConfigError` when no candidate clears
+    no area as a meta file writes it counts as one behind the near plane: it
+    could get no engine record. Raises :class:`ConfigError` when no candidate clears
     both."""
     fallback = None
     for _ in range(_PLACEMENT_ATTEMPTS):
@@ -570,7 +547,7 @@ def _place(
             box = inflate_box(coarse_box(camera, candidate), config.coarse_box_inflate_pct)
         except BehindCameraError:
             continue
-        if not _proper_box(box):
+        if not _proper_box(_as_written(box)):
             continue
         if _placement_ok(config, box, z, placed):
             placed.append((box, z))
@@ -631,11 +608,11 @@ def write_scenario_frame(config: ScenarioConfig, frame_idx: int, dataset_dir: st
     """Generate, render and write one frame of a scenario.
 
     The same files as :func:`write_frame_files` of :func:`render_frame` with
-    the scenario's knobs, but drawn into this process's reused frame buffers
-    rather than fresh ones; nothing that views them outlives the call.
+    the scenario's knobs, but written straight from this process's cached
+    frame buffers rather than from copies; nothing that views them outlives
+    the call.
     """
     bundle = _render_into(
-        _frame_buffers(config.height, config.width),
         config.camera(),
         generate_scene(config, frame_idx),
         frame_idx,

@@ -692,6 +692,14 @@ def _scenario_key_argv(key, value):
     return lambda root: _generate_argv(root, _with_key(TINY_SCENARIO, key, value))
 
 
+def _scenario_keys_argv(**pairs):
+    """Generate with each of ``pairs`` set as a scenario key."""
+    text = TINY_SCENARIO
+    for key, value in pairs.items():
+        text = _with_key(text, key, value)
+    return lambda root: _generate_argv(root, text)
+
+
 def _scenario_sizes_argv(value):
     """Generate with every vehicle and distractor size bound set to ``value``."""
     text = TINY_SCENARIO
@@ -876,8 +884,14 @@ BAD_INPUTS = {
         ),
         2,
     ),
-    # every candidate's coarse box has no area, or lies partly behind the near plane
+    # sizes below the meta files' resolution, or every candidate lies partly
+    # behind the near plane
     "generate-sizes-give-zero-area-boxes": ({}, _scenario_sizes_argv("1e-300"), 2),
+    "generate-height-written-as-0": (
+        {}, _scenario_keys_argv(vehicle_height_min="1e-9", vehicle_height_max="1e-9"), 2
+    ),
+    # a ground slab box whose top and bottom are written as the same four decimals
+    "generate-ground-box-flat-as-written": ({}, _scenario_keys_argv(fx="1e10", fy="1e-10"), 2),
     "generate-sizes-reach-behind-near-plane": ({}, _scenario_sizes_argv("1e305"), 2),
     "oracle-manifest-size-differs-from-rasters": ({}, _oracle_argv_wrong_manifest_size, 4),
     "nan-truncation": (
@@ -1003,6 +1017,24 @@ def test_bad_input_exits_without_traceback(case, tmp_path, monkeypatch, capsys):
     assert cli.main(make_argv(tmp_path)) == code
     prefix = "matrixgt: i/o error:" if code == cli.EXIT_IO else "matrixgt: error:"
     assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize("pairs", [
+    dict(region_x_min="-1e300", region_x_max="1e300"),
+    dict(vehicle_height_min="1e300", vehicle_height_max="1e300"),
+    dict(camera_height_m="1e300"),
+], ids=["region-x-1e300", "vehicle-height-1e300", "camera-height-1e300"])
+def test_huge_finite_scenario_values_run_every_reading_stage(pairs, tmp_path):
+    """Finite centers whose distance from the camera squared overflows: the
+    records' range is still finite, so generate, annotate and oracle-labels
+    all exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "MATRIXGT_WORKERS": "1"}
+    argv = _scenario_keys_argv(frames="2", **pairs)(tmp_path)
+    for command in (argv, ["annotate", "--in", str(tmp_path / "ds"), "--out", str(tmp_path / "det")],
+                    ["oracle-labels", "--in", str(tmp_path / "ds"), "--out", str(tmp_path / "gt")]):
+        result = subprocess.run([sys.executable, "-m", "matrixgt", *command], capture_output=True, text=True,
+                                env=env)
+        assert result.returncode == 0 and "Traceback" not in result.stderr, (command, result.stderr)
 
 
 def _fifo_in_place_of(path):

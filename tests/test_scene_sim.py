@@ -127,6 +127,18 @@ def _random_double(rng):
             return value
 
 
+def _outputs_under_blas_kernels(script, coretypes):
+    """The standard output of ``script`` in a child process under OpenBLAS's
+    default kernel, then under each of ``coretypes``."""
+    env = {key: value for key, value in os.environ.items() if not key.startswith("OPENBLAS_")}
+    env.update(PYTHONPATH=str(Path(ss.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    return [
+        subprocess.run([sys.executable, "-c", script], env={**env, **extra}, check=True,
+                       capture_output=True, text=True).stdout
+        for extra in ({}, *({"OPENBLAS_CORETYPE": coretype} for coretype in coretypes))
+    ]
+
+
 class TestScalarCorners:
     def test_corners_equal_an_exact_oracle_of_the_fma_formula(self):
         for obj in _random_objects(seed=1, count=20_000, size_exponents=(-300, 300)):
@@ -209,14 +221,24 @@ class TestScalarCorners:
             "        digest.update(' '.join(float(c).hex() for c in coords).encode())\n"
             "print(digest.hexdigest())\n"
         )
-        env = {key: value for key, value in os.environ.items() if not key.startswith("OPENBLAS_")}
-        env.update(PYTHONPATH=str(Path(ss.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
-        digests = [
-            subprocess.run([sys.executable, "-c", script], env={**env, **extra}, check=True,
-                           capture_output=True, text=True).stdout
-            for extra in ({}, {"OPENBLAS_CORETYPE": "Nehalem"})  # Nehalem kernels have no FMA
-        ]
+        digests = _outputs_under_blas_kernels(script, ("Nehalem",))  # Nehalem kernels have no FMA
         assert digests[0] == digests[1] != ""
+
+    def test_record_ranges_do_not_depend_on_the_blas_kernel(self):
+        # a tiny image, so that the records, not the pixels, take the time
+        script = (
+            "import hashlib, random\n"
+            "from matrixgt import dataset as ds, scene_sim as ss\n"
+            "from matrixgt.raster_codec import DepthCodecParams\n"
+            "camera = ds.CameraModel(8.0, 8.0, 4.0, 3.0, 8, 6, DepthCodecParams(0.15, 600.0))\n"
+            "rng = random.Random(7)\n"
+            "scene = [ds.SceneObject(i, ds.ObjectClass.VEHICLE, (rng.uniform(-20, 20), rng.uniform(-1, 1.5),\n"
+            "                        rng.uniform(10, 80)), (4.0, 1.8, 1.5), 0.0) for i in range(1, 2001)]\n"
+            "records = ss.render_frame(camera, scene, 0, emit_color=False).records\n"
+            "print(len(records), hashlib.sha256(' '.join(r.range_m.hex() for r in records).encode()).hexdigest())\n"
+        )
+        digests = _outputs_under_blas_kernels(script, ("Nehalem", "Prescott"))
+        assert digests[0].startswith("2000 ") and digests[0] == digests[1] == digests[2]
 
     def test_a_zero_factor_needs_no_rational_arithmetic(self, tmp_path):
         # a zero factor makes the product exact, signed zeros included
@@ -594,9 +616,9 @@ def _drawn(triangles):
     """The renderer's zbuf, stencil and instance of ``triangles`` drawn onto
     blank buffers, its depth scratch placed in a full-frame zbuf."""
     zbuf, stencil, instance = _blank_buffers()
-    drawn = ss._draw_triangles(stencil, instance, triangles, ss._Layer(None, None, ()))
+    drawn = ss._draw_triangles(stencil, instance, triangles)
     if drawn is not None:
-        (rows, _), z, hit = drawn
+        rows, z, hit = drawn
         assert z.shape == (rows.stop - rows.start, _WIN_W)
         assert np.array_equal(hit, z != np.inf)  # with no layer, a hit is a pixel with a z
         zbuf[rows] = z
@@ -792,30 +814,38 @@ def _planes(bundle):
     return bundle.depth.data, bundle.stencil.data, bundle.instance_oracle.data
 
 
-class TestFirstObjectCache:
-    """Frames draw the lowest-id object from a one-entry cache keyed by
-    (camera, object): that object's depth scratch and encoded depth over the
-    rows of the window it drew, built in the frame buffers of the frame that
-    first needs it."""
+def _scenario_buffers(config):
+    """The cached frame buffers of a scenario's camera and ground slab; a
+    hit, if they are the ones cached."""
+    return ss._frame_buffers(config.camera(), ss.generate_scene(config, 0)[0])
 
-    def test_one_computation_per_scenario(self, monkeypatch):
+
+def _render_cached(camera, scene, frame):
+    """A frame drawn as write_scenario_frame draws it: its bundle views the
+    cached buffers."""
+    return ss._render_into(camera, scene, frame, inflate_pct=0.0, record_max_range_m=0.0, emit_color=False)
+
+
+class TestFirstObjectCache:
+    """Frames draw into one cached set of buffers, keyed by (camera, lowest-id
+    object). The set draws that object once, when it is made, and keeps its
+    depth scratch and encoded depth over the rows that it drew."""
+
+    def test_one_computation_per_scenario(self, tmp_path):
         config = ds.ScenarioConfig(seed=9, frames=5, width=96, height=72, fx=80.0, fy=80.0, cx=48.0,
                                    cy=36.0, region_x_min=-5.0, region_x_max=5.0, region_z_min=8.0,
                                    region_z_max=20.0, emit_color=False)
-        monkeypatch.setattr(ss, "_first_object_layer", None)
-        layers = []
+        ss._frame_buffers.cache_clear()
         for frame in range(config.frames):
             render_scenario_frame(config, frame)
-            layers.append(ss._first_object_layer)
-        for frame in range(config.frames):
-            ss._render_into(ss._FrameBuffers(config.height, config.width), config.camera(),
-                            ss.generate_scene(config, frame), frame, inflate_pct=0.0,
-                            record_max_range_m=0.0, emit_color=False)
-            layers.append(ss._first_object_layer)
-        assert all(layer is layers[0] for layer in layers)
-        assert layers[0].key == (config.camera(), ss.generate_scene(config, 0)[0])
+            ss.write_scenario_frame(config, frame, tmp_path)
+        assert ss._frame_buffers.cache_info().misses == 1
+        cached = _scenario_buffers(config)
+        assert ss._frame_buffers.cache_info().misses == 1
+        assert cached.first == ss.generate_scene(config, 0)[0]
+        assert cached.first.object_id == ds.GROUND_OBJECT_ID
 
-    def test_alternating_cameras_and_first_objects_match_references(self, small_camera, codec, monkeypatch):
+    def test_alternating_cameras_and_first_objects_match_references(self, small_camera, codec):
         other_camera = ds.CameraModel(fx=200.0, fy=210.0, cx=150.0, cy=100.0, width=300, height=200,
                                       depth_params=codec)
         ground_first = [make_ground(z_far=40.0), make_vehicle(2, x=0.5, z=9.0, yaw=0.3),
@@ -824,25 +854,25 @@ class TestFirstObjectCache:
         vehicle_first = [make_vehicle(2, x=0.0, z=8.0, yaw=0.4), make_vehicle(3, x=0.8, z=11.0),
                          ds.SceneObject(4, ds.ObjectClass.GROUND, (0.0, 1.41, 20.5), (60.0, 39.0, 0.02), 0.0)]
         moved_first = [make_vehicle(2, x=-0.6, z=8.0, yaw=0.4), *vehicle_first[1:]]
-        cases = [(camera, scene) for scene in (ground_first, vehicle_first, moved_first, ground_first)
-                 for camera in (small_camera, other_camera)]
-        # one reused set of buffers per image size, as generate keeps one per process
-        shared = {camera.width: ss._FrameBuffers(camera.height, camera.width)
-                  for camera in (small_camera, other_camera)}
+        scenes = (ground_first, vehicle_first, moved_first, ground_first)
+        cameras = (small_camera, other_camera)
+        # the camera changes with the first object kept, and the other way round
+        cases = [(camera, scene) for scene in scenes for camera in cameras]
+        cases += [(camera, scene) for camera in cameras for scene in scenes]
         for camera, scene in cases:
             bundle = ss.render_frame(camera, scene, 0, emit_color=False)
             _assert_equals_cull_free_reference(camera, scene, bundle)
-            reused = ss._render_into(shared[camera.width], camera, scene, 0, inflate_pct=0.0,
-                                     record_max_range_m=0.0, emit_color=False)
-            monkeypatch.setattr(ss, "_first_object_layer", None)
+            reused = [plane.copy() for plane in _planes(_render_cached(camera, scene, 0))]
+            ss._frame_buffers.cache_clear()
             fresh = ss.render_frame(camera, scene, 0, emit_color=False)
-            for got, again, want in zip(_planes(bundle), _planes(reused), _planes(fresh)):
+            for got, again, want in zip(_planes(bundle), reused, _planes(fresh)):
                 assert got.tobytes() == want.tobytes() == again.tobytes()
 
     def test_a_narrow_layer_window_and_later_objects_outside_it(self, small_camera):
-        """A first object whose window spans neither the full width nor the
-        full height, and later objects that draw on both sides of it, inside
-        it and across its edge, frame after frame into one set of buffers."""
+        """A first object whose pixels span neither the full width nor the
+        full height, and later objects that draw on both sides of them, inside
+        them and across their edge, frame after frame into one set of
+        buffers."""
         first = make_vehicle(1, x=0.0, z=10.0)
         later = [
             [make_vehicle(2, x=-4.0, z=12.0), make_vehicle(3, x=1.5, z=9.0, yaw=0.5)],  # left; across the edge
@@ -851,25 +881,26 @@ class TestFirstObjectCache:
             [make_vehicle(5, x=0.3, z=14.0, height=3.0)],  # behind the first object, above it
             [make_ground(z_far=40.0), make_vehicle(3, x=-1.5, z=9.0, yaw=-0.5)],
         ]
-        buffers = ss._FrameBuffers(small_camera.height, small_camera.width)
+        ss._frame_buffers.cache_clear()
         outside = 0
         for frame, objects in enumerate(later * 2):
             scene = [first, *[dataclasses.replace(o, object_id=o.object_id + 1) for o in objects]]
-            bundle = ss._render_into(buffers, small_camera, scene, frame, inflate_pct=0.0,
-                                     record_max_range_m=0.0, emit_color=False)
+            bundle = _render_cached(small_camera, scene, frame)
             _assert_equals_cull_free_reference(small_camera, scene, bundle)
-            rows, cols = window = ss._first_object_layer.window
-            assert 0 < cols.start and cols.stop < small_camera.width
+            rows, z, _ = ss._frame_buffers(small_camera, first).layer
+            (columns,) = np.nonzero((z != np.inf).any(axis=0))
+            assert 0 < columns[0] and columns[-1] < small_camera.width - 1
             assert 0 < rows.start and rows.stop < small_camera.height
             in_layer = np.zeros((small_camera.height, small_camera.width), dtype=bool)
-            in_layer[window] = True
+            in_layer[rows, columns[0] : columns[-1] + 1] = True
             outside += np.count_nonzero(bundle.instance_oracle.data[~in_layer] > 1)
             fresh = ss.render_frame(small_camera, scene, frame, emit_color=False)
             for got, want in zip(_planes(bundle), _planes(fresh)):
                 assert got.tobytes() == want.tobytes(), frame
         assert outside > 0
+        assert ss._frame_buffers.cache_info().misses == 1
 
-    def test_near_plane_warning_on_every_frame(self, small_camera, caplog, monkeypatch):
+    def test_near_plane_warning_on_every_frame(self, small_camera, caplog):
         """One warning per frame for a skipped object, whether it is the
         cached first object or a later one."""
         near = dict(x=0.0, z=0.5, length=2.0)
@@ -878,16 +909,12 @@ class TestFirstObjectCache:
             ([make_vehicle(2, x=0.0, z=10.0), make_vehicle(3, **near)], 3, 2),
         ]
         for scene, skipped, drawn in cases:
-            monkeypatch.setattr(ss, "_first_object_layer", None)
+            ss._frame_buffers.cache_clear()
             caplog.clear()
-            layers = []
             with caplog.at_level(logging.WARNING, logger=ss.log.name):
-                bundles = []
-                for frame in (0, 1):
-                    bundles.append(ss.render_frame(small_camera, scene, frame, emit_color=False))
-                    layers.append(ss._first_object_layer)
-            assert layers[0] is layers[1]
-            assert (layers[0].window is None) == (skipped == 2)
+                bundles = [ss.render_frame(small_camera, scene, frame, emit_color=False) for frame in (0, 1)]
+            assert ss._frame_buffers.cache_info().misses == 1
+            assert (ss._frame_buffers(small_camera, scene[0]).layer is None) == (skipped == 2)
             warned = [m for m in caplog.messages if m.startswith(f"object {skipped} ")]
             assert len(warned) == 2 and all("has a corner" in m and m.endswith(", skipped") for m in warned)
             for bundle in bundles:
@@ -903,24 +930,27 @@ class TestFirstObjectCache:
             with pytest.raises(ValueError):
                 plane[0, 0] = 0
         # even with the lock lifted by hand, a write reaches neither the
-        # cached layer nor the next frame
+        # cached buffers nor the next frame
         for plane in _planes(first):
             plane.flags.writeable = True
             plane[...] = 7
         again = ss.render_frame(small_camera, scene, 1, emit_color=False)
         for got, want in zip(_planes(again), expected):
             assert got.tobytes() == want.tobytes()
-        layer = ss._first_object_layer
-        assert len(layer.arrays) == 2  # z and encoded depth; stencil and instance follow from z
-        for cached in layer.arrays:
-            assert not cached.flags.writeable
-            assert not any(np.shares_memory(cached, plane) for plane in (*_planes(first), *_planes(again)))
-        # nor with the reused buffers that generate draws into
+        cached = ss._frame_buffers(small_camera, scene[0])
+        rows, *arrays = cached.layer  # z and encoded depth; stencil and instance follow from z
+        for arr in arrays:
+            assert arr.shape == (rows.stop - rows.start, small_camera.width)
+            assert not arr.flags.writeable
+            assert not any(np.shares_memory(arr, plane) for plane in (*_planes(first), *_planes(again)))
+        for plane in cached.arrays:
+            assert not any(np.shares_memory(plane, other) for other in (*_planes(first), *_planes(again)))
+        # nor with the planes that generate writes from
         config = _acceptance_config(width=96, height=72, fx=105.0, fy=105.0, cx=48.0, cy=36.0)
         ss.write_scenario_frame(config, 0, tmp_path)
-        reused = ss._frame_buffers(config.height, config.width)
-        for cached in ss._first_object_layer.arrays:
-            assert not any(np.shares_memory(cached, buffer) for buffer in reused.arrays)
+        cached = _scenario_buffers(config)
+        for arr in cached.layer[1:]:
+            assert not any(np.shares_memory(arr, plane) for plane in cached.arrays)
 
     def test_peak_memory_is_one_frame_of_buffers_and_the_cached_window(self, tmp_path):
         """The traced peak over a process's first three acceptance frames: one
@@ -933,9 +963,9 @@ class TestFirstObjectCache:
             "from matrixgt import dataset as ds, scene_sim as ss\n"
             "config = ds.parse_scenario_text(sys.stdin.read())\n"
             "draw, scratch = ss._draw_triangles, [0]\n"
-            "def spy(stencil, instance, triangles, layer):\n"
+            "def spy(stencil, instance, triangles, layer=None):\n"
             "    drawn = draw(stencil, instance, triangles, layer)\n"
-            "    if drawn is not None and layer.window is not None:  # a later draw, over the ground\n"
+            "    if drawn is not None and layer is not None:  # a later draw, over the ground\n"
             "        scratch[0] = max(scratch[0], drawn[1].nbytes)\n"
             "    return drawn\n"
             "ss._draw_triangles = spy\n"
@@ -943,7 +973,8 @@ class TestFirstObjectCache:
             "for frame in range(3):\n"
             "    ss.write_scenario_frame(config, frame, sys.argv[1])\n"
             "peak = tracemalloc.get_traced_memory()[1]\n"
-            "print(peak, sum(a.nbytes for a in ss._first_object_layer.arrays), scratch[0])\n"
+            "layer = ss._frame_buffers(config.camera(), ss.generate_scene(config, 0)[0]).layer\n"
+            "print(peak, sum(a.nbytes for a in layer[1:]), scratch[0])\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(ss.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], input=ACCEPTANCE_SCENARIO,
@@ -956,9 +987,9 @@ class TestFirstObjectCache:
         assert peak <= budget, f"traced peak {peak} B, budget {budget} B"
 
     def test_window_z_edge_cases_into_one_set_of_buffers(self, small_camera):
-        """Later objects whose window is the whole image or lies wholly outside
+        """Later objects whose rows are the whole image or lie wholly outside
         the layer's, and first objects that draw nothing, frame after frame
-        into one set of buffers, against fresh buffers and the cull-free
+        into the cached buffers, against fresh buffers and the cull-free
         reference."""
         ground, offscreen = make_ground(z_far=40.0), make_vehicle(1, x=-500.0, z=10.0)
         near = make_vehicle(2, x=0.0, z=3.0, length=12.0, height=6.0)  # covers the whole image
@@ -970,26 +1001,25 @@ class TestFirstObjectCache:
             "none first": [offscreen, make_vehicle(2, x=1.0, z=12.0), floating],
             "none first, near": [offscreen, near],
         }
-        whole = slice(0, small_camera.height), slice(0, small_camera.width)
-        buffers = ss._FrameBuffers(small_camera.height, small_camera.width)
         order = ["near", "above", "plain", "near", "none first", "none first, near", "none first", "above",
                  "near", "plain", "above", "none first, near"]
         for frame, name in enumerate(order):
             scene = scenes[name]
-            bundle = ss._render_into(buffers, small_camera, scene, frame, inflate_pct=0.0,
-                                     record_max_range_m=0.0, emit_color=False)
-            layer = ss._first_object_layer
+            bundle = _render_cached(small_camera, scene, frame)
+            cached = ss._frame_buffers(small_camera, scene[0])
             if name.startswith("none first"):
-                assert layer.window is None and layer.arrays == ()
+                assert cached.layer is None
             else:
-                assert layer.window[1] == whole[1] and layer.window[0].start > 0
+                rows, z, _ = cached.layer
+                assert rows.start > 0 and (z[:, [0, -1]] != np.inf).any(axis=0).all()  # the full width
             if name.endswith("near"):
-                assert buffers.window == whole
+                assert cached.dirty == slice(0, small_camera.height)
             if name == "above":
-                assert buffers.window[0].stop <= layer.window[0].start
+                assert cached.dirty.stop <= cached.layer[0].start
             _assert_equals_cull_free_reference(small_camera, scene, bundle)
+            reused = [plane.copy() for plane in _planes(bundle)]
             fresh = ss.render_frame(small_camera, scene, frame, emit_color=False)
-            for got, want in zip(_planes(bundle), _planes(fresh)):
+            for got, want in zip(reused, _planes(fresh)):
                 assert got.tobytes() == want.tobytes(), (frame, name)
 
 
@@ -1035,22 +1065,22 @@ class TestReusedFrameBuffers:
         assert ds.GROUND_OBJECT_ID not in bundle.instance_oracle.data
 
     def test_alternating_image_sizes_match_a_fresh_process(self, tmp_path, monkeypatch):
-        """Frames of several scenarios share this process's buffers in turn.
-        Each frame resets only the window that the frame before it drew, unless
-        it draws a different first-object layer. Every written frame must
-        equal the same frame from a fresh process."""
+        """Frames of several scenarios draw into this process's cached buffers
+        in turn. A frame resets only the rows that the frame before it drew,
+        unless its camera or first object differs, which makes a new set.
+        Every written frame must equal the same frame from a fresh process."""
         size_a = dict(width=96, height=72, fx=105.0, fy=105.0, cx=48.0, cy=36.0)
         configs = {
             "a": _acceptance_config(**size_a),
             "b": _acceptance_config(width=64, height=48, fx=70.0, fy=70.0, cx=32.0, cy=24.0),
-            # the size of "a" again, another scenario: its frames reuse a's buffers
+            # the size of "a" again, another scenario and camera
             "c": _acceptance_config(seed=5, width=96, height=72, fx=90.0, fy=90.0, cx=40.0, cy=30.0),
             # a's ground and camera with no later object: a frame that draws nothing
             "none": _acceptance_config(**size_a, vehicle_count_min=0, vehicle_count_max=0,
                                        distractor_count_min=0, distractor_count_max=0),
             # the ground slab lies behind the near plane and is skipped
             "near": _acceptance_config(**size_a, near_m=1.5),
-            # a's camera with a wider ground slab: another layer at the same size
+            # a's camera with a wider ground slab: another first object
             "ground": _acceptance_config(**size_a, seed=7, region_x_min=-30.0),
         }
         # the frame after the failed one draws nothing, so pixels that the
@@ -1061,7 +1091,7 @@ class TestReusedFrameBuffers:
             (tmp_path / "in-process" / name).mkdir(parents=True)
         draw, calls = ss._draw_triangles, []
 
-        def failing_once_drawn(stencil, instance, triangles, layer):
+        def failing_once_drawn(stencil, instance, triangles, layer=None):
             triangles = list(triangles)
             if all(object_id == ds.GROUND_OBJECT_ID for _, _, object_id in triangles):
                 return draw(stencil, instance, triangles, layer)  # a first-object layer
@@ -1091,17 +1121,27 @@ class TestReusedFrameBuffers:
                     tmp_path / "fresh" / name, frame), (name, frame)
 
     def test_render_frame_bundle_survives_streamed_frames(self, tmp_path):
+        """render_frame draws into the cached set that the scenario's streamed
+        frames then draw into, and its bundle holds copies: they share no
+        memory with the set and keep their bytes, through frames of the same
+        camera and of another one."""
         config = _acceptance_config(width=96, height=72, fx=105.0, fy=105.0, cx=48.0, cy=36.0, frames=5)
+        other = dataclasses.replace(config, fx=90.0, fy=90.0)
         ss._frame_buffers.cache_clear()
         bundle = render_scenario_frame(config, 0)
         expected = [plane.copy() for plane in _planes(bundle)]
         for frame in range(config.frames):
             ss.write_scenario_frame(config, frame, tmp_path)
         assert ss._frame_buffers.cache_info().misses == 1
-        reused = ss._frame_buffers(config.height, config.width)
+        cached = _scenario_buffers(config)
         for plane, want in zip(_planes(bundle), expected):
             assert plane.tobytes() == want.tobytes()
-            assert not any(np.shares_memory(plane, buffer) for buffer in reused.arrays)
+            assert not any(np.shares_memory(plane, arr) for arr in (*cached.arrays, *cached.layer[1:]))
+        for frame in range(other.frames):
+            ss.write_scenario_frame(other, frame, tmp_path)
+        assert ss._frame_buffers.cache_info().misses == 2
+        for plane, want in zip(_planes(bundle), expected):
+            assert plane.tobytes() == want.tobytes()
 
     def test_non_finite_depth_is_rejected_before_it_is_written(self, tmp_path, monkeypatch):
         buffer = np.zeros((2, 3), dtype=np.float32)
